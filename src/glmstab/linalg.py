@@ -1,8 +1,9 @@
 """Small dense linear-algebra kernel.
 
 Thin wrappers over numpy/scipy with deterministic conventions and explicit failure
-modes: QR with a positive R diagonal, real Schur form with eigenvalues read off the
-quasi-triangular blocks, Kronecker products, and LU solves with a singularity guard.
+modes: Householder QR on direct LAPACK calls and its positive-diagonal form, real
+Schur form with eigenvalues read off the quasi-triangular blocks, Kronecker
+products, and LU solves with a singularity guard.
 Everything here operates on small dense float64 arrays (supervector dimensions are
 k*d with k,d <= a few dozen).
 """
@@ -13,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
-from .errors import NoConvergence, RankDeficient, Singular
+from .errors import NoConvergence, NumericalError, RankDeficient, Singular
 
 # Hard cap on the dimension accepted by the Schur reduction; the package only ever
 # forms k x k (k <= 8-ish) and (k*d) x (k*d) matrices, so anything bigger is a bug.
@@ -34,26 +36,42 @@ class RealSchur:
     eigs: np.ndarray  # complex, ordered along the diagonal blocks
 
 
+def householder_qr(m):
+    """Reduced Householder QR of a tall or square float64 m by LAPACK dgeqrf + dorgqr.
+
+    Returns (packed, q): packed is dgeqrf's output, R in its upper triangle; q is the
+    orthonormal factor with LAPACK's column signs. These are the same calls, and so
+    the same bits, as np.linalg.qr, without its per-call wrapper cost. A nonzero
+    LAPACK info raises NumericalError.
+    """
+    packed, tau, _, info = dgeqrf(m)
+    if info == 0:
+        q, _, info = dorgqr(packed, tau)
+    if info != 0:
+        raise NumericalError(f"LAPACK QR returned info={info}")
+    return packed, q
+
+
 def qr_positive(m, rank_tol=1e-14):
-    """Reduced QR factorization with a nonnegative-diagonal R.
+    """Reduced QR factorization (m tall or square) with a nonnegative-diagonal R.
 
     Columns of Q are flipped so every diagonal entry of R is >= 0; a diagonal entry
-    below rank_tol * max|m| raises RankDeficient. The factorization is deterministic
-    for a given input.
+    below rank_tol * max|m|, a zero m or a non-finite m raises RankDeficient. The
+    factorization is deterministic for a given input.
     """
     m = np.asarray(m, dtype=float)
-    q, r = np.linalg.qr(m)
-    d = np.sign(np.diag(r))
-    d[d == 0.0] = 1.0
-    q = q * d[np.newaxis, :]
-    r = r * d[:, np.newaxis]
+    packed, q = householder_qr(m)
+    diag = packed.diagonal()
+    sign = np.copysign(1.0, diag)
     scale = np.max(np.abs(m)) if m.size else 0.0
-    if np.min(np.abs(np.diag(r))) <= rank_tol * scale or scale == 0.0:
+    dmin = np.min(np.abs(diag))
+    # negated so that a NaN or inf scale (non-finite m) fails the guard as well
+    if not dmin > rank_tol * scale:
         raise RankDeficient(
-            f"QR diagonal {np.min(np.abs(np.diag(r))):.3e} below tolerance "
-            f"{rank_tol:.1e} * {scale:.3e}"
+            f"QR diagonal {dmin:.3e} below tolerance {rank_tol:.1e} * {scale:.3e}"
         )
-    return QrFactors(q=q, r=r)
+    return QrFactors(q=np.ascontiguousarray(q) * sign,
+                     r=np.triu(packed[:diag.size]) * sign[:, np.newaxis])
 
 
 def _quasi_tri_eigs(t, tol=0.0):

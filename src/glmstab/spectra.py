@@ -34,7 +34,7 @@ class QrTrail:
 
     @property
     def n_steps(self) -> int:
-        # entries are single rows (ndim 1) or bulk chunks (ndim 2)
+        # entries are single rows (ndim 1, vector steps) or chunks (ndim 2)
         return sum(a.shape[0] if a.ndim == 2 else 1 for a in self._logs)
 
     @property
@@ -70,15 +70,48 @@ def new_vector_trail(w0, h: float, t0: float = 0.0) -> QrTrail:
 
 def qr_advance(trail: QrTrail, phi: np.ndarray) -> QrTrail:
     """One matrix-trail step: re-orthonormalize phi @ frame, log the R diagonal."""
-    fac = linalg.qr_positive(phi @ trail.frame)
-    trail.frame = fac.q
-    trail._logs.append(np.log(np.diag(fac.r)))
-    return trail
+    return qr_advance_series(trail, np.asarray(phi, dtype=float)[np.newaxis])
+
+
+# Steps per block of qr_advance_series: bounds its scratch buffers and the work done
+# past a failing step.
+_QR_BLOCK = 1024
 
 
 def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
-    for phi in phis:
-        qr_advance(trail, phi)
+    """Advance a matrix trail through phis in order, one discrete QR step per phi.
+
+    Each step runs linalg.householder_qr on phi @ frame and flips Q's columns to a
+    positive R diagonal; the rank guard of linalg.qr_positive and the logs are taken
+    per block of steps, vectorized. The trail ends bit for bit where stepping
+    qr_positive one phi at a time leaves it; on a failing step it keeps every step
+    before it and qr_positive raises RankDeficient for that step.
+    """
+    phis = np.asarray(phis, dtype=float)
+    d, k = trail.frame.shape
+    nb = min(len(phis), _QR_BLOCK)
+    ms = np.empty((nb, d, k))          # products phi @ Q_n, kept for the guard
+    qs = np.empty((nb + 1, d, k))      # the block's frames, C-ordered like before
+    diags = np.empty((nb, k))          # R diagonals before the sign flip
+    for lo in range(0, len(phis), _QR_BLOCK):
+        block = phis[lo:lo + _QR_BLOCK]
+        n = len(block)
+        qs[0] = trail.frame
+        for phi, m, q, q_next, diag in zip(block, ms, qs, qs[1:], diags):
+            np.matmul(phi, q, out=m)
+            packed, q_raw = linalg.householder_qr(m)
+            diag[:] = packed.diagonal()
+            np.multiply(q_raw, np.copysign(1.0, diag), out=q_next)
+        absd = np.abs(diags[:n])
+        # qr_positive's guard at its default rank_tol, negated the same way
+        ok = np.min(absd, axis=1) > 1e-14 * np.max(np.abs(ms[:n]), axis=(1, 2))
+        good = n if ok.all() else int(np.argmin(ok))
+        if good:
+            trail._logs.append(np.log(absd[:good]))
+        trail.frame = qs[good].copy()
+        if good < n:
+            linalg.qr_positive(ms[good])   # fails the same guard: raises RankDeficient
+            raise AssertionError("block rank guard disagrees with qr_positive")
     return trail
 
 
@@ -299,8 +332,8 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
 
     S is the skew projection of Q^T A Q (strictly lower part reflected), so the upper
     triangular factor's diagonal rates are B_ii = (Q^T A Q)_ii; those are recorded at
-    every node. The frame is re-orthonormalized each step; drift beyond drift_tol
-    before re-orthonormalization raises OrthogonalityLost.
+    every node. The frame is re-orthonormalized each step; drift beyond drift_tol, or a
+    non-finite frame, before re-orthonormalization raises OrthogonalityLost.
     """
     d = prob.d
     q = np.eye(d) if q0 is None else np.asarray(q0, dtype=float).copy()
@@ -321,7 +354,7 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
         k4 = rate(q + h_fine * k3, t + h_fine)
         q = q + (h_fine / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         drift = float(np.max(np.abs(q.T @ q - np.eye(d))))
-        if drift > drift_tol:
+        if not drift <= drift_tol:         # a NaN frame fails too
             raise OrthogonalityLost(
                 f"frame drift {drift:.3e} exceeds {drift_tol:.1e} at t={ts[idx + 1]:.6g}")
         q = linalg.qr_positive(q).q

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output files, determinism."""
 
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,4 +141,21 @@ def test_csv_float_format(tmp_path, capsys):
     assert "e" in val
     mantissa = val.split("e")[0].replace("-", "").replace(".", "")
     assert len(mantissa) == 17
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:offsets should satisfy")   # as-printed reading
+def test_paper_tables_byte_identical(tmp_path, capsys):
+    # the recorded sha256 of the paper-table CSVs, shared with the benchmark
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    want = json.loads(digests.read_text())
+    calls = {"table1": ["table1"],
+             "table2-as-printed": ["table2", "--b1-reading", "as-printed"],
+             "table2-corrected": ["table2", "--b1-reading", "corrected"]}
+    got = {}
+    for key, argv in calls.items():
+        assert cli.main(argv + ["--out", str(tmp_path / key)]) == 0
+        for path in (tmp_path / key).iterdir():
+            got[f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == want
     capsys.readouterr()

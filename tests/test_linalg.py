@@ -37,6 +37,10 @@ def test_qr_positive_rank_deficient():
         linalg.qr_positive(m)
     with pytest.raises(RankDeficient):
         linalg.qr_positive(np.zeros((2, 2)))
+    with pytest.raises(RankDeficient):
+        linalg.qr_positive(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(RankDeficient):
+        linalg.qr_positive(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -260,3 +260,6 @@ def test_oracle_orthogonality_guard():
     prob = problems.rotating_cosine_problem(p)
     with pytest.raises(OrthogonalityLost):
         spectra.continuous_qr_oracle(prob, 2.0, 0.1)
+    with pytest.raises(OrthogonalityLost):       # a NaN frame fails the drift test
+        spectra.continuous_qr_oracle(
+            problems.constant_problem([[math.nan, 0.0], [0.0, 1.0]]), 1.0, 0.1)
