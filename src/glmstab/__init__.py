@@ -11,7 +11,6 @@ from .errors import (
     DegenerateFit,
     GlmStabError,
     NewtonDiverged,
-    NoConvergence,
     NotStrictlyStable,
     NumericalError,
     OrthogonalityLost,
@@ -42,12 +41,11 @@ from .glm import (
     start_from_reference,
     start_rk4,
     step_linear,
-    step_nonlinear,
     tau_series,
     transition_batch,
     validate_tableau,
 )
-from .linalg import QrFactors, RealSchur, kron, qr_positive, real_schur, solve
+from .linalg import QrFactors, kron, qr_positive, solve
 from .onestep import (
     DecayFit,
     SpectralSplit,

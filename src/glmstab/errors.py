@@ -22,10 +22,6 @@ class RankDeficient(NumericalError):
     """QR factorization hit a diagonal entry below the rank tolerance."""
 
 
-class NoConvergence(NumericalError):
-    """An iterative eigenvalue reduction failed to converge."""
-
-
 class Singular(NumericalError):
     """Linear solve on a numerically singular matrix."""
 

@@ -35,6 +35,7 @@ from .problems import LinearProblem
 
 UNIT_EIG_TOL = 1e-8     # |eig - 1| below this counts as the unit eigenvalue
 STABLE_MARGIN = 1e-6    # all other eigenvalues need modulus <= 1 - STABLE_MARGIN
+_GAP_CHUNK = 1024       # grid points per batched solve and eigvals in stability_gap
 
 
 @dataclass
@@ -64,7 +65,7 @@ def check_strictly_stable(v: np.ndarray, unit_tol: float = UNIT_EIG_TOL,
     Exactly one eigenvalue within unit_tol of 1, all others with modulus at most
     1 - margin; anything else raises NotStrictlyStable.
     """
-    eigs = linalg.real_schur(np.asarray(v, dtype=float)).eigs
+    eigs = np.linalg.eigvals(np.asarray(v, dtype=float))
     unit = np.abs(eigs - 1.0) < unit_tol
     if int(np.sum(unit)) != 1:
         raise NotStrictlyStable(
@@ -371,69 +372,81 @@ class NewtonConfig:
     predictor: str = "explicit-euler"   # or "history"
 
 
-def step_nonlinear(traj: Trajectory, tab: GlmTableau, f: Callable, jac: Callable,
-                   cfg: NewtonConfig = NewtonConfig()) -> Trajectory:
-    """Append one step of the GLM on x' = f(x,t) via a stage Newton iteration."""
-    d, k, r = traj.d, tab.k, tab.r
-    n = traj.states.shape[0] - 1
-    x_cur = traj.states[-1]
-    ts = (stage_times(tab, np.array(n), traj.h, traj.t0)).reshape(r)
-    u_big = linalg.kron(tab.U, np.eye(d))
-    base = u_big @ x_cur
-
-    # stage predictor
-    x_last = x_cur[-d:]
-    t_last = traj.t0 + (n + k - 1) * traj.h
-    if cfg.predictor == "explicit-euler":
-        f_last = np.atleast_1d(f(x_last, t_last))
-        g = np.concatenate([x_last + (ts[i] - (k - 1)) * traj.h * f_last for i in range(r)])
-    elif cfg.predictor == "history":
-        g = np.tile(x_last, r)
-    else:
-        raise ConfigError(f"unknown predictor {cfg.predictor!r}")
-
-    h = traj.h
-    c_big = linalg.kron(tab.C, np.eye(d))
-    scale = max(1.0, float(np.linalg.norm(base)))
-    for _ in range(cfg.max_iters):
-        fg = np.concatenate([np.atleast_1d(f(g[i * d:(i + 1) * d], ts[i])) for i in range(r)])
-        resid = g - base - h * (c_big @ fg)
-        if float(np.linalg.norm(resid)) <= cfg.tol * scale:
-            break
-        jblk = np.zeros((r * d, r * d))
-        for i in range(r):
-            jblk[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.atleast_2d(
-                jac(g[i * d:(i + 1) * d], ts[i]))
-        g = g - linalg.solve(np.eye(r * d) - h * (c_big @ jblk), resid)
-    else:
-        raise NewtonDiverged(
-            f"stage Newton exceeded {cfg.max_iters} iterations at step {n} "
-            f"(residual {float(np.linalg.norm(resid)):.3e})"
-        )
-
-    fg = np.concatenate([np.atleast_1d(f(g[i * d:(i + 1) * d], ts[i])) for i in range(r)])
-    nxt = linalg.kron(tab.V, np.eye(d)) @ x_cur + h * (linalg.kron(tab.D, np.eye(d)) @ fg)
-    traj.states = np.vstack([traj.states, nxt])
-    return traj
-
-
 def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps: int,
                   h: float, t0: float = 0.0, cfg: NewtonConfig = NewtonConfig(),
                   d: Optional[int] = None) -> Trajectory:
+    """Integrate the GLM on x' = f(x,t) for n_steps, stages by a Newton iteration."""
     x0_super = np.asarray(x0_super, dtype=float)
     if d is None:
         d = x0_super.size // tab.k
-    traj = Trajectory(h=h, t0=t0, d=d, k=tab.k, states=x0_super.reshape(1, tab.k * d).copy())
-    for _ in range(n_steps):
-        step_nonlinear(traj, tab, f, jac, cfg)
-    return traj
+    k, r = tab.k, tab.r
+    u_big, c_big, v_big, d_big = (linalg.kron(m, np.eye(d))
+                                  for m in (tab.U, tab.C, tab.V, tab.D))
+    eye_rd = np.eye(r * d)
+    all_ts = stage_times(tab, np.arange(n_steps), h, t0)         # (n_steps, r)
+    states = np.empty((n_steps + 1, k * d))
+    states[0] = x0_super.reshape(k * d)
+    for n, ts in enumerate(all_ts):
+        x_cur = states[n]
+        base = u_big @ x_cur
+
+        # stage predictor
+        x_last = x_cur[-d:]
+        t_last = t0 + (n + k - 1) * h
+        if cfg.predictor == "explicit-euler":
+            f_last = np.atleast_1d(f(x_last, t_last))
+            g = np.concatenate([x_last + (ts[i] - (k - 1)) * h * f_last for i in range(r)])
+        elif cfg.predictor == "history":
+            g = np.tile(x_last, r)
+        else:
+            raise ConfigError(f"unknown predictor {cfg.predictor!r}")
+
+        scale = max(1.0, float(np.linalg.norm(base)))
+        for _ in range(cfg.max_iters):
+            fg = np.concatenate([np.atleast_1d(f(g[i * d:(i + 1) * d], ts[i]))
+                                 for i in range(r)])
+            resid = g - base - h * (c_big @ fg)
+            if float(np.linalg.norm(resid)) <= cfg.tol * scale:
+                break
+            jblk = np.zeros((r * d, r * d))
+            for i in range(r):
+                jblk[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.atleast_2d(
+                    jac(g[i * d:(i + 1) * d], ts[i]))
+            g = g - linalg.solve(eye_rd - h * (c_big @ jblk), resid)
+        else:
+            raise NewtonDiverged(
+                f"stage Newton exceeded {cfg.max_iters} iterations at step {n} "
+                f"(residual {float(np.linalg.norm(resid)):.3e})"
+            )
+
+        fg = np.concatenate([np.atleast_1d(f(g[i * d:(i + 1) * d], ts[i])) for i in range(r)])
+        states[n + 1] = v_big @ x_cur + h * (d_big @ fg)
+    return Trajectory(h=h, t0=t0, d=d, k=k, states=states)
 
 
-def scalar_transition(tab: GlmTableau, z: float) -> np.ndarray:
-    """k x k transition of the method on the frozen scalar test equation, hx' = z x."""
+def scalar_transition(tab: GlmTableau, z) -> np.ndarray:
+    """k x k transition of the method on the frozen scalar test equation, hx' = z x.
+
+    A 1-D array of z gives one transition per z, shape (n, k, k), with the same bits
+    as one call per z.
+    """
+    z = np.asarray(z, dtype=float)[..., np.newaxis, np.newaxis]
     s = np.eye(tab.r) - z * tab.C
-    t_sol = np.linalg.solve(s, tab.U)
+    t_sol = np.linalg.solve(s, np.broadcast_to(tab.U, s.shape[:-1] + (tab.k,)))
     return tab.V + z * (tab.D @ t_sol)
+
+
+def spectral_radii(tab: GlmTableau, z) -> np.ndarray:
+    """Spectral radii of scalar_transition(tab, z), inf where I - z C is singular.
+
+    A batch that raises is redone one z at a time, so a singular z costs only itself.
+    """
+    try:
+        return np.max(np.abs(np.linalg.eigvals(scalar_transition(tab, z))), axis=-1)
+    except np.linalg.LinAlgError:
+        if np.ndim(z) == 0:
+            return np.float64(math.inf)
+        return np.array([spectral_radii(tab, zi) for zi in z])
 
 
 def stability_gap(tab: GlmTableau, z_cap: float = 100.0, scan_step: float = 0.01) -> float:
@@ -441,28 +454,27 @@ def stability_gap(tab: GlmTableau, z_cap: float = 100.0, scan_step: float = 0.01
 
     Scans the spectral radius of the scalar-test transition for z > 0 and returns the
     first z where it re-enters the closed unit disk (to ~1e-10 by bisection), or
-    infinity (capped search) if the recursion never restabilizes below z_cap.
+    infinity (capped search) if the recursion never restabilizes below z_cap. The
+    grid is built by repeated additions and scanned _GAP_CHUNK points per batch.
     """
-    def rho(z: float) -> float:
-        try:
-            return float(np.max(np.abs(np.linalg.eigvals(scalar_transition(tab, z)))))
-        except np.linalg.LinAlgError:
-            return math.inf
-
-    prev = 1e-9
+    grid = []
     z = scan_step
     while z <= z_cap + 1e-12:
-        if rho(z) <= 1.0 + 1e-12:
-            lo, hi = prev, z
+        grid.append(z)
+        z += scan_step
+    for base in range(0, len(grid), _GAP_CHUNK):
+        rho = spectral_radii(tab, np.array(grid[base: base + _GAP_CHUNK]))
+        stable = np.flatnonzero(rho <= 1.0 + 1e-12)
+        if stable.size:
+            i = base + int(stable[0])
+            lo, hi = (grid[i - 1] if i else 1e-9), grid[i]
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if rho(mid) <= 1.0 + 1e-12:
+                if spectral_radii(tab, mid) <= 1.0 + 1e-12:
                     hi = mid
                 else:
                     lo = mid
             return 0.5 * (lo + hi)
-        prev = z
-        z += scan_step
     return math.inf
 
 

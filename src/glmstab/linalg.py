@@ -1,9 +1,8 @@
 """Small dense linear-algebra kernel.
 
 Thin wrappers over numpy/scipy with deterministic conventions and explicit failure
-modes: Householder QR on direct LAPACK calls and its positive-diagonal form, real
-Schur form with eigenvalues read off the quasi-triangular blocks, Kronecker
-products, and LU solves with a singularity guard.
+modes: Householder QR on direct LAPACK calls and its positive-diagonal form,
+Kronecker products, and LU solves with a singularity guard.
 Everything here operates on small dense float64 arrays (supervector dimensions are
 k*d with k,d <= a few dozen).
 """
@@ -16,24 +15,13 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
-from .errors import NoConvergence, NumericalError, RankDeficient, Singular
-
-# Hard cap on the dimension accepted by the Schur reduction; the package only ever
-# forms k x k (k <= 8-ish) and (k*d) x (k*d) matrices, so anything bigger is a bug.
-SCHUR_MAX_DIM = 32
+from .errors import NumericalError, RankDeficient, Singular
 
 
 @dataclass
 class QrFactors:
     q: np.ndarray
     r: np.ndarray
-
-
-@dataclass
-class RealSchur:
-    orth: np.ndarray
-    quasi_tri: np.ndarray
-    eigs: np.ndarray  # complex, ordered along the diagonal blocks
 
 
 def householder_qr(m):
@@ -72,52 +60,6 @@ def qr_positive(m, rank_tol=1e-14):
         )
     return QrFactors(q=np.ascontiguousarray(q) * sign,
                      r=np.triu(packed[:diag.size]) * sign[:, np.newaxis])
-
-
-def _quasi_tri_eigs(t, tol=0.0):
-    """Eigenvalues from the 1x1/2x2 diagonal blocks of a real quasi-triangular matrix."""
-    n = t.shape[0]
-    eigs = np.empty(n, dtype=complex)
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > tol:
-            a, b = t[i, i], t[i, i + 1]
-            c, d = t[i + 1, i], t[i + 1, i + 1]
-            mean = 0.5 * (a + d)
-            disc = mean * mean - (a * d - b * c)
-            if disc < 0.0:
-                root = np.sqrt(-disc)
-                eigs[i] = mean + 1j * root
-                eigs[i + 1] = mean - 1j * root
-            else:
-                root = np.sqrt(disc)
-                eigs[i] = mean + root
-                eigs[i + 1] = mean - root
-            i += 2
-        else:
-            eigs[i] = t[i, i]
-            i += 1
-    return eigs
-
-
-def real_schur(m, max_sweeps=100):
-    """Real Schur form m = Z T Z^T with eigenvalues read from T's diagonal blocks.
-
-    max_sweeps caps the internal QR iteration; a convergence failure raises
-    NoConvergence. Input must be square with dimension <= SCHUR_MAX_DIM.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"real_schur expects a square matrix, got shape {m.shape}")
-    if m.shape[0] > SCHUR_MAX_DIM:
-        raise ValueError(
-            f"real_schur dimension {m.shape[0]} exceeds design bound {SCHUR_MAX_DIM}"
-        )
-    try:
-        t, z = scipy.linalg.schur(m, output="real")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare in practice
-        raise NoConvergence(f"Schur reduction failed within {max_sweeps} sweeps") from exc
-    return RealSchur(orth=z, quasi_tri=t, eigs=_quasi_tri_eigs(t))
 
 
 def kron(a, b):

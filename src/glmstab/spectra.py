@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import linalg
-from .errors import OrthogonalityLost, WindowOutOfRange, ZeroVector
+from .errors import ConfigError, OrthogonalityLost, WindowOutOfRange, ZeroVector
 from .problems import LinearProblem
 
 
@@ -93,25 +93,27 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     ms = np.empty((nb, d, k))          # products phi @ Q_n, kept for the guard
     qs = np.empty((nb + 1, d, k))      # the block's frames, C-ordered like before
     diags = np.empty((nb, k))          # R diagonals before the sign flip
-    for lo in range(0, len(phis), _QR_BLOCK):
-        block = phis[lo:lo + _QR_BLOCK]
-        n = len(block)
-        qs[0] = trail.frame
-        for phi, m, q, q_next, diag in zip(block, ms, qs, qs[1:], diags):
-            np.matmul(phi, q, out=m)
-            packed, q_raw = linalg.householder_qr(m)
-            diag[:] = packed.diagonal()
-            np.multiply(q_raw, np.copysign(1.0, diag), out=q_next)
-        absd = np.abs(diags[:n])
-        # qr_positive's guard at its default rank_tol, negated the same way
-        ok = np.min(absd, axis=1) > 1e-14 * np.max(np.abs(ms[:n]), axis=(1, 2))
-        good = n if ok.all() else int(np.argmin(ok))
-        if good:
-            trail._logs.append(np.log(absd[:good]))
-        trail.frame = qs[good].copy()
-        if good < n:
-            linalg.qr_positive(ms[good])   # fails the same guard: raises RankDeficient
-            raise AssertionError("block rank guard disagrees with qr_positive")
+    # a non-finite phi makes matmul warn; the guard below turns it into RankDeficient
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, len(phis), _QR_BLOCK):
+            block = phis[lo:lo + _QR_BLOCK]
+            n = len(block)
+            qs[0] = trail.frame
+            for phi, m, q, q_next, diag in zip(block, ms, qs, qs[1:], diags):
+                np.matmul(phi, q, out=m)
+                packed, q_raw = linalg.householder_qr(m)
+                diag[:] = packed.diagonal()
+                np.multiply(q_raw, np.copysign(1.0, diag), out=q_next)
+            absd = np.abs(diags[:n])
+            # qr_positive's guard at its default rank_tol, negated the same way
+            ok = np.min(absd, axis=1) > 1e-14 * np.max(np.abs(ms[:n]), axis=(1, 2))
+            good = n if ok.all() else int(np.argmin(ok))
+            if good:
+                trail._logs.append(np.log(absd[:good]))
+            trail.frame = qs[good].copy()
+            if good < n:
+                linalg.qr_positive(ms[good])   # fails the same guard: raises RankDeficient
+                raise AssertionError("block rank guard disagrees with qr_positive")
     return trail
 
 
@@ -174,9 +176,9 @@ def mu_appr(trail: QrTrail, n0: int, n: int, denominator: str = "t0",
         raise WindowOutOfRange(
             f"window needs {n0 + n} steps, trail has {trail.n_steps}")
     if denominator not in ("t0", "N0"):
-        raise WindowOutOfRange(f"unknown denominator mode {denominator!r}")
+        raise ConfigError(f"unknown denominator mode {denominator!r}")
     if sum_start not in ("origin", "window"):
-        raise WindowOutOfRange(f"unknown sum_start mode {sum_start!r}")
+        raise ConfigError(f"unknown sum_start mode {sum_start!r}")
     cs = _cumlogs(trail)
     js = 0 if sum_start == "origin" else n0
     t_ref = trail.t0 if denominator == "t0" else trail.t0 + n0 * trail.h

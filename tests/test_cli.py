@@ -159,3 +159,19 @@ def test_paper_tables_byte_identical(tmp_path, capsys):
             got[f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == want
     capsys.readouterr()
+
+
+def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
+    # sha256 of counterexample and converge outputs at their defaults, recorded
+    # before the stability-gap scan was batched
+    want = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
+    calls = {f"counterexample-{m}": ["counterexample", "--method", m]
+             for m in ("bdf2", "ab2", "be")}
+    calls["converge-bdf2"] = ["converge", "--method", "bdf2"]
+    got = {}
+    for key, argv in calls.items():
+        assert cli.main(argv + ["--out", str(tmp_path / key)]) == 0
+        for path in (tmp_path / key).iterdir():
+            got[f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == want
+    capsys.readouterr()

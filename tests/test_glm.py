@@ -59,6 +59,48 @@ def test_strict_stability_boundaries():
     glm.check_strictly_stable(np.diag([1.0, 1.0 - 1e-5]))       # outside margin
 
 
+def _rotation(angle, radius=1.0):
+    c, s = radius * math.cos(angle), radius * math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def _with_unit_mode(block):
+    v = np.eye(len(block) + 1)
+    v[1:, 1:] = block
+    return v
+
+
+def test_strictly_stable_bdf2_eigenvalues():
+    v = np.array([[0.0, 1.0], [-1.0 / 3.0, 4.0 / 3.0]])
+    eigs = np.sort_complex(glm.check_strictly_stable(v))
+    assert np.allclose(eigs, [1.0 / 3.0, 1.0], atol=1e-13)
+
+
+def test_strictly_stable_accepts_inner_complex_pair():
+    eigs = np.sort_complex(glm.check_strictly_stable(_with_unit_mode(_rotation(1.0, 0.5))))
+    want = np.sort_complex([0.5 * np.exp(-1j), 0.5 * np.exp(1j), 1.0])
+    assert np.allclose(eigs, want, atol=1e-14)
+
+
+def test_strictly_stable_rejects_unit_modulus_pair():
+    with pytest.raises(NotStrictlyStable):
+        glm.check_strictly_stable(glm.leapfrog_tableau().V)          # eigenvalues +-1
+    with pytest.raises(NotStrictlyStable):
+        glm.check_strictly_stable(_with_unit_mode(_rotation(1.0)))   # e^{+-i}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 5))
+def test_strictly_stable_accepts_similar_diagonal(seed, n):
+    # S diag(1, lambda_1..lambda_n) S^-1 with |lambda_i| <= 0.9 is strictly stable
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(-0.9, 0.9, n)
+    s = rng.standard_normal((n + 1, n + 1)) + 3.0 * np.eye(n + 1)
+    v = s @ np.diag(np.concatenate([[1.0], lams])) @ np.linalg.inv(s)
+    eigs = np.sort_complex(glm.check_strictly_stable(v))
+    assert np.allclose(eigs, np.sort_complex(np.concatenate([[1.0], lams])), atol=1e-9)
+
+
 def test_validate_tableau_shape_guard():
     tab = glm.bdf2_tableau()
     tab.U = np.ones((2, 2))

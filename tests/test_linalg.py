@@ -1,4 +1,4 @@
-"""Dense kernel: QR sign convention, real Schur, Kronecker, guarded solves."""
+"""Dense kernel: QR sign convention, Kronecker, guarded solves."""
 
 import numpy as np
 import pytest
@@ -51,38 +51,6 @@ def test_qr_positive_properties(seed, n):
     assert np.allclose(fac.q @ fac.r, m, atol=1e-12)
     assert np.allclose(fac.q.T @ fac.q, np.eye(n), atol=1e-12)
     assert np.min(np.diag(fac.r)) > 0.0
-
-
-def test_real_schur_known_eigs():
-    # companion-style update matrix with eigenvalues 1 and 1/3
-    v = np.array([[0.0, 1.0], [-1.0 / 3.0, 4.0 / 3.0]])
-    sch = linalg.real_schur(v)
-    eigs = np.sort_complex(sch.eigs)
-    assert np.allclose(eigs, [1.0 / 3.0, 1.0], atol=1e-13)
-    assert np.allclose(sch.orth @ sch.quasi_tri @ sch.orth.T, v, atol=1e-13)
-    assert np.allclose(sch.orth.T @ sch.orth, np.eye(2), atol=1e-13)
-
-
-def test_real_schur_complex_pair():
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    eigs = np.sort_complex(linalg.real_schur(j).eigs)
-    assert np.allclose(eigs, [-1j, 1j], atol=1e-14)
-
-
-def test_real_schur_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        linalg.real_schur(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        linalg.real_schur(np.eye(linalg.SCHUR_MAX_DIM + 1))
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
-def test_real_schur_matches_eigvals(seed, n):
-    m = np.random.default_rng(seed).standard_normal((n, n))
-    got = np.sort_complex(linalg.real_schur(m).eigs)
-    want = np.sort_complex(np.linalg.eigvals(m))
-    assert np.allclose(got, want, atol=1e-9)
 
 
 def test_kron_oracle():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmstab import glm, problems, spectra
-from glmstab.errors import OrthogonalityLost, WindowOutOfRange, ZeroVector
+from glmstab.errors import ConfigError, OrthogonalityLost, WindowOutOfRange, ZeroVector
 
 
 def _exp_trail(rate, h, n, t0=0.0):
@@ -119,9 +119,9 @@ def test_mu_appr_window_validation():
         spectra.mu_appr(trail, 0, 0)
     with pytest.raises(WindowOutOfRange):
         spectra.mu_appr(trail, 5, 6)
-    with pytest.raises(WindowOutOfRange):
+    with pytest.raises(ConfigError):
         spectra.mu_appr(trail, 0, 5, denominator="midpoint")
-    with pytest.raises(WindowOutOfRange):
+    with pytest.raises(ConfigError):
         spectra.mu_appr(trail, 0, 5, sum_start="end")
 
 
