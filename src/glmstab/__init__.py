@@ -40,12 +40,11 @@ from .glm import (
     stability_gap,
     start_from_reference,
     start_rk4,
-    step_linear,
     tau_series,
     transition_batch,
     validate_tableau,
 )
-from .linalg import QrFactors, kron, qr_positive, solve
+from .linalg import QrFactors, qr_positive, solve
 from .onestep import (
     DecayFit,
     SpectralSplit,
@@ -80,7 +79,6 @@ from .spectra import (
     QrTrail,
     SackerSellEstimate,
     continuous_qr_oracle,
-    integral_separation_check,
     integral_separation_logs,
     integrate_diag,
     lyapunov_endpoints,

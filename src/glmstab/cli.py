@@ -3,13 +3,14 @@
 Subcommands: run, table1, table2, counterexample, spectrum, converge.
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 
-All output is deterministic: CSV with 17-significant-digit scientific floats,
-JSON with sorted keys. Table commands emit computed columns side by side with
-the published values they are compared against.
+All output is deterministic: CSV with 17-significant-digit scientific floats and
+csv.writer's conventions (comma separated, "\r\n" line ends), JSON with sorted
+keys. Table commands emit computed columns side by side with the published values
+they are compared against.
 """
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,16 @@ import numpy as np
 from . import glm, onestep, problems, spectra
 from .errors import ConfigError, GlmStabError, NumericalError
 
-FLOAT_FMT = "%.16e"    # 17 significant digits: exact float64 round-trip
+FLOAT_FMT = "%.16e"    # 17 significant digits: exact float64 round-trip; nan, inf
+CSV_EOL = "\r\n"       # the line end of csv.writer
+
+
+def _csv_line(*fields: str) -> str:
+    """A %-format for one CSV line of the given field formats."""
+    return ",".join(fields) + CSV_EOL
+
+
+FIGURE_LINE = _csv_line(FLOAT_FMT, "%d", FLOAT_FMT, FLOAT_FMT, FLOAT_FMT)
 
 # Published experiment values (side-by-side columns, tolerance-checked only by
 # the test suite). Table 1: h -> (lte_mean, lte_max, mu). Table 2:
@@ -53,22 +63,41 @@ TABLE2_PUBLISHED = {
 }
 
 
-def _fmt(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return FLOAT_FMT % x
+def _write_csv(path: str, header, lines) -> None:
+    """Write the header fields, then lines already formatted, in one write each.
 
-
-def _log10(v: float) -> float:
-    return math.log10(max(float(v), 1e-300))
-
-
-def _write_csv(path: str, header, rows) -> None:
+    Every CSV file goes through here, so a tracer wrapping it sees every byte.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + CSV_EOL)
+        fh.write("".join(lines))
+
+
+def _figure_lines(key: float, times, lte, norms) -> list:
+    """Figure CSV lines, one per defect: key, n, t_n, log10 LTE_n, log10 ||x_n||.
+
+    The logarithms are math.log10 per value, clamped at 1e-300 (NaN passes
+    through); np.log10 differs from it in the last ulp on some values.
+    """
+    m = len(lte)
+    lg_lte, lg_norm = ([math.log10(v) for v in np.maximum(x[:m], 1e-300).tolist()]
+                       for x in (lte, norms))
+    return [FIGURE_LINE % row for row in zip(itertools.repeat(key), range(m),
+                                             times[:m].tolist(), lg_lte, lg_norm)]
+
+
+def _run_lines(times, norms, lte, running) -> list:
+    """run.csv lines for n = 0..m, m = len(lte) >= 1: n, t_n, ||x_n||, LTE_n, mu_n.
+
+    The defect is empty on the last line, the running average on the first.
+    """
+    m = len(lte)
+    t, x, e, r = times.tolist(), norms.tolist(), lte.tolist(), running.tolist()
+    first = _csv_line("0", FLOAT_FMT, FLOAT_FMT, FLOAT_FMT, "") % (t[0], x[0], e[0])
+    full = _csv_line("%d", FLOAT_FMT, FLOAT_FMT, FLOAT_FMT, FLOAT_FMT)
+    last = _csv_line("%d", FLOAT_FMT, FLOAT_FMT, "", FLOAT_FMT)
+    return ([first] + [full % row for row in zip(range(1, m), t[1:], x[1:], e[1:], r)]
+            + [last % (m, t[m], x[m], r[m - 1])])
 
 
 def _write_json(path: str, obj) -> None:
@@ -219,15 +248,9 @@ def cmd_run(args) -> int:
                          denominator=args.denominator, sum_start=args.sum_start,
                          lte_scale=args.lte_scale)
     out = _ensure_out(args.out)
-    steps = []
-    for n in range(row.n_steps + 1):
-        steps.append([
-            n, _fmt(row.times[n]), _fmt(row.norms[n]),
-            _fmt(row.lte[n]) if n < len(row.lte) else "",
-            _fmt(row.running_mu[n - 1]) if n >= 1 else "",
-        ])
     _write_csv(os.path.join(out, "run.csv"),
-               ["n", "t", "norm_x", "lte", "running_mu"], steps)
+               ["n", "t", "norm_x", "lte", "running_mu"],
+               _run_lines(row.times, row.norms, row.lte, row.running_mu))
     _write_json(os.path.join(out, "run_report.json"), {
         "method": args.method, "h": row.h, "n_steps": row.n_steps,
         "diverged": row.diverged, "mu_appr": row.mu, "argmax_t": row.argmax_t,
@@ -244,14 +267,12 @@ def cmd_run(args) -> int:
 def cmd_table1(args) -> int:
     rows = table1_rows(denominator=args.denominator, sum_start=args.sum_start)
     out = _ensure_out(args.out)
+    line = _csv_line(*[FLOAT_FMT] * 7, "%d")
     body, fig = [], []
     for h, row in zip(TABLE1_H, rows):
-        pub = TABLE1_PUBLISHED[h]
-        body.append([_fmt(h), _fmt(row.lte_mean), _fmt(row.lte_max), _fmt(row.mu),
-                     _fmt(pub[0]), _fmt(pub[1]), _fmt(pub[2]), int(row.diverged)])
-        for n in range(len(row.lte)):
-            fig.append([_fmt(h), n, _fmt(row.times[n]),
-                        _fmt(_log10(row.lte[n])), _fmt(_log10(row.norms[n]))])
+        body.append(line % (h, row.lte_mean, row.lte_max, row.mu,
+                            *TABLE1_PUBLISHED[h], int(row.diverged)))
+        fig += _figure_lines(h, row.times, row.lte, row.norms)
     _write_csv(os.path.join(out, "table1.csv"),
                ["h", "lte_mean", "lte_max", "mu", "pub_lte_mean", "pub_lte_max",
                 "pub_mu", "diverged"], body)
@@ -265,21 +286,18 @@ def cmd_table1(args) -> int:
 
 def cmd_table2(args) -> int:
     out = _ensure_out(args.out)
+    line = _csv_line("%s", *[FLOAT_FMT] * 12)
     body, fig = [], []
     for b2_reading in ("as-printed", "corrected"):
         rows = table2_rows(b1_reading=args.b1_reading, b2_reading=b2_reading,
                            denominator=args.denominator, sum_start=args.sum_start)
         for a, row in zip(TABLE2_A, rows):
             pub = TABLE2_PUBLISHED[a]
-            body.append([b2_reading, _fmt(a), _fmt(TABLE2_B1[args.b1_reading]),
-                         _fmt(TABLE2_B2[b2_reading]), _fmt(row.lte_mean),
-                         _fmt(row.lte_max), _fmt(row.mu), _fmt(row.mu_frame),
-                         _fmt(row.tau_max), _fmt(pub[0]), _fmt(pub[1]),
-                         _fmt(pub[2]), _fmt(pub[3])])
+            body.append(line % (b2_reading, a, TABLE2_B1[args.b1_reading],
+                                TABLE2_B2[b2_reading], row.lte_mean, row.lte_max,
+                                row.mu, row.mu_frame, row.tau_max, *pub))
             if b2_reading == "as-printed":
-                for n in range(len(row.lte)):
-                    fig.append([_fmt(a), n, _fmt(row.times[n]),
-                                _fmt(_log10(row.lte[n])), _fmt(_log10(row.norms[n]))])
+                fig += _figure_lines(a, row.times, row.lte, row.norms)
             print(f"table2 b2={b2_reading} a={a}: mu={row.mu:+.6e} "
                   f"mu_frame={row.mu_frame:+.6e} (published {pub[2]:+.3e}) "
                   f"tau_max={row.tau_max:.4f} (published {pub[3]})")
@@ -301,19 +319,20 @@ def cmd_counterexample(args) -> int:
     x0s = glm.start_rk4(osc, (1.0,), 0.0, args.h, tab.k)
     t_osc = glm.run_linear(tab, osc, x0s, args.steps, args.h)
     t_frz = glm.run_linear(tab, frozen, x0s, args.steps, args.h)
-    n_osc = np.abs(t_osc.last_blocks()[:, 0])
-    exact = np.array([problems.scalar_cosine_reference(sp, t) for t in t_osc.times()])
+    times = t_osc.times()
+    x_osc, x_frz = t_osc.last_blocks()[:, 0], t_frz.last_blocks()[:, 0]
+    n_osc = np.abs(x_osc)
+    exact = np.array([problems.scalar_cosine_reference(sp, t) for t in times])
     deviation = float(np.max(np.abs(t_osc.states - t_frz.states)))
     growth = float(n_osc[-1] / n_osc[0])
     m = t_osc.n_steps
     per_period = float(np.exp(np.log(growth) / m))  # coefficient period is h
     out = _ensure_out(args.out)
-    body = []
-    for n in range(m + 1):
-        body.append([n, _fmt(t_osc.times()[n]), _fmt(t_osc.last_blocks()[n, 0]),
-                     _fmt(t_frz.last_blocks()[n, 0]), _fmt(exact[n])])
+    line = _csv_line("%d", *[FLOAT_FMT] * 4)
     _write_csv(os.path.join(out, "counterexample.csv"),
-               ["n", "t", "x_oscillatory", "x_frozen", "x_exact"], body)
+               ["n", "t", "x_oscillatory", "x_frozen", "x_exact"],
+               [line % row for row in zip(range(m + 1), times.tolist(), x_osc.tolist(),
+                                          x_frz.tolist(), exact.tolist())])
     report = {
         "method": args.method, "h": args.h, "D": args.D, "L": args.L,
         "stability_gap": delta, "steps": m, "growth_factor": growth,
@@ -406,9 +425,9 @@ def cmd_converge(args) -> int:
     global_slope = float(np.polyfit(lh, np.log(ge), 1)[0])
     lte_slope = float(np.polyfit(lh, np.log(le), 1)[0])
     out = _ensure_out(args.out)
-    _write_csv(os.path.join(out, "converge.csv"),
-               ["h", "global_error", "lte_max"],
-               [[_fmt(h), _fmt(g), _fmt(l)] for h, g, l in zip(hs, ge, le)])
+    line = _csv_line(*[FLOAT_FMT] * 3)
+    _write_csv(os.path.join(out, "converge.csv"), ["h", "global_error", "lte_max"],
+               [line % row for row in zip(hs, ge, le)])
     _write_json(os.path.join(out, "converge_report.json"), {
         "method": args.method, "h_list": list(hs), "t_final": t_final,
         "global_errors": ge, "lte_max": le,

@@ -63,9 +63,12 @@ def check_strictly_stable(v: np.ndarray, unit_tol: float = UNIT_EIG_TOL,
     """Validate strict stability of an update matrix V; returns its eigenvalues.
 
     Exactly one eigenvalue within unit_tol of 1, all others with modulus at most
-    1 - margin; anything else raises NotStrictlyStable.
+    1 - margin; anything else, a NaN or inf entry included, raises NotStrictlyStable.
     """
-    eigs = np.linalg.eigvals(np.asarray(v, dtype=float))
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise NotStrictlyStable(f"V has a non-finite entry: {v.tolist()}")
+    eigs = np.linalg.eigvals(v)
     unit = np.abs(eigs - 1.0) < unit_tol
     if int(np.sum(unit)) != 1:
         raise NotStrictlyStable(
@@ -208,14 +211,14 @@ def transition_batch(tab: GlmTableau, prob: LinearProblem, n0: int, count: int,
             if tab.C[i, j] != 0.0:
                 s[:, i, :, j, :] -= h * tab.C[i, j] * a_all[:, j]
     s = s.reshape(count, r * d, r * d)
-    u_big = linalg.kron(tab.U, np.eye(d))                        # (rd, kd)
+    u_big = np.kron(tab.U, np.eye(d))                            # (rd, kd)
     try:
         t_sol = np.linalg.solve(s, np.broadcast_to(u_big, (count,) + u_big.shape))
     except np.linalg.LinAlgError as exc:
         raise StageSingular(f"stage system singular near step {n0}: {exc}") from exc
     mt = np.einsum("nide,niem->nidm", a_all, t_sol.reshape(count, r, d, k * d))
-    d_big = linalg.kron(tab.D, np.eye(d))                        # (kd, rd)
-    phi = linalg.kron(tab.V, np.eye(d)) + h * np.einsum(
+    d_big = np.kron(tab.D, np.eye(d))                            # (kd, rd)
+    phi = np.kron(tab.V, np.eye(d)) + h * np.einsum(
         "pe,nem->npm", d_big, mt.reshape(count, r * d, k * d)
     )
     return phi
@@ -237,15 +240,20 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
     divergence_factor * max(1, ||X_0||) or becomes non-finite; everything computed up
     to that point stays available. Returns the Trajectory, or (Trajectory, Phi-array)
     when keep_transitions is set.
+
+    Each chunk of steps is propagated first and guarded after: a step whose
+    vectorized norm is not clearly below the guard is re-checked with
+    np.linalg.norm, in order, so the first failing step and the states are the
+    same as with a per-step check.
     """
     kd = tab.k * prob.d
     x0_super = np.asarray(x0_super, dtype=float).reshape(kd)
     states = np.empty((n_steps + 1, kd))
     states[0] = x0_super
     guard = divergence_factor * max(1.0, float(np.linalg.norm(x0_super)))
+    clear = guard * (1.0 - 1e-12)
     phis = np.empty((n_steps, kd, kd)) if keep_transitions else None
 
-    diverged = False
     diverged_at = None
     n_done = 0
     for base in range(0, n_steps, chunk):
@@ -253,20 +261,23 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
         block = transition_batch(tab, prob, base, cnt, h, t0)
         if keep_transitions:
             phis[base: base + cnt] = block
-        stop = False
-        for i in range(cnt):
-            nxt = block[i] @ states[base + i]
-            norm = float(np.linalg.norm(nxt))
-            if not math.isfinite(norm) or norm > guard:
-                diverged = True
-                diverged_at = base + i + 1
-                stop = True
-                break
-            states[base + i + 1] = nxt
-            n_done = base + i + 1
-        if stop:
+        new = states[base + 1: base + cnt + 1]
+        # steps past a divergence may overflow; they are cut off below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for phi, x, out in zip(block, states[base: base + cnt], new):
+                np.matmul(phi, x, out=out)
+            norms = np.sqrt(np.einsum("ij,ij->i", new, new))
+            for i in np.flatnonzero(~(norms <= clear)).tolist():
+                norm = float(np.linalg.norm(new[i]))
+                if not math.isfinite(norm) or norm > guard:
+                    diverged_at = base + i + 1
+                    break
+        if diverged_at is not None:
+            n_done = diverged_at - 1
             break
+        n_done = base + cnt
 
+    diverged = diverged_at is not None
     states = states[: n_done + 1]
     traj = Trajectory(
         h=h, t0=t0, d=prob.d, k=tab.k, states=states, start_proc=start_proc,
@@ -274,15 +285,6 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
     )
     if keep_transitions:
         return traj, phis[: n_done]
-    return traj
-
-
-def step_linear(traj: Trajectory, tab: GlmTableau, prob: LinearProblem) -> Trajectory:
-    """Append one exact linear step to a trajectory (in place); returns it."""
-    n = traj.states.shape[0] - 1
-    phi = linear_transition(tab, prob, n, traj.h, traj.t0)
-    nxt = phi @ traj.states[-1]
-    traj.states = np.vstack([traj.states, nxt])
     return traj
 
 
@@ -380,7 +382,7 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
     if d is None:
         d = x0_super.size // tab.k
     k, r = tab.k, tab.r
-    u_big, c_big, v_big, d_big = (linalg.kron(m, np.eye(d))
+    u_big, c_big, v_big, d_big = (np.kron(m, np.eye(d))
                                   for m in (tab.U, tab.C, tab.V, tab.D))
     eye_rd = np.eye(r * d)
     all_ts = stage_times(tab, np.arange(n_steps), h, t0)         # (n_steps, r)

@@ -1,8 +1,8 @@
 """Small dense linear-algebra kernel.
 
 Thin wrappers over numpy/scipy with deterministic conventions and explicit failure
-modes: Householder QR on direct LAPACK calls and its positive-diagonal form,
-Kronecker products, and LU solves with a singularity guard.
+modes: Householder QR and guarded LU solves on direct LAPACK calls, and the
+positive-diagonal form of the QR.
 Everything here operates on small dense float64 arrays (supervector dimensions are
 k*d with k,d <= a few dozen).
 """
@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgeqrf, dorgqr
+from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dorgqr
 
 from .errors import NumericalError, RankDeficient, Singular
 
@@ -62,22 +61,24 @@ def qr_positive(m, rank_tol=1e-14):
                      r=np.triu(packed[:diag.size]) * sign[:, np.newaxis])
 
 
-def kron(a, b):
-    """Kronecker product a (x) b."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def solve(a, rhs):
-    """Solve a @ x = rhs by partial-pivoted LU with a singularity guard.
+    """Solve a @ x = rhs by partial-pivoted LU (LAPACK dgetrf + dgetrs) with a guard.
 
-    A pivot below 1e-14 * max|a| raises Singular instead of returning garbage.
+    A pivot below 1e-14 * max|a| raises Singular instead of returning garbage. These
+    are the calls scipy.linalg.lu_factor and lu_solve make, so the bits are the same,
+    without their warning on an exactly zero pivot. A LAPACK argument error raises
+    NumericalError.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    lu, piv, info = dgetrf(a)
+    if info < 0:
+        raise NumericalError(f"LAPACK dgetrf returned info={info}")
     scale = np.max(np.abs(a))
-    if scale == 0.0 or np.min(np.abs(np.diag(lu))) < 1e-14 * scale:
-        raise Singular(
-            f"pivot {np.min(np.abs(np.diag(lu))):.3e} below 1e-14 * {scale:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    pivot = np.min(np.abs(lu.diagonal()))
+    if scale == 0.0 or pivot < 1e-14 * scale:
+        raise Singular(f"pivot {pivot:.3e} below 1e-14 * {scale:.3e}")
+    x, info = dgetrs(lu, piv, rhs)
+    if info != 0:
+        raise NumericalError(f"LAPACK dgetrs returned info={info}")
+    return x

@@ -255,26 +255,17 @@ class IntegralSeparationReport:
     T0: float = math.nan
 
 
-def integral_separation_check(trail_or_logs, i: int, j: int, a0: float = 0.05,
-                              T0: float = 1.0) -> IntegralSeparationReport:
-    """Classify the mode pair (i, j) by the behavior of its log-increment gap.
-
-    Separated: every window of length >= T0 has average gap >= a0; reports the
-    fitted pair (a, b) with a the worst long-window average and b the largest defect
-    of the integral bound over all windows. Bounded-average: long-window averages
-    stay within a0 of zero in modulus; reports (eps, M). Otherwise inconclusive.
-    O(n^2) in the trail length.
-    """
-    if isinstance(trail_or_logs, QrTrail):
-        h = trail_or_logs.h
-        logs = trail_or_logs.logs()
-    else:
-        raise TypeError("pass a QrTrail; for raw arrays use integral_separation_logs")
-    return integral_separation_logs(logs, h, i, j, a0=a0, T0=T0)
-
-
 def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
                              a0: float = 0.05, T0: float = 1.0) -> IntegralSeparationReport:
+    """Classify the mode pair (i, j) by the behavior of its log-increment gap.
+
+    logs holds one row of log increments per step of size h, as a trail's logs()
+    returns them. Separated: every window of length >= T0 has average gap >= a0;
+    reports the fitted pair (a, b) with a the worst long-window average and b the
+    largest defect of the integral bound over all windows. Bounded-average:
+    long-window averages stay within a0 of zero in modulus; reports (eps, M).
+    Otherwise inconclusive. O(n^2) in the trail length.
+    """
     logs = np.atleast_2d(np.asarray(logs, dtype=float))
     n = logs.shape[0]
     m0 = max(int(math.ceil(T0 / h)), 1)

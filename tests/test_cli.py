@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import math
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glmstab import cli
 
@@ -163,11 +168,20 @@ def test_paper_tables_byte_identical(tmp_path, capsys):
 
 def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
     # sha256 of counterexample and converge outputs at their defaults, recorded
-    # before the stability-gap scan was batched
+    # before the stability-gap scan was batched; run and spectrum outputs,
+    # recorded before the CSV writer and the propagation loop were rewritten
     want = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
     calls = {f"counterexample-{m}": ["counterexample", "--method", m]
              for m in ("bdf2", "ab2", "be")}
     calls["converge-bdf2"] = ["converge", "--method", "bdf2"]
+    cfg = json.dumps({"a1": 1.2, "a2": 1.2, "b1": -0.14, "b2": -0.15, "beta": 10.0,
+                      "x0": [0.6, -0.8]})
+    span = ["--h", "0.05", "--tfinal", "20"]
+    calls["run-default"] = ["run"] + span
+    calls["run-reference"] = ["run", "--config", cfg, "--start", "reference",
+                              "--lte-scale", "defect", "--n0", "10"] + span
+    calls["spectrum-frame"] = ["spectrum", "--mode", "frame", "--oracle-h", "0.01"] + span
+    calls["spectrum-w"] = ["spectrum", "--mode", "w"] + span
     got = {}
     for key, argv in calls.items():
         assert cli.main(argv + ["--out", str(tmp_path / key)]) == 0
@@ -175,3 +189,53 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
             got[f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == want
     capsys.readouterr()
+
+
+# -- the CSV line formatters against csv.writer ----------------------------------
+
+def _old_fmt(x) -> str:
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    return "%.16e" % x
+
+
+def _old_log10(v) -> float:
+    return math.log10(max(float(v), 1e-300))
+
+
+def _old_write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+EDGE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                     9.9e-301, math.nan, -math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=EDGE_FLOATS,
+       rows=st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS), min_size=2,
+                     max_size=30))
+def test_csv_lines_match_csv_writer(key, rows):
+    times, norms, series = (np.array(col) for col in zip(*rows))
+    lte, running = series[:-1], series[1:]
+    m = len(lte)
+    old_figure = [[_old_fmt(key), n, _old_fmt(times[n]), _old_fmt(_old_log10(lte[n])),
+                   _old_fmt(_old_log10(norms[n]))] for n in range(m)]
+    old_run = [[n, _old_fmt(times[n]), _old_fmt(norms[n]),
+                _old_fmt(lte[n]) if n < m else "",
+                _old_fmt(running[n - 1]) if n >= 1 else ""] for n in range(m + 1)]
+    header = ["a", "b", "c", "d", "e"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, old, new in (
+                ("figure", old_figure, cli._figure_lines(key, times, lte, norms)),
+                ("run", old_run, cli._run_lines(times, norms, lte, running))):
+            want, got = (os.path.join(tmp, name + ext) for ext in (".want", ".got"))
+            _old_write_csv(want, header, old)
+            cli._write_csv(got, header, new)
+            assert Path(got).read_bytes() == Path(want).read_bytes()

@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmstab import glm, problems
+from glmstab import glm, linalg, problems
 from glmstab.errors import (
     ConfigError,
     NewtonDiverged,
@@ -57,6 +58,17 @@ def test_strict_stability_boundaries():
     with pytest.raises(NotStrictlyStable):
         glm.check_strictly_stable(np.diag([1.0, 1.0 - 1e-7]))   # inside margin
     glm.check_strictly_stable(np.diag([1.0, 1.0 - 1e-5]))       # outside margin
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_strictly_stable_rejects_non_finite(bad):
+    with pytest.raises(NotStrictlyStable):
+        glm.check_strictly_stable(np.array([[bad, 0.0], [0.0, 1.0]]))
+    tab = glm.bdf2_tableau()
+    tab.V[1, 0] = bad
+    with pytest.raises(NotStrictlyStable):
+        glm.validate_tableau(tab)
 
 
 def _rotation(angle, radius=1.0):
@@ -194,14 +206,16 @@ def test_run_linear_divergence_guard():
     assert np.all(np.isfinite(traj.states))
 
 
-def test_step_linear_appends():
+def test_run_linear_one_more_step_appends():
     _, prob = _rotating()
     tab = glm.get_tableau("bdf2")
-    traj = glm.run_linear(tab, prob, glm.start_rk4(prob, (1.0, 0.0), 0.0, 0.1, 2), 3, 0.1)
-    glm.step_linear(traj, tab, prob)
-    assert traj.n_steps == 4
-    assert np.allclose(traj.states[4],
-                       glm.linear_transition(tab, prob, 3, 0.1) @ traj.states[3],
+    x0s = glm.start_rk4(prob, (1.0, 0.0), 0.0, 0.1, 2)
+    short = glm.run_linear(tab, prob, x0s, 3, 0.1)
+    longer = glm.run_linear(tab, prob, x0s, 4, 0.1)
+    assert longer.n_steps == 4
+    assert np.array_equal(longer.states[:4], short.states)
+    assert np.allclose(longer.states[4],
+                       glm.linear_transition(tab, prob, 3, 0.1) @ short.states[3],
                        atol=1e-14)
 
 
@@ -289,6 +303,28 @@ def test_nonlinear_second_order_on_tanh():
         t_last = (n + tab.k - 1) * h     # newest block of the final supervector
         errs.append(abs(float(traj.states[-1][-1]) - problems.tanh_reference(p, t_last)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["bdf2", "be", "ab2"])
+@pytest.mark.parametrize("predictor", ["explicit-euler", "history"])
+def test_nonlinear_states_match_scipy_lu_solve(name, predictor, monkeypatch):
+    # reference: the scipy.linalg.lu_factor + lu_solve pair linalg.solve replaced
+    p = problems.TanhForcedParams(a=-1.5)
+    tab = glm.get_tableau(name)
+    f = lambda x, t: problems.tanh_rhs(p, x, t)
+    jac = lambda x, t: problems.tanh_jac(p, x, t)
+    cfg = glm.NewtonConfig(predictor=predictor)
+    x0s = glm.start_rk4(f, (0.3,), 0.0, 0.05, tab.k)
+    got = glm.run_nonlinear(tab, f, jac, x0s, 60, 0.05, cfg=cfg)
+
+    def lu_solve(a, rhs):
+        lu = scipy.linalg.lu_factor(a, check_finite=False)
+        return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+
+    monkeypatch.setattr(linalg, "solve", lu_solve)
+    want = glm.run_nonlinear(tab, f, jac, x0s, 60, 0.05, cfg=cfg)
+    assert np.array_equal(got.states, want.states)
 
 
 def test_newton_budget_exhausted():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,8 +55,9 @@ def test_qr_positive_properties(seed, n):
 
 
 def test_kron_oracle():
+    # the GLM blocks U (x) I_d, V (x) I_d... are np.kron of float tableau matrices
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = linalg.kron(a, np.eye(2))
+    out = np.kron(a, np.eye(2))
     want = np.array([
         [1.0, 0.0, 2.0, 0.0],
         [0.0, 1.0, 0.0, 2.0],
@@ -71,6 +73,22 @@ def test_solve_oracle():
     assert np.allclose(a @ x, [3.0, 4.0], atol=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), nrhs=st.integers(0, 3),
+       shift=st.sampled_from([0.0, 1e-3, 3.0]))
+def test_solve_matches_scipy_lu_bits(seed, n, nrhs, shift):
+    # the scipy.linalg.lu_factor + lu_solve pair the direct LAPACK calls replace
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + shift * np.eye(n)
+    rhs = rng.standard_normal((n, nrhs) if nrhs else n)
+    want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), rhs,
+                                 check_finite=False)
+    got = linalg.solve(a, rhs)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error")
 def test_solve_singular():
     with pytest.raises(Singular):
         linalg.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))

@@ -214,12 +214,7 @@ def test_integral_separation_inconclusive():
 
 def test_integral_separation_interface():
     trail = _exp_trail(0.1, 0.1, 30)
-    logs2 = np.hstack([trail.logs(), 0.5 * trail.logs()])
-    with pytest.raises(TypeError):
-        spectra.integral_separation_check(logs2, 0, 1)
-    rep = spectra.integral_separation_check(
-        spectra.vector_trail_from_values(np.exp(0.1 * 0.1 * np.arange(31))[:, None], 0.1),
-        0, 0)
+    rep = spectra.integral_separation_logs(trail.logs(), trail.h, 0, 0)
     assert rep.pair == (0, 0)
     with pytest.raises(WindowOutOfRange):
         spectra.integral_separation_logs(np.zeros((5, 2)), 0.1, 0, 1, T0=1.0)
