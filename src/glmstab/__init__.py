@@ -87,7 +87,6 @@ from .spectra import (
     new_vector_trail,
     qr_advance,
     qr_advance_series,
-    qr_advance_vector,
     sacker_sell_window,
     vector_trail_from_values,
 )

@@ -48,7 +48,7 @@ class WindowOutOfRange(NumericalError):
 
 
 class ZeroVector(NumericalError):
-    """A vector trail was advanced with an exactly zero vector."""
+    """A vector trail was started from, or met, an exactly zero w vector."""
 
 
 class QuadratureUnderResolved(NumericalError):

@@ -64,10 +64,10 @@ def qr_positive(m, rank_tol=1e-14):
 def solve(a, rhs):
     """Solve a @ x = rhs by partial-pivoted LU (LAPACK dgetrf + dgetrs) with a guard.
 
-    A pivot below 1e-14 * max|a| raises Singular instead of returning garbage. These
-    are the calls scipy.linalg.lu_factor and lu_solve make, so the bits are the same,
-    without their warning on an exactly zero pivot. A LAPACK argument error raises
-    NumericalError.
+    A pivot below 1e-14 * max|a|, or a NaN or inf in a, raises Singular instead of
+    returning garbage. These are the calls scipy.linalg.lu_factor and lu_solve make,
+    so the bits are the same, without their warning on an exactly zero pivot. A
+    LAPACK argument error raises NumericalError.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -76,7 +76,8 @@ def solve(a, rhs):
         raise NumericalError(f"LAPACK dgetrf returned info={info}")
     scale = np.max(np.abs(a))
     pivot = np.min(np.abs(lu.diagonal()))
-    if scale == 0.0 or pivot < 1e-14 * scale:
+    # negated so that a NaN scale fails the guard as well
+    if not (0.0 < scale < np.inf and pivot >= 1e-14 * scale):
         raise Singular(f"pivot {pivot:.3e} below 1e-14 * {scale:.3e}")
     x, info = dgetrs(lu, piv, rhs)
     if info != 0:

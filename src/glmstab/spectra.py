@@ -29,13 +29,11 @@ class QrTrail:
     t0: float
     mode: str                      # "matrix" or "vector"
     frame: Optional[np.ndarray]    # (d, m) orthonormal, matrix mode only
-    _logs: List[np.ndarray] = field(default_factory=list)
-    _prev_norm: float = 1.0        # vector mode bookkeeping
+    _logs: List[np.ndarray] = field(default_factory=list)   # (steps, modes) chunks
 
     @property
     def n_steps(self) -> int:
-        # entries are single rows (ndim 1, vector steps) or chunks (ndim 2)
-        return sum(a.shape[0] if a.ndim == 2 else 1 for a in self._logs)
+        return sum(a.shape[0] for a in self._logs)
 
     @property
     def n_modes(self) -> int:
@@ -65,7 +63,7 @@ def new_vector_trail(w0, h: float, t0: float = 0.0) -> QrTrail:
     norm = float(np.linalg.norm(np.asarray(w0, dtype=float)))
     if norm == 0.0:
         raise ZeroVector("vector trail started from the zero vector")
-    return QrTrail(h=h, t0=t0, mode="vector", frame=None, _prev_norm=norm)
+    return QrTrail(h=h, t0=t0, mode="vector", frame=None)
 
 
 def qr_advance(trail: QrTrail, phi: np.ndarray) -> QrTrail:
@@ -117,16 +115,6 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     return trail
 
 
-def qr_advance_vector(trail: QrTrail, w_next) -> QrTrail:
-    """One vector-trail step: log the norm ratio of consecutive w values."""
-    norm = float(np.linalg.norm(np.asarray(w_next, dtype=float)))
-    if norm == 0.0:
-        raise ZeroVector(f"w vanished at trail step {trail.n_steps}")
-    trail._logs.append(np.array([math.log(norm) - math.log(trail._prev_norm)]))
-    trail._prev_norm = norm
-    return trail
-
-
 def vector_trail_from_values(values: np.ndarray, h: float, t0: float = 0.0) -> QrTrail:
     """Vector trail over a whole w-sequence at once (values shaped (n_states, d))."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
@@ -137,7 +125,6 @@ def vector_trail_from_values(values: np.ndarray, h: float, t0: float = 0.0) -> Q
     logn = np.log(norms)
     # one chunk keeps logs() cheap on long trails
     trail._logs = [np.diff(logn)[:, np.newaxis]] if len(logn) > 1 else []
-    trail._prev_norm = float(norms[-1])
     return trail
 
 
@@ -255,6 +242,11 @@ class IntegralSeparationReport:
     T0: float = math.nan
 
 
+def _max_rise(g: np.ndarray) -> float:
+    """max over i < j of g[j] - g[i], from one running minimum."""
+    return float(np.max(g[1:] - np.minimum.accumulate(g[:-1])))
+
+
 def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
                              a0: float = 0.05, T0: float = 1.0) -> IntegralSeparationReport:
     """Classify the mode pair (i, j) by the behavior of its log-increment gap.
@@ -264,7 +256,13 @@ def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
     reports the fitted pair (a, b) with a the worst long-window average and b the
     largest defect of the integral bound over all windows. Bounded-average:
     long-window averages stay within a0 of zero in modulus; reports (eps, M).
-    Otherwise inconclusive. O(n^2) in the trail length.
+    Otherwise inconclusive.
+
+    With m0 = ceil(T0 / h) steps, the extreme averages over windows of m0 or more
+    steps are reached at widths below 2 m0: a longer window splits into two windows
+    of at least m0 steps, and its average lies between theirs. So only those widths
+    are scanned, and b and M, maxima of g_j - g_i over i < j for a linear-in-time g,
+    come from one running minimum: O(n m0) in the trail length n, not O(n^2).
     """
     logs = np.atleast_2d(np.asarray(logs, dtype=float))
     n = logs.shape[0]
@@ -276,29 +274,25 @@ def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
 
     min_avg = math.inf
     max_abs_avg = 0.0
-    for width in range(m0, n + 1):
+    for width in range(m0, min(2 * m0, n + 1)):
         sums = cs[width:] - cs[:-width]
         span = width * h
-        min_avg = min(min_avg, float(np.min(sums)) / span)
-        max_abs_avg = max(max_abs_avg, float(np.max(np.abs(sums))) / span)
+        lo, hi = float(np.min(sums)), float(np.max(sums))
+        min_avg = min(min_avg, lo / span)
+        max_abs_avg = max(max_abs_avg, max(hi, -lo) / span)
 
+    k = h * np.arange(n + 1)
     if min_avg >= a0:
-        # offset: largest defect of sum >= a * span over ALL window widths
-        b = 0.0
-        for width in range(1, n + 1):
-            sums = cs[width:] - cs[:-width]
-            b = max(b, float(np.max(width * h * min_avg - sums)))
+        # offset: largest defect of sum >= a * span over ALL windows
+        b = max(0.0, _max_rise(min_avg * k - cs))
         return IntegralSeparationReport(
             pair=(i, j), kind="separated", a=min_avg, b=b,
             min_window_avg=min_avg, max_abs_window_avg=max_abs_avg, a0=a0, T0=T0)
     if max_abs_avg <= a0:
         eps = max_abs_avg
-        m_bound = 0.0
-        for width in range(1, n + 1):
-            sums = cs[width:] - cs[:-width]
-            m_bound = max(m_bound, float(np.max(np.abs(sums))) - eps * width * h)
+        m_bound = max(0.0, _max_rise(cs - eps * k), _max_rise(-cs - eps * k))
         return IntegralSeparationReport(
-            pair=(i, j), kind="bounded-average", eps=eps, M=max(m_bound, 0.0),
+            pair=(i, j), kind="bounded-average", eps=eps, M=m_bound,
             min_window_avg=min_avg, max_abs_window_avg=max_abs_avg, a0=a0, T0=T0)
     return IntegralSeparationReport(
         pair=(i, j), kind="inconclusive",
@@ -313,11 +307,6 @@ class OracleTrail:
     h_fine: float
 
 
-def _skew_projection(w: np.ndarray) -> np.ndarray:
-    low = np.tril(w, k=-1)
-    return low - low.T
-
-
 def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
                          t0: float = 0.0, q0: Optional[np.ndarray] = None,
                          drift_tol: float = 1e-6) -> OracleTrail:
@@ -326,33 +315,53 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     S is the skew projection of Q^T A Q (strictly lower part reflected), so the upper
     triangular factor's diagonal rates are B_ii = (Q^T A Q)_ii; those are recorded at
     every node. The frame is re-orthonormalized each step; drift beyond drift_tol, or a
-    non-finite frame, before re-orthonormalization raises OrthogonalityLost.
+    non-finite frame, before re-orthonormalization raises OrthogonalityLost, and a
+    rank-deficient frame raises RankDeficient.
+
+    A(t) comes from three prob.batch calls up front (nodes, midpoints, step ends), and
+    the rates from one batched product over the frames kept at the nodes.
     """
     d = prob.d
-    q = np.eye(d) if q0 is None else np.asarray(q0, dtype=float).copy()
+    eye = np.eye(d)
+    q = eye if q0 is None else np.asarray(q0, dtype=float)
+    if q.shape != (d, d):
+        raise ConfigError(f"oracle frame q0 must be {d}x{d}, got shape {q.shape}")
     n = int(round((t_final - t0) / h_fine))
     ts = t0 + h_fine * np.arange(n + 1)
-    b_diag = np.empty((n + 1, d))
+    a_nodes = prob.batch(ts)
+    a_mid = prob.batch(ts[:-1] + 0.5 * h_fine)
+    a_end = prob.batch(ts[:-1] + h_fine)
+    frames = np.empty((n + 1, d, d))     # the frame at every node, C-ordered
+    frames[0] = q
+    q = frames[0]
+    half, sixth = 0.5 * h_fine, h_fine / 6.0
+    lower = np.tri(d, k=-1, dtype=bool)
+    low = np.zeros((d, d))               # strictly lower part of w; the rest stays zero
 
-    def rate(qm: np.ndarray, t: float) -> np.ndarray:
-        w = qm.T @ prob.coefficient(t) @ qm
-        return qm @ _skew_projection(w)
+    def rate(qm: np.ndarray, a: np.ndarray) -> np.ndarray:
+        w = qm.T @ a @ qm
+        np.copyto(low, w, where=lower)
+        return qm @ (low - low.T)        # Q times the skew projection of w
 
-    b_diag[0] = np.diag(q.T @ prob.coefficient(ts[0]) @ q)
     for idx in range(n):
-        t = ts[idx]
-        k1 = rate(q, t)
-        k2 = rate(q + 0.5 * h_fine * k1, t + 0.5 * h_fine)
-        k3 = rate(q + 0.5 * h_fine * k2, t + 0.5 * h_fine)
-        k4 = rate(q + h_fine * k3, t + h_fine)
-        q = q + (h_fine / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = float(np.max(np.abs(q.T @ q - np.eye(d))))
+        k1 = rate(q, a_nodes[idx])
+        k2 = rate(q + half * k1, a_mid[idx])
+        k3 = rate(q + half * k2, a_mid[idx])
+        k4 = rate(q + h_fine * k3, a_end[idx])
+        q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        drift = float(np.abs(q.T @ q - eye).max())
         if not drift <= drift_tol:         # a NaN frame fails too
             raise OrthogonalityLost(
                 f"frame drift {drift:.3e} exceeds {drift_tol:.1e} at t={ts[idx + 1]:.6g}")
-        q = linalg.qr_positive(q).q
-        b_diag[idx + 1] = np.diag(q.T @ prob.coefficient(ts[idx + 1]) @ q)
-    return OracleTrail(ts=ts, b_diag=b_diag, q_final=q, h_fine=h_fine)
+        packed, q_raw = linalg.householder_qr(q)
+        diag = packed.diagonal()
+        # qr_positive's rank guard at its default rank_tol, negated the same way
+        if not np.abs(diag).min() > 1e-14 * np.abs(q).max():
+            linalg.qr_positive(q)          # fails the same guard: raises RankDeficient
+        q = np.multiply(q_raw, np.copysign(1.0, diag), out=frames[idx + 1])
+    b_diag = np.matmul(np.matmul(frames.transpose(0, 2, 1), a_nodes), frames)
+    return OracleTrail(ts=ts, b_diag=b_diag.diagonal(axis1=1, axis2=2).copy(),
+                       q_final=q.copy(), h_fine=h_fine)
 
 
 def integrate_diag(oracle: OracleTrail, t_a: float, t_b: float) -> np.ndarray:

@@ -94,3 +94,13 @@ def test_solve_singular():
         linalg.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
     with pytest.raises(Singular):
         linalg.solve(np.zeros((2, 2)), np.ones(2))
+    with pytest.raises(Singular):
+        linalg.solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(Singular):
+        linalg.solve(np.array([[1.0, 2.0], [3.0, np.nan]]), np.ones(2))
+    with pytest.raises(Singular):
+        linalg.solve(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(Singular):
+        linalg.solve(np.array([[1.0, -np.inf], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(Singular):
+        linalg.solve(np.diag([np.inf, np.inf]), np.ones(2))
