@@ -59,7 +59,6 @@ from .problems import (
     ScalarCosineParams,
     TanhForcedParams,
     constant_problem,
-    mean_xi,
     propagate_exact,
     reference_batch,
     reference_solution,
@@ -84,8 +83,6 @@ from .spectra import (
     lyapunov_endpoints,
     mu_appr,
     new_matrix_trail,
-    new_vector_trail,
-    qr_advance,
     qr_advance_series,
     sacker_sell_window,
     vector_trail_from_values,

@@ -15,13 +15,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import glm, onestep, problems, spectra
-from .errors import ConfigError, GlmStabError, NumericalError
+from .errors import ConfigError, NumericalError
 
 FLOAT_FMT = "%.16e"    # 17 significant digits: exact float64 round-trip; nan, inf
 CSV_EOL = "\r\n"       # the line end of csv.writer
@@ -134,18 +134,22 @@ class ExperimentRow:
     running_mu: np.ndarray    # origin-anchored running average, length n_steps
 
 
-def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
-                   h: float, t_final: float, t0: float = 0.0, x0=(1.0, 0.0),
-                   start: str = "rk4", n0: Optional[int] = None,
-                   denominator: str = "t0", sum_start: str = "origin",
-                   lte_scale: str = "per-h", with_frame: bool = False) -> ExperimentRow:
-    """Integrate one parameter set and compute the diagnostic row."""
-    if h <= 0.0:
-        raise ConfigError(f"h must be positive, got {h}")
-    if t_final <= t0:
-        raise ConfigError(f"t_final {t_final} must exceed t0 {t0}")
-    prob = problems.rotating_cosine_problem(params)
+def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: float,
+               t_final: float, t0: float, x0, start: str):
+    """Start the method and run it from t0 to t_final: (problem, trajectory, Phi series).
+
+    The one integration path of the commands. A step that is not finite and
+    positive, a span that is not finite and positive or rounds to no step, and an
+    unknown start procedure ("rk4" or "reference") raise ConfigError.
+    """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ConfigError(f"h must be finite and positive, got {h}")
+    if not (math.isfinite(t_final - t0) and t_final > t0):
+        raise ConfigError(f"t_final {t_final} must exceed t0 {t0}, both finite")
     n_f = int(round((t_final - t0) / h))
+    if n_f < 1:
+        raise ConfigError(f"span [{t0}, {t_final}] holds no step of h = {h}")
+    prob = problems.rotating_cosine_problem(params)
     if start == "rk4":
         x0s = glm.start_rk4(prob, x0, t0, h, tab.k)
     elif start == "reference":
@@ -154,6 +158,16 @@ def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
     else:
         raise ConfigError(f"unknown start procedure {start!r}")
     traj, phis = glm.run_linear(tab, prob, x0s, n_f, h, t0, keep_transitions=True)
+    return prob, traj, phis
+
+
+def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
+                   h: float, t_final: float, t0: float = 0.0, x0=(1.0, 0.0),
+                   start: str = "rk4", n0: Optional[int] = None,
+                   denominator: str = "t0", sum_start: str = "origin",
+                   lte_scale: str = "per-h", with_frame: bool = False) -> ExperimentRow:
+    """Integrate one parameter set and compute the diagnostic row."""
+    prob, traj, phis = _integrate(tab, params, h, t_final, t0, x0, start)
     m = traj.n_steps
 
     split = onestep.spectral_split(tab)
@@ -355,11 +369,7 @@ def cmd_spectrum(args) -> int:
     if args.h is None or args.tfinal is None:
         raise ConfigError("spectrum needs --h and --tfinal")
     tab = glm.get_tableau(args.method)
-    prob = problems.rotating_cosine_problem(params)
-    n_f = int(round((args.tfinal - t0) / args.h))
-    x0s = glm.start_rk4(prob, x0, t0, args.h, tab.k)
-    traj, phis = glm.run_linear(tab, prob, x0s, n_f, args.h, t0,
-                                keep_transitions=True)
+    prob, traj, phis = _integrate(tab, params, args.h, args.tfinal, t0, x0, "rk4")
     m = traj.n_steps
     if args.mode == "frame":
         trail = spectra.new_matrix_trail(tab.k * prob.d, args.h, t0)
@@ -369,7 +379,8 @@ def cmd_spectrum(args) -> int:
         w = onestep.extract_w(traj, split)
         trail = spectra.vector_trail_from_values(w.values, args.h, t0)
     n0 = m // 2
-    est = spectra.mu_appr(trail, n0, m - n0, denominator=args.denominator)
+    est = spectra.mu_appr(trail, n0, m - n0, denominator=args.denominator,
+                          sum_start=args.sum_start)
     ends = spectra.lyapunov_endpoints(trail)
     H = args.H if args.H is not None else max(1.0, 10.0 * args.h)
     ss = spectra.sacker_sell_window(trail, H)
@@ -407,15 +418,11 @@ CONVERGE_H = {
 def cmd_converge(args) -> int:
     tab = glm.get_tableau(args.method)
     params = problems.RotatingCosineParams(**TABLE1_PROBLEM)
-    prob = problems.rotating_cosine_problem(params)
     hs = CONVERGE_H.get(args.method, (2e-2, 1e-2, 5e-3))
     t_final = args.tfinal if args.tfinal is not None else 2.0
     ge, le = [], []
     for h in hs:
-        n = int(round(t_final / h))
-        ref = lambda t: problems.reference_batch(params, np.atleast_1d(t))[0]
-        x0s = glm.start_from_reference(ref, 0.0, h, tab.k)
-        traj, phis = glm.run_linear(tab, prob, x0s, n, h, keep_transitions=True)
+        _, traj, phis = _integrate(tab, params, h, t_final, 0.0, (1.0, 0.0), "reference")
         m = traj.n_steps
         times = h * np.arange(m + tab.k)
         refs = problems.reference_batch(params, times)
@@ -445,6 +452,10 @@ def _add_common(p, with_method=True):
     if with_method:
         p.add_argument("--method", default="bdf2", help="tableau name (bdf2, ab2, be)")
     p.add_argument("--out", default="out", help="output directory")
+
+
+def _add_estimator(p):
+    """The exponent-estimator flags, for the commands that estimate one."""
     p.add_argument("--denominator", choices=("t0", "N0"), default="t0",
                    help="time reference in the exponent denominator")
     p.add_argument("--sum-start", choices=("origin", "window"), default="origin",
@@ -458,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="single integration + diagnostic report")
     _add_common(p)
+    _add_estimator(p)
     p.add_argument("--config", help="problem JSON (inline or a file path)")
     p.add_argument("--h", type=float)
     p.add_argument("--tfinal", type=float)
@@ -469,10 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="step-size sweep experiment table")
     _add_common(p, with_method=False)
+    _add_estimator(p)
     p.set_defaults(fn=cmd_table1)
 
     p = sub.add_parser("table2", help="amplitude sweep experiment table")
     _add_common(p, with_method=False)
+    _add_estimator(p)
     p.add_argument("--b1-reading", choices=tuple(TABLE2_B1), default="as-printed")
     p.set_defaults(fn=cmd_table2)
 
@@ -487,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="QR-trail exponent estimates as JSON")
     _add_common(p)
+    _add_estimator(p)
     p.add_argument("--config", help="problem JSON (inline or a file path)")
     p.add_argument("--h", type=float)
     p.add_argument("--tfinal", type=float)

@@ -19,7 +19,7 @@ extractable; validation lives here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -168,8 +168,6 @@ class Trajectory:
     d: int
     k: int
     states: np.ndarray              # (n_states, k*d)
-    start_proc: str = "given"
-    problem_name: str = ""
     diverged: bool = False
     diverged_at: Optional[int] = None
 
@@ -233,7 +231,7 @@ def linear_transition(tab: GlmTableau, prob: LinearProblem, n: int, h: float,
 def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
                n_steps: int, h: float, t0: float = 0.0,
                divergence_factor: float = 1e12, chunk: int = 4096,
-               keep_transitions: bool = False, start_proc: str = "given"):
+               keep_transitions: bool = False):
     """Propagate the supervector recursion for n_steps.
 
     The trajectory is frozen (diverged flag + truncation) as soon as the norm exceeds
@@ -279,10 +277,8 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
 
     diverged = diverged_at is not None
     states = states[: n_done + 1]
-    traj = Trajectory(
-        h=h, t0=t0, d=prob.d, k=tab.k, states=states, start_proc=start_proc,
-        problem_name=prob.name, diverged=diverged, diverged_at=diverged_at,
-    )
+    traj = Trajectory(h=h, t0=t0, d=prob.d, k=tab.k, states=states,
+                      diverged=diverged, diverged_at=diverged_at)
     if keep_transitions:
         return traj, phis[: n_done]
     return traj

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import glm, linalg
+from . import glm
 from .errors import DegenerateFit
 
 SPLIT_RESIDUAL_TOL = 1e-10
@@ -107,13 +107,8 @@ def spectral_split(v_or_tab) -> SpectralSplit:
     return SpectralSplit(P=p, Pinv=pinv, E22=e22, unit_row=pinv[0].copy())
 
 
-def extract_w(traj: glm.Trajectory, split: Optional[SpectralSplit] = None,
-              tab: Optional[glm.GlmTableau] = None) -> WSequence:
+def extract_w(traj: glm.Trajectory, split: SpectralSplit) -> WSequence:
     """w-sequence of a trajectory: unit-row contraction of each supervector."""
-    if split is None:
-        if tab is None:
-            raise ValueError("need a SpectralSplit or a tableau")
-        split = spectral_split(tab)
     blocks = traj.blocks()                      # (n, k, d)
     values = np.einsum("j,njd->nd", split.unit_row, blocks)
     return WSequence(values=values, h=traj.h, t0=traj.t0)

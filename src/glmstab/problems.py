@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class LinearProblem:
     coefficient: Callable[[float], np.ndarray]
     coefficient_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "linear"
-    params: object = None
 
     def batch(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -124,7 +123,6 @@ def rotating_cosine_problem(p: RotatingCosineParams) -> LinearProblem:
         coefficient=lambda t: rotating_cosine_A(p, float(t)),
         coefficient_batch=lambda ts: rotating_cosine_A(p, ts),
         name="rotating-cosine",
-        params=p,
     )
 
 
@@ -224,7 +222,6 @@ def scalar_cosine_problem(p: ScalarCosineParams) -> LinearProblem:
         coefficient=lambda t: np.array([[float(scalar_cosine_lambda(p, t))]]),
         coefficient_batch=lambda ts: scalar_cosine_lambda(p, ts)[:, np.newaxis, np.newaxis],
         name="scalar-cosine",
-        params=p,
     )
 
 
@@ -236,14 +233,6 @@ def scalar_cosine_reference(p: ScalarCosineParams, t, x0=1.0, t0=0.0):
     return x0 * np.exp(grow + p.L * (np.asarray(t) - t0))
 
 
-def mean_xi(p: ScalarCosineParams, n, h):
-    """Step-average of the scalar cosine coefficient over [n h, (n+1) h]."""
-    if p.omega == 0.0:
-        return p.L + p.D
-    n = np.asarray(n, dtype=float)
-    return p.L + p.D * (np.sin(p.omega * (n + 1.0) * h) - np.sin(p.omega * n * h)) / (p.omega * h)
-
-
 def constant_problem(a) -> LinearProblem:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     return LinearProblem(
@@ -251,7 +240,6 @@ def constant_problem(a) -> LinearProblem:
         coefficient=lambda t: a,
         coefficient_batch=lambda ts: np.broadcast_to(a, (len(ts),) + a.shape),
         name="constant",
-        params=a,
     )
 
 

@@ -13,8 +13,8 @@ the trail for chaining.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,25 +27,20 @@ from .problems import LinearProblem
 class QrTrail:
     h: float
     t0: float
-    mode: str                      # "matrix" or "vector"
-    frame: Optional[np.ndarray]    # (d, m) orthonormal, matrix mode only
-    _logs: List[np.ndarray] = field(default_factory=list)   # (steps, modes) chunks
+    frame: Optional[np.ndarray]    # (d, m) orthonormal frame; None for a vector trail
+    increments: np.ndarray         # (n_steps, n_modes) log increments, one row per step
 
     @property
     def n_steps(self) -> int:
-        return sum(a.shape[0] for a in self._logs)
+        return self.increments.shape[0]
 
     @property
     def n_modes(self) -> int:
-        if self.mode == "matrix":
-            return self.frame.shape[1]
-        return 1
+        return self.increments.shape[1]
 
     def logs(self) -> np.ndarray:
         """Accumulated per-step log increments, shape (n_steps, n_modes)."""
-        if not self._logs:
-            return np.empty((0, self.n_modes))
-        return np.vstack(self._logs)
+        return self.increments
 
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.n_steps + 1)
@@ -55,20 +50,8 @@ def new_matrix_trail(dim: int, h: float, t0: float = 0.0,
                      frame: Optional[np.ndarray] = None) -> QrTrail:
     if frame is None:
         frame = np.eye(dim)
-    frame = np.asarray(frame, dtype=float)
-    return QrTrail(h=h, t0=t0, mode="matrix", frame=frame.copy())
-
-
-def new_vector_trail(w0, h: float, t0: float = 0.0) -> QrTrail:
-    norm = float(np.linalg.norm(np.asarray(w0, dtype=float)))
-    if norm == 0.0:
-        raise ZeroVector("vector trail started from the zero vector")
-    return QrTrail(h=h, t0=t0, mode="vector", frame=None)
-
-
-def qr_advance(trail: QrTrail, phi: np.ndarray) -> QrTrail:
-    """One matrix-trail step: re-orthonormalize phi @ frame, log the R diagonal."""
-    return qr_advance_series(trail, np.asarray(phi, dtype=float)[np.newaxis])
+    frame = np.array(frame, dtype=float)
+    return QrTrail(h=h, t0=t0, frame=frame, increments=np.empty((0, frame.shape[1])))
 
 
 # Steps per block of qr_advance_series: bounds its scratch buffers and the work done
@@ -81,9 +64,10 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
 
     Each step runs linalg.householder_qr on phi @ frame and flips Q's columns to a
     positive R diagonal; the rank guard of linalg.qr_positive and the logs are taken
-    per block of steps, vectorized. The trail ends bit for bit where stepping
-    qr_positive one phi at a time leaves it; on a failing step it keeps every step
-    before it and qr_positive raises RankDeficient for that step.
+    per block of steps, vectorized, into one array for the call that is appended to
+    the trail once. The trail ends bit for bit where stepping qr_positive one phi at
+    a time leaves it; on a failing step it keeps every step before it and
+    qr_positive raises RankDeficient for that step.
     """
     phis = np.asarray(phis, dtype=float)
     d, k = trail.frame.shape
@@ -91,6 +75,8 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     ms = np.empty((nb, d, k))          # products phi @ Q_n, kept for the guard
     qs = np.empty((nb + 1, d, k))      # the block's frames, C-ordered like before
     diags = np.empty((nb, k))          # R diagonals before the sign flip
+    logs = np.empty((len(phis), k))    # this call's log increments
+    done = 0
     # a non-finite phi makes matmul warn; the guard below turns it into RankDeficient
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, len(phis), _QR_BLOCK):
@@ -106,12 +92,15 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
             # qr_positive's guard at its default rank_tol, negated the same way
             ok = np.min(absd, axis=1) > 1e-14 * np.max(np.abs(ms[:n]), axis=(1, 2))
             good = n if ok.all() else int(np.argmin(ok))
-            if good:
-                trail._logs.append(np.log(absd[:good]))
+            np.log(absd[:good], out=logs[lo:lo + good])
+            done = lo + good
             trail.frame = qs[good].copy()
             if good < n:
-                linalg.qr_positive(ms[good])   # fails the same guard: raises RankDeficient
-                raise AssertionError("block rank guard disagrees with qr_positive")
+                break
+    trail.increments = np.concatenate([trail.increments, logs[:done]])
+    if done < len(phis):
+        linalg.qr_positive(ms[good])       # fails the same guard: raises RankDeficient
+        raise AssertionError("block rank guard disagrees with qr_positive")
     return trail
 
 
@@ -121,16 +110,12 @@ def vector_trail_from_values(values: np.ndarray, h: float, t0: float = 0.0) -> Q
     norms = np.linalg.norm(values, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector(f"w vanished at index {int(np.argmin(norms > 0.0))}")
-    trail = new_vector_trail(values[0], h, t0)
-    logn = np.log(norms)
-    # one chunk keeps logs() cheap on long trails
-    trail._logs = [np.diff(logn)[:, np.newaxis]] if len(logn) > 1 else []
-    return trail
+    return QrTrail(h=h, t0=t0, frame=None,
+                   increments=np.diff(np.log(norms))[:, np.newaxis])
 
 
-def _cumlogs(trail_or_logs) -> np.ndarray:
-    logs = trail_or_logs.logs() if isinstance(trail_or_logs, QrTrail) else np.atleast_2d(
-        np.asarray(trail_or_logs, dtype=float))
+def _cumlogs(trail: QrTrail) -> np.ndarray:
+    logs = trail.logs()
     cs = np.zeros((logs.shape[0] + 1, logs.shape[1]))
     np.cumsum(logs, axis=0, out=cs[1:])
     return cs
@@ -256,7 +241,7 @@ def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
     reports the fitted pair (a, b) with a the worst long-window average and b the
     largest defect of the integral bound over all windows. Bounded-average:
     long-window averages stay within a0 of zero in modulus; reports (eps, M).
-    Otherwise inconclusive.
+    Otherwise inconclusive. h and T0 must be finite and positive (ConfigError).
 
     With m0 = ceil(T0 / h) steps, the extreme averages over windows of m0 or more
     steps are reached at widths below 2 m0: a longer window splits into two windows
@@ -264,6 +249,8 @@ def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
     are scanned, and b and M, maxima of g_j - g_i over i < j for a linear-in-time g,
     come from one running minimum: O(n m0) in the trail length n, not O(n^2).
     """
+    if not (math.isfinite(h) and h > 0.0 and math.isfinite(T0) and T0 > 0.0):
+        raise ConfigError(f"h and T0 must be finite and positive, got h={h}, T0={T0}")
     logs = np.atleast_2d(np.asarray(logs, dtype=float))
     n = logs.shape[0]
     m0 = max(int(math.ceil(T0 / h)), 1)
@@ -316,7 +303,8 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     triangular factor's diagonal rates are B_ii = (Q^T A Q)_ii; those are recorded at
     every node. The frame is re-orthonormalized each step; drift beyond drift_tol, or a
     non-finite frame, before re-orthonormalization raises OrthogonalityLost, and a
-    rank-deficient frame raises RankDeficient.
+    rank-deficient frame raises RankDeficient. A step h_fine that is not finite and
+    positive, or a span without one such step, raises ConfigError.
 
     A(t) comes from three prob.batch calls up front (nodes, midpoints, step ends), and
     the rates from one batched product over the frames kept at the nodes.
@@ -326,7 +314,13 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     q = eye if q0 is None else np.asarray(q0, dtype=float)
     if q.shape != (d, d):
         raise ConfigError(f"oracle frame q0 must be {d}x{d}, got shape {q.shape}")
-    n = int(round((t_final - t0) / h_fine))
+    if not (math.isfinite(h_fine) and h_fine > 0.0):
+        raise ConfigError(f"oracle step h_fine must be finite and positive, got {h_fine}")
+    steps = (t_final - t0) / h_fine
+    if not (math.isfinite(steps) and round(steps) >= 1):
+        raise ConfigError(f"oracle span [{t0}, {t_final}] must be finite and hold "
+                          f"at least one step of {h_fine}")
+    n = int(round(steps))
     ts = t0 + h_fine * np.arange(n + 1)
     a_nodes = prob.batch(ts)
     a_mid = prob.batch(ts[:-1] + 0.5 * h_fine)

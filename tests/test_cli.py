@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmstab import cli
+from glmstab import cli, glm, onestep, problems, spectra
 
 
 def _read_csv(path):
@@ -32,7 +32,15 @@ def test_exit_code_config_errors(tmp_path, capsys):
                      "--config", "{not json"]) == 2
     assert cli.main(["run", "--h", "0.1", "--tfinal", "1", "--out", out,
                      "--config", str(tmp_path / "missing.json")]) == 2
-    capsys.readouterr()
+    # spans that are empty, reversed or round to no step, in every integrating command
+    assert cli.main(["spectrum", "--h", "-0.1", "--tfinal", "1", "--out", out]) == 2
+    assert cli.main(["converge", "--tfinal", "0.001", "--out", out]) == 2
+    assert cli.main(["converge", "--tfinal", "-1", "--out", out]) == 2
+    assert cli.main(["run", "--h", "0.1", "--tfinal", "0.01", "--out", out]) == 2
+    assert cli.main(["spectrum", "--h", "0.1", "--tfinal", "4", "--oracle-h", "-0.1",
+                     "--out", out]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 10 and all(ln.startswith("config error:") for ln in lines)
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
@@ -125,6 +133,40 @@ def test_spectrum_frame_mode_with_oracle(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", ["w", "frame"])
+def test_spectrum_sum_start_reaches_mu_appr(tmp_path, capsys, mode):
+    h, t_final = 0.1, 10.0
+    out = tmp_path / mode
+    assert cli.main(["spectrum", "--mode", mode, "--sum-start", "window", "--h", str(h),
+                     "--tfinal", str(t_final), "--out", str(out)]) == 0
+    bundle = json.loads((out / "spectrum.json").read_text())
+    tab = glm.get_tableau("bdf2")
+    prob = problems.rotating_cosine_problem(
+        problems.RotatingCosineParams(**cli.TABLE1_PROBLEM))
+    x0s = glm.start_rk4(prob, (1.0, 0.0), 0.0, h, tab.k)
+    traj, phis = glm.run_linear(tab, prob, x0s, 100, h, keep_transitions=True)
+    if mode == "frame":
+        trail = spectra.qr_advance_series(spectra.new_matrix_trail(4, h), phis)
+    else:
+        w = onestep.extract_w(traj, onestep.spectral_split(tab))
+        trail = spectra.vector_trail_from_values(w.values, h)
+    want = spectra.mu_appr(trail, 50, 50, sum_start="window")
+    origin = spectra.mu_appr(trail, 50, 50)
+    assert bundle["mu_appr"] == want.mu.tolist()
+    assert not np.array_equal(want.mu, origin.mu)
+    capsys.readouterr()
+
+
+def test_flags_only_where_read(capsys):
+    # counterexample and converge estimate no exponent: argparse rejects the flags
+    for argv in (["converge", "--sum-start", "window"],
+                 ["counterexample", "--denominator", "N0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_converge_reports_slopes(tmp_path, capsys):
     out = tmp_path / "cv"
     rc = cli.main(["converge", "--method", "be", "--out", str(out)])
@@ -169,11 +211,14 @@ def test_paper_tables_byte_identical(tmp_path, capsys):
 def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
     # sha256 of counterexample and converge outputs at their defaults, recorded
     # before the stability-gap scan was batched; run and spectrum outputs,
-    # recorded before the CSV writer and the propagation loop were rewritten
+    # recorded before the CSV writer and the propagation loop were rewritten; the
+    # ab2 and be converge runs and the N0 / window readings, recorded before the
+    # commands shared one integration path
     want = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
     calls = {f"counterexample-{m}": ["counterexample", "--method", m]
              for m in ("bdf2", "ab2", "be")}
-    calls["converge-bdf2"] = ["converge", "--method", "bdf2"]
+    calls.update({f"converge-{m}": ["converge", "--method", m]
+                  for m in ("bdf2", "ab2", "be")})
     cfg = json.dumps({"a1": 1.2, "a2": 1.2, "b1": -0.14, "b2": -0.15, "beta": 10.0,
                       "x0": [0.6, -0.8]})
     span = ["--h", "0.05", "--tfinal", "20"]
@@ -182,6 +227,8 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
                               "--lte-scale", "defect", "--n0", "10"] + span
     calls["spectrum-frame"] = ["spectrum", "--mode", "frame", "--oracle-h", "0.01"] + span
     calls["spectrum-w"] = ["spectrum", "--mode", "w"] + span
+    calls["spectrum-w-N0"] = ["spectrum", "--mode", "w", "--denominator", "N0"] + span
+    calls["run-N0-window"] = ["run", "--denominator", "N0", "--sum-start", "window"] + span
     got = {}
     for key, argv in calls.items():
         assert cli.main(argv + ["--out", str(tmp_path / key)]) == 0

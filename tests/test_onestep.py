@@ -61,17 +61,11 @@ def test_extract_w_known_states():
     traj = glm.Trajectory(h=0.1, t0=0.0, d=2, k=2,
                           states=np.array([[1.0, 0.0, 2.0, 1.0],
                                            [2.0, 1.0, 4.0, -1.0]]))
-    w = onestep.extract_w(traj, tab=tab)
+    w = onestep.extract_w(traj, onestep.spectral_split(tab))
     # w_n = -0.5 x_n + 1.5 x_{n+1} blockwise
     assert np.allclose(w.values, [[2.5, 1.5], [5.0, -2.0]], atol=1e-13)
     assert np.allclose(w.times(), [0.0, 0.1])
     assert np.allclose(w.norms(), np.linalg.norm(w.values, axis=1))
-
-
-def test_extract_w_needs_split_or_tableau():
-    traj = glm.Trajectory(h=0.1, t0=0.0, d=1, k=2, states=np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        onestep.extract_w(traj)
 
 
 def test_w_invariant_under_nonlead_column_rescale():

@@ -7,6 +7,8 @@ per step. The oracle must give the same nodes, rates and final frame bit for
 bit, and fail at the same step with the same typed error.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,21 @@ def test_oracle_rejects_misshapen_frame():
         spectra.continuous_qr_oracle(prob, 1.0, 0.1, q0=np.eye(3))
     with pytest.raises(ConfigError):
         spectra.continuous_qr_oracle(prob, 1.0, 0.1, q0=np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("t_final, h_fine", [(1.0, -0.1), (1.0, 0.0), (1.0, math.nan),
+                                             (1.0, math.inf), (1.0, 5.0), (0.0, 0.1),
+                                             (-1.0, 0.1), (math.inf, 0.1)])
+def test_oracle_rejects_bad_step_or_span(t_final, h_fine):
+    # h_fine = -0.1 used to end in numpy's "negative dimensions", h_fine = 0 in a
+    # division by zero; a span that rounds to no fine step has nothing to integrate
+    prob = problems.constant_problem([[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ConfigError):
+        spectra.continuous_qr_oracle(prob, t_final, h_fine)
+
+
+def test_oracle_one_fine_step():
+    prob = problems.constant_problem([[1.0, 0.0], [0.0, 2.0]])
+    oracle = spectra.continuous_qr_oracle(prob, 0.1, 0.1)
+    assert np.array_equal(oracle.ts, [0.0, 0.1])
+    assert np.allclose(oracle.b_diag, [[1.0, 2.0], [1.0, 2.0]], atol=1e-15)

@@ -134,17 +134,6 @@ def test_scalar_cosine_reference_derivative():
     assert num == pytest.approx(lam * problems.scalar_cosine_reference(p, t), rel=1e-8)
 
 
-def test_mean_xi_is_step_average():
-    p = problems.ScalarCosineParams(D=0.4, L=-0.2, omega=3.0)
-    h = 0.25
-    for n in (0, 3, 11):
-        s = np.linspace(n * h, (n + 1) * h, 20001)
-        quad = np.trapezoid(problems.scalar_cosine_lambda(p, s), s) / h
-        assert problems.mean_xi(p, n, h) == pytest.approx(quad, abs=1e-9)
-    flat = problems.ScalarCosineParams(D=0.4, L=-0.2, omega=0.0)
-    assert problems.mean_xi(flat, 5, h) == 0.2
-
-
 def test_constant_problem():
     prob = problems.constant_problem([[1.0, 2.0], [0.0, 3.0]])
     assert prob.d == 2

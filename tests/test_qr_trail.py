@@ -132,7 +132,7 @@ def test_single_steps_match_series():
     phis = _criterion7_phis(50)
     trail = spectra.new_matrix_trail(4, 0.075)
     for phi in phis:
-        spectra.qr_advance(trail, phi)
+        spectra.qr_advance_series(trail, phi[np.newaxis])
     assert trail.n_steps == 50
     _assert_same((trail.logs(), trail.frame, None), reference_trail(np.eye(4), phis))
 

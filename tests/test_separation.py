@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmstab import spectra
+from glmstab.errors import ConfigError
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -138,3 +139,14 @@ def test_separation_of_a_1e5_step_trail():
     assert same.kind == "bounded-average"
     assert same.eps == 0.0 and same.M == 0.0
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("h, T0", [(-0.1, 1.0), (0.0, 1.0), (math.nan, 1.0),
+                                   (math.inf, 1.0), (0.1, 0.0), (0.1, -1.0),
+                                   (0.1, math.nan), (0.1, math.inf)])
+def test_separation_rejects_bad_step_or_window(h, T0):
+    # a gap of +0.02 per step; h = -0.1 used to read it as bounded-average with
+    # min_window_avg -0.2, and h = 0 divided by zero
+    logs = np.column_stack([np.full(50, 0.02), np.zeros(50)])
+    with pytest.raises(ConfigError):
+        spectra.integral_separation_logs(logs, h, 0, 1, T0=T0)

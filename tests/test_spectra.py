@@ -23,16 +23,23 @@ def _exp_trail(rate, h, n, t0=0.0):
 
 def test_vector_trail_rejects_zero():
     with pytest.raises(ZeroVector):
-        spectra.new_vector_trail(np.zeros(2), 0.1)
+        spectra.vector_trail_from_values(np.zeros((1, 2)), 0.1)
     with pytest.raises(ZeroVector):
         spectra.vector_trail_from_values(np.array([[1.0], [0.0], [2.0]]), 0.1)
+
+
+def test_vector_trail_of_one_value_is_empty():
+    trail = spectra.vector_trail_from_values(np.array([[3.0, 4.0]]), 0.1)
+    assert trail.frame is None
+    assert trail.n_steps == 0 and trail.n_modes == 1
+    assert trail.logs().shape == (0, 1)
 
 
 def test_matrix_trail_log_oracle():
     trail = spectra.new_matrix_trail(2, 0.5)
     phi = np.diag([2.0, 0.5])
     for _ in range(3):
-        spectra.qr_advance(trail, phi)
+        spectra.qr_advance_series(trail, phi[np.newaxis])
     assert trail.n_steps == 3
     assert trail.n_modes == 2
     want = np.tile([math.log(2.0), math.log(0.5)], (3, 1))
@@ -42,7 +49,7 @@ def test_matrix_trail_log_oracle():
 
 def test_rotation_steps_log_nothing():
     trail = spectra.new_matrix_trail(2, 0.1)
-    spectra.qr_advance(trail, problems.rotation(0.7))
+    spectra.qr_advance_series(trail, problems.rotation(0.7)[np.newaxis])
     assert np.allclose(trail.logs(), 0.0, atol=1e-15)
     assert np.allclose(trail.frame.T @ trail.frame, np.eye(2), atol=1e-14)
 
