@@ -10,7 +10,6 @@ they are compared against.
 """
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -32,7 +31,7 @@ def _csv_line(*fields: str) -> str:
     return ",".join(fields) + CSV_EOL
 
 
-FIGURE_LINE = _csv_line(FLOAT_FMT, "%d", FLOAT_FMT, FLOAT_FMT, FLOAT_FMT)
+FIGURE_REST = _csv_line("%d", FLOAT_FMT, FLOAT_FMT, FLOAT_FMT)   # after the key field
 
 # Published experiment values (side-by-side columns, tolerance-checked only by
 # the test suite). Table 1: h -> (lte_mean, lte_max, mu). Table 2:
@@ -77,13 +76,15 @@ def _figure_lines(key: float, times, lte, norms) -> list:
     """Figure CSV lines, one per defect: key, n, t_n, log10 LTE_n, log10 ||x_n||.
 
     The logarithms are math.log10 per value, clamped at 1e-300 (NaN passes
-    through); np.log10 differs from it in the last ulp on some values.
+    through); np.log10 differs from it in the last ulp on some values. The key is
+    formatted once, as the prefix of every line.
     """
     m = len(lte)
     lg_lte, lg_norm = ([math.log10(v) for v in np.maximum(x[:m], 1e-300).tolist()]
                        for x in (lte, norms))
-    return [FIGURE_LINE % row for row in zip(itertools.repeat(key), range(m),
-                                             times[:m].tolist(), lg_lte, lg_norm)]
+    prefix = FLOAT_FMT % key + ","
+    return [prefix + FIGURE_REST % row
+            for row in zip(range(m), times[:m].tolist(), lg_lte, lg_norm)]
 
 
 def _run_lines(times, norms, lte, running) -> list:
@@ -134,14 +135,9 @@ class ExperimentRow:
     running_mu: np.ndarray    # origin-anchored running average, length n_steps
 
 
-def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: float,
-               t_final: float, t0: float, x0, start: str):
-    """Start the method and run it from t0 to t_final: (problem, trajectory, Phi series).
-
-    The one integration path of the commands. A step that is not finite and
-    positive, a span that is not finite and positive or rounds to no step, and an
-    unknown start procedure ("rk4" or "reference") raise ConfigError.
-    """
+def _span_steps(h: float, t_final: float, t0: float) -> int:
+    """Steps of size h from t0 to t_final; ConfigError unless h and the span are
+    finite and positive and hold at least one step."""
     if not (math.isfinite(h) and h > 0.0):
         raise ConfigError(f"h must be finite and positive, got {h}")
     if not (math.isfinite(t_final - t0) and t_final > t0):
@@ -149,6 +145,17 @@ def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: fl
     n_f = int(round((t_final - t0) / h))
     if n_f < 1:
         raise ConfigError(f"span [{t0}, {t_final}] holds no step of h = {h}")
+    return n_f
+
+
+def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: float,
+               n_f: int, t0: float, x0, start: str):
+    """Start the method and run it n_f steps from t0: (problem, trajectory, Phi series).
+
+    The one integration path of the commands; n_f comes from _span_steps, so that
+    a command can check its windows against it first. An unknown start procedure
+    ("rk4" or "reference") raises ConfigError.
+    """
     prob = problems.rotating_cosine_problem(params)
     if start == "rk4":
         x0s = glm.start_rk4(prob, x0, t0, h, tab.k)
@@ -166,8 +173,15 @@ def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
                    start: str = "rk4", n0: Optional[int] = None,
                    denominator: str = "t0", sum_start: str = "origin",
                    lte_scale: str = "per-h", with_frame: bool = False) -> ExperimentRow:
-    """Integrate one parameter set and compute the diagnostic row."""
-    prob, traj, phis = _integrate(tab, params, h, t_final, t0, x0, start)
+    """Integrate one parameter set and compute the diagnostic row.
+
+    A window start n0 outside the requested steps raises ConfigError up front.
+    """
+    n_f = _span_steps(h, t_final, t0)
+    if n0 is not None and not 0 <= n0 < n_f:
+        raise ConfigError(f"window start n0={n0} must lie in [0, {n_f}) "
+                          f"for a span of {n_f} steps")
+    prob, traj, phis = _integrate(tab, params, h, n_f, t0, x0, start)
     m = traj.n_steps
 
     split = onestep.spectral_split(tab)
@@ -325,6 +339,8 @@ def cmd_table2(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    """Resonant run against its frozen-coefficient twin, over their common steps;
+    a run the divergence guard cuts short is reported (stdout and JSON)."""
     tab = glm.get_tableau(args.method)
     delta = glm.require_inside_gap(tab, args.D, args.L, args.h)
     sp = problems.ScalarCosineParams(D=args.D, L=args.L, omega=2.0 * math.pi / args.h)
@@ -333,13 +349,14 @@ def cmd_counterexample(args) -> int:
     x0s = glm.start_rk4(osc, (1.0,), 0.0, args.h, tab.k)
     t_osc = glm.run_linear(tab, osc, x0s, args.steps, args.h)
     t_frz = glm.run_linear(tab, frozen, x0s, args.steps, args.h)
-    times = t_osc.times()
-    x_osc, x_frz = t_osc.last_blocks()[:, 0], t_frz.last_blocks()[:, 0]
+    m = min(t_osc.n_steps, t_frz.n_steps)
+    s_osc, s_frz = t_osc.states[:m + 1], t_frz.states[:m + 1]
+    times = t_osc.times()[:m + 1]
+    x_osc, x_frz = s_osc[:, -1], s_frz[:, -1]       # the scalar x of the last block
     n_osc = np.abs(x_osc)
     exact = np.array([problems.scalar_cosine_reference(sp, t) for t in times])
-    deviation = float(np.max(np.abs(t_osc.states - t_frz.states)))
+    deviation = float(np.max(np.abs(s_osc - s_frz)))
     growth = float(n_osc[-1] / n_osc[0])
-    m = t_osc.n_steps
     per_period = float(np.exp(np.log(growth) / m))  # coefficient period is h
     out = _ensure_out(args.out)
     line = _csv_line("%d", *[FLOAT_FMT] * 4)
@@ -354,10 +371,17 @@ def cmd_counterexample(args) -> int:
         "exact_decay_factor": float(exact[-1] / exact[0]),
         "max_oscillatory_frozen_deviation": deviation,
     }
+    cut = [(name, t.diverged_at) for name, t in (("oscillatory", t_osc), ("frozen", t_frz))
+           if t.diverged]
+    if cut:
+        report.update(diverged=True, requested_steps=args.steps)
     _write_json(os.path.join(out, "counterexample_report.json"), report)
     print(f"counterexample {args.method}: growth {growth:.3e} over {m} steps "
           f"(exact decays by {report['exact_decay_factor']:.3e}); "
           f"frozen-coefficient deviation {deviation:.3e}")
+    for name, step in cut:
+        print(f"counterexample {args.method}: the divergence guard stopped the {name} "
+              f"run at step {step} of {args.steps}")
     return 0
 
 
@@ -369,7 +393,15 @@ def cmd_spectrum(args) -> int:
     if args.h is None or args.tfinal is None:
         raise ConfigError("spectrum needs --h and --tfinal")
     tab = glm.get_tableau(args.method)
-    prob, traj, phis = _integrate(tab, params, args.h, args.tfinal, t0, x0, "rk4")
+    n_f = _span_steps(args.h, args.tfinal, t0)
+    H = args.H if args.H is not None else max(1.0, 10.0 * args.h)
+    # the window sacker_sell_window takes, checked against the requested steps
+    ratio = H / args.h
+    m_w = int(round(ratio)) if math.isfinite(ratio) else 0
+    if not 2 <= m_w <= n_f // 3:
+        raise ConfigError(f"window H={H} must span 2 steps of h={args.h} and fit "
+                          f"3 times in the span of {n_f} steps")
+    prob, traj, phis = _integrate(tab, params, args.h, n_f, t0, x0, "rk4")
     m = traj.n_steps
     if args.mode == "frame":
         trail = spectra.new_matrix_trail(tab.k * prob.d, args.h, t0)
@@ -382,7 +414,6 @@ def cmd_spectrum(args) -> int:
     est = spectra.mu_appr(trail, n0, m - n0, denominator=args.denominator,
                           sum_start=args.sum_start)
     ends = spectra.lyapunov_endpoints(trail)
-    H = args.H if args.H is not None else max(1.0, 10.0 * args.h)
     ss = spectra.sacker_sell_window(trail, H)
     bundle = {
         "mode": args.mode,
@@ -422,7 +453,8 @@ def cmd_converge(args) -> int:
     t_final = args.tfinal if args.tfinal is not None else 2.0
     ge, le = [], []
     for h in hs:
-        _, traj, phis = _integrate(tab, params, h, t_final, 0.0, (1.0, 0.0), "reference")
+        _, traj, phis = _integrate(tab, params, h, _span_steps(h, t_final, 0.0), 0.0,
+                                   (1.0, 0.0), "reference")
         m = traj.n_steps
         times = h * np.arange(m + tab.k)
         refs = problems.reference_batch(params, times)

@@ -40,12 +40,6 @@ class WSequence:
     h: float
     t0: float
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.values.shape[0])
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
-
 
 def _unit_eigvec(v: np.ndarray) -> np.ndarray:
     """Null vector of V - I via SVD, scaled so its largest-modulus entry is +1."""

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from . import linalg
-from .errors import ConfigError, OrthogonalityLost, WindowOutOfRange, ZeroVector
+from .errors import (ConfigError, NumericalError, OrthogonalityLost, WindowOutOfRange,
+                     ZeroVector)
 from .problems import LinearProblem
 
 
@@ -42,9 +44,6 @@ class QrTrail:
         """Accumulated per-step log increments, shape (n_steps, n_modes)."""
         return self.increments
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.n_steps + 1)
-
 
 def new_matrix_trail(dim: int, h: float, t0: float = 0.0,
                      frame: Optional[np.ndarray] = None) -> QrTrail:
@@ -62,41 +61,51 @@ _QR_BLOCK = 1024
 def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     """Advance a matrix trail through phis in order, one discrete QR step per phi.
 
-    Each step runs linalg.householder_qr on phi @ frame and flips Q's columns to a
-    positive R diagonal; the rank guard of linalg.qr_positive and the logs are taken
-    per block of steps, vectorized, into one array for the call that is appended to
-    the trail once. The trail ends bit for bit where stepping qr_positive one phi at
-    a time leaves it; on a failing step it keeps every step before it and
-    qr_positive raises RankDeficient for that step.
+    The trail ends bit for bit where stepping qr_positive one phi at a time leaves
+    it; on a failing step it keeps every step before it and qr_positive raises
+    RankDeficient for that step.
+
+    The steps chain LAPACK's raw Q (dgeqrf + dorgqr on phi @ Q), unflipped: for a
+    +-1 diagonal S, Householder QR factors M S exactly as Q, R S, and phi (Q S) is
+    exactly (phi Q) S, so the raw chain has the same Q, |R_ii| and guard decisions,
+    and the positive-diagonal frame is the raw Q times the running product of the
+    signs of diag R, applied once at the end. The rank guard of qr_positive, the
+    logs and the signs are taken per block of steps, vectorized.
     """
     phis = np.asarray(phis, dtype=float)
     d, k = trail.frame.shape
-    nb = min(len(phis), _QR_BLOCK)
-    ms = np.empty((nb, d, k))          # products phi @ Q_n, kept for the guard
-    qs = np.empty((nb + 1, d, k))      # the block's frames, C-ordered like before
-    diags = np.empty((nb, k))          # R diagonals before the sign flip
+    ms = np.empty((min(len(phis), _QR_BLOCK), d, k))   # products phi @ Q_n, for the guard
     logs = np.empty((len(phis), k))    # this call's log increments
+    q = trail.frame                    # the raw frame; trail.frame is q * sign
+    sign = np.ones(k)
     done = 0
     # a non-finite phi makes matmul warn; the guard below turns it into RankDeficient
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, len(phis), _QR_BLOCK):
             block = phis[lo:lo + _QR_BLOCK]
             n = len(block)
-            qs[0] = trail.frame
-            for phi, m, q, q_next, diag in zip(block, ms, qs, qs[1:], diags):
+            packs, qs = [], [q]        # the block's packed factors and raw frames
+            for phi, m in zip(block, ms):
                 np.matmul(phi, q, out=m)
-                packed, q_raw = linalg.householder_qr(m)
-                diag[:] = packed.diagonal()
-                np.multiply(q_raw, np.copysign(1.0, diag), out=q_next)
-            absd = np.abs(diags[:n])
+                packed, tau, _, info = dgeqrf(m)
+                if info == 0:
+                    q, _, info = dorgqr(packed, tau)
+                if info != 0:
+                    raise NumericalError(f"LAPACK QR returned info={info}")
+                packs.append(packed)
+                qs.append(q)
+            diags = np.diagonal(np.stack(packs), axis1=1, axis2=2)
+            absd = np.abs(diags)
             # qr_positive's guard at its default rank_tol, negated the same way
             ok = np.min(absd, axis=1) > 1e-14 * np.max(np.abs(ms[:n]), axis=(1, 2))
             good = n if ok.all() else int(np.argmin(ok))
             np.log(absd[:good], out=logs[lo:lo + good])
+            sign *= np.prod(np.copysign(1.0, diags[:good]), axis=0)
+            q = qs[good]
             done = lo + good
-            trail.frame = qs[good].copy()
             if good < n:
                 break
+    trail.frame = np.multiply(q, sign, out=np.empty((d, k)))
     trail.increments = np.concatenate([trail.increments, logs[:done]])
     if done < len(phis):
         linalg.qr_positive(ms[good])       # fails the same guard: raises RankDeficient

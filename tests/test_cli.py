@@ -39,8 +39,16 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert cli.main(["run", "--h", "0.1", "--tfinal", "0.01", "--out", out]) == 2
     assert cli.main(["spectrum", "--h", "0.1", "--tfinal", "4", "--oracle-h", "-0.1",
                      "--out", out]) == 2
+    # estimator windows that do not fit the requested span, checked before integrating
+    assert cli.main(["spectrum", "--h", "0.1", "--tfinal", "2", "--out", out]) == 2
+    assert cli.main(["spectrum", "--h", "0.1", "--tfinal", "4", "--H", "0.1",
+                     "--out", out]) == 2
+    assert cli.main(["spectrum", "--h", "0.1", "--tfinal", "4", "--H", "nan",
+                     "--out", out]) == 2
+    assert cli.main(["run", "--h", "0.1", "--tfinal", "4", "--n0", "100", "--out", out]) == 2
+    assert cli.main(["run", "--h", "0.1", "--tfinal", "4", "--n0", "-1", "--out", out]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 10 and all(ln.startswith("config error:") for ln in lines)
+    assert len(lines) == 15 and all(ln.startswith("config error:") for ln in lines)
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
@@ -48,7 +56,11 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     # D+L outside the method's stability gap
     assert cli.main(["counterexample", "--D", "3.0", "--L", "-0.1",
                      "--out", out]) == 3
-    capsys.readouterr()
+    # the window fits the 600 requested steps, but the run diverges after 60
+    growing = json.dumps({"a1": 15.0, "a2": 15.0, "b1": -0.05, "b2": -0.55, "beta": 1.0})
+    assert cli.main(["spectrum", "--config", growing, "--h", "0.1", "--tfinal", "60",
+                     "--H", "5", "--out", out]) == 3
+    assert "WindowOutOfRange" in capsys.readouterr().err
 
 
 def test_run_outputs(tmp_path, capsys):
@@ -103,7 +115,42 @@ def test_counterexample_outputs(tmp_path, capsys):
     header, rows = _read_csv(out / "counterexample.csv")
     assert header == ["n", "t", "x_oscillatory", "x_frozen", "x_exact"]
     assert len(rows) == 51
-    capsys.readouterr()
+    assert "diverged" not in report and "requested_steps" not in report
+    assert "divergence guard" not in capsys.readouterr().out
+
+
+def test_counterexample_cut_short_says_so(tmp_path, capsys):
+    out = tmp_path / "cx"
+    assert cli.main(["counterexample", "--steps", "2000", "--out", str(out)]) == 0
+    report = json.loads((out / "counterexample_report.json").read_text())
+    assert report["diverged"] is True and report["requested_steps"] == 2000
+    assert report["steps"] == 277
+    assert len(_read_csv(out / "counterexample.csv")[1]) == 278
+    printed = capsys.readouterr().out
+    for name in ("oscillatory", "frozen"):
+        assert f"stopped the {name} run at step 278 of 2000" in printed
+
+
+def test_counterexample_runs_cut_at_different_steps(tmp_path, capsys, monkeypatch):
+    # a tighter guard on the second (frozen) run stops it well before the first
+    calls = []
+    run_linear = glm.run_linear
+
+    def guarded(*args, **kwargs):
+        calls.append(None)
+        return run_linear(*args, divergence_factor=1e12 if len(calls) == 1 else 1e6,
+                          **kwargs)
+
+    monkeypatch.setattr(glm, "run_linear", guarded)
+    out = tmp_path / "cx"
+    assert cli.main(["counterexample", "--steps", "2000", "--out", str(out)]) == 0
+    report = json.loads((out / "counterexample_report.json").read_text())
+    printed = capsys.readouterr().out
+    frozen_at = int(printed.split("stopped the frozen run at step ")[1].split()[0])
+    assert "stopped the oscillatory run at step 278 of 2000" in printed
+    assert report["steps"] == frozen_at - 1 < 277 and report["diverged"] is True
+    assert report["max_oscillatory_frozen_deviation"] == 0.0
+    assert len(_read_csv(out / "counterexample.csv")[1]) == frozen_at
 
 
 def test_spectrum_bundle_schema(tmp_path, capsys):

@@ -148,3 +148,55 @@ def test_empty_series_leaves_trail_unchanged():
     assert trail.n_steps == 3
     assert np.array_equal(trail.logs(), logs) and np.array_equal(trail.frame, frame)
 
+
+# -- the exact facts the trail's raw-Q chain relies on ---------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), data=st.data(),
+       grade=st.floats(0.0, 30.0), zero_col=st.integers(-1, 5), zero_last_row=st.booleans())
+def test_householder_qr_is_column_sign_equivariant(seed, rows, data, grade, zero_col,
+                                                   zero_last_row):
+    cols = data.draw(st.integers(1, rows))
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, cols)) * np.exp(rng.uniform(-grade, grade, cols))
+    if 0 <= zero_col < cols:
+        m[zero_col + 1:, zero_col] = 0.0     # a zero subcolumn: that reflector has tau = 0
+    if zero_last_row:
+        m[-1] = 0.0
+    s = rng.choice([-1.0, 1.0], cols)
+    packed, q = linalg.householder_qr(m)
+    packed_s, q_s = linalg.householder_qr(m * s)
+    assert np.array_equal(q_s, q)
+    assert np.array_equal(packed_s.diagonal(), packed.diagonal() * s)
+    upper = np.triu(np.ones((rows, cols), dtype=bool))     # R scaled by s, reflectors kept
+    assert np.array_equal(packed_s, np.where(upper, packed * s, packed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), data=st.data(),
+       grade=st.floats(0.0, 20.0))
+def test_matmul_commutes_with_column_signs(seed, d, data, grade):
+    k = data.draw(st.integers(1, d))
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((d, d)) * np.exp(rng.uniform(-grade, grade, d))
+    _, q = linalg.householder_qr(rng.standard_normal((d, k)))    # Fortran-ordered, as chained
+    s = rng.choice([-1.0, 1.0], k)
+    for frame in (q, np.ascontiguousarray(q)):
+        assert np.array_equal(np.matmul(phi, frame * s), np.matmul(phi, frame) * s)
+
+
+@pytest.mark.parametrize("frame", [
+    np.diag([-1.0, 1.0, -1.0, -1.0]),
+    np.linalg.qr(np.arange(8.0).reshape(4, 2) ** 2 + np.eye(4, 2))[0],
+], ids=["negated-columns", "tall-4x2"])
+@pytest.mark.parametrize("at", [2 * spectra._QR_BLOCK, 2 * spectra._QR_BLOCK + 5, None])
+def test_reference_from_signed_and_tall_frames(frame, at):
+    # the failing step opens (or falls early in) the third block, so the frame kept
+    # carries the signs of every step of the first two
+    phis = _criterion7_phis(2 * spectra._QR_BLOCK + 40)
+    if at is not None:
+        phis[at] = 0.0
+    want = reference_trail(frame, phis)
+    assert (want[2] is None) == (at is None)
+    _assert_same(_blocked(frame, phis), want)
+    _assert_same(_blocked(frame, phis, [700, len(phis) - 700]), want)

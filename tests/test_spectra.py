@@ -44,7 +44,6 @@ def test_matrix_trail_log_oracle():
     assert trail.n_modes == 2
     want = np.tile([math.log(2.0), math.log(0.5)], (3, 1))
     assert np.allclose(trail.logs(), want, atol=1e-15)
-    assert np.allclose(trail.times(), [0.0, 0.5, 1.0, 1.5])
 
 
 def test_rotation_steps_log_nothing():
