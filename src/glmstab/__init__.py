@@ -31,14 +31,11 @@ from .glm import (
     bdf2_tableau,
     check_strictly_stable,
     get_tableau,
-    linear_transition,
-    lte_probe,
     lte_series,
     run_linear,
     run_nonlinear,
     scalar_transition,
     stability_gap,
-    start_from_reference,
     start_rk4,
     tau_series,
     transition_batch,
@@ -61,7 +58,6 @@ from .problems import (
     constant_problem,
     propagate_exact,
     reference_batch,
-    reference_solution,
     rotating_config,
     rotating_cosine_problem,
     scalar_cosine_problem,

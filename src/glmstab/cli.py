@@ -137,15 +137,16 @@ class ExperimentRow:
 
 def _span_steps(h: float, t_final: float, t0: float) -> int:
     """Steps of size h from t0 to t_final; ConfigError unless h and the span are
-    finite and positive and hold at least one step."""
+    finite and positive and the span holds a finite number, at least one, of steps."""
     if not (math.isfinite(h) and h > 0.0):
         raise ConfigError(f"h must be finite and positive, got {h}")
     if not (math.isfinite(t_final - t0) and t_final > t0):
         raise ConfigError(f"t_final {t_final} must exceed t0 {t0}, both finite")
-    n_f = int(round((t_final - t0) / h))
-    if n_f < 1:
-        raise ConfigError(f"span [{t0}, {t_final}] holds no step of h = {h}")
-    return n_f
+    steps = (t_final - t0) / h
+    if not (math.isfinite(steps) and round(steps) >= 1):
+        raise ConfigError(f"span [{t0}, {t_final}] must hold a finite number, at "
+                          f"least one, of steps of h = {h}")
+    return int(round(steps))
 
 
 def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: float,
@@ -160,8 +161,8 @@ def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: fl
     if start == "rk4":
         x0s = glm.start_rk4(prob, x0, t0, h, tab.k)
     elif start == "reference":
-        ref = lambda t: problems.reference_batch(params, np.atleast_1d(t), x0=x0, t0=t0)[0]
-        x0s = glm.start_from_reference(ref, t0, h, tab.k)
+        x0s = problems.reference_batch(params, t0 + h * np.arange(tab.k), x0=x0,
+                                       t0=t0).ravel()
     else:
         raise ConfigError(f"unknown start procedure {start!r}")
     traj, phis = glm.run_linear(tab, prob, x0s, n_f, h, t0, keep_transitions=True)
@@ -341,6 +342,8 @@ def cmd_table2(args) -> int:
 def cmd_counterexample(args) -> int:
     """Resonant run against its frozen-coefficient twin, over their common steps;
     a run the divergence guard cuts short is reported (stdout and JSON)."""
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     tab = glm.get_tableau(args.method)
     delta = glm.require_inside_gap(tab, args.D, args.L, args.h)
     sp = problems.ScalarCosineParams(D=args.D, L=args.L, omega=2.0 * math.pi / args.h)
@@ -401,6 +404,11 @@ def cmd_spectrum(args) -> int:
     if not 2 <= m_w <= n_f // 3:
         raise ConfigError(f"window H={H} must span 2 steps of h={args.h} and fit "
                           f"3 times in the span of {n_f} steps")
+    if args.oracle_h is not None:           # the oracle's own step check, up front
+        try:
+            _span_steps(args.oracle_h, args.tfinal, t0)
+        except ConfigError as exc:
+            raise ConfigError(f"--oracle-h: {exc}") from exc
     prob, traj, phis = _integrate(tab, params, args.h, n_f, t0, x0, "rk4")
     m = traj.n_steps
     if args.mode == "frame":

@@ -222,12 +222,6 @@ def transition_batch(tab: GlmTableau, prob: LinearProblem, n0: int, count: int,
     return phi
 
 
-def linear_transition(tab: GlmTableau, prob: LinearProblem, n: int, h: float,
-                      t0: float = 0.0) -> np.ndarray:
-    """Exact one-step transition X_{n+1} = Phi(n;h) X_n for a linear problem."""
-    return transition_batch(tab, prob, n, 1, h, t0)[0]
-
-
 def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
                n_steps: int, h: float, t0: float = 0.0,
                divergence_factor: float = 1e12, chunk: int = 4096,
@@ -307,33 +301,13 @@ def start_rk4(prob_or_f, x0, t0: float, h: float, k: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def start_from_reference(reference: Callable, t0: float, h: float, k: int) -> np.ndarray:
-    """Supervector built from a reference solution sampled at t0, t0+h, ..."""
-    return np.concatenate([np.atleast_1d(np.asarray(reference(t0 + i * h), dtype=float))
-                           for i in range(k)])
-
-
-def lte_probe(tab: GlmTableau, prob: LinearProblem, reference: Callable, n: int,
-              h: float, t0: float = 0.0) -> float:
-    """One-step defect from exact history.
-
-    Builds X_n from the reference at t_n..t_{n+k-1}, takes one linear step, and
-    returns the 2-norm defect of the newest block against the reference at t_{n+k}.
-    The value scales like h^{p+1}; divide by h for the per-step-rate convention.
-    """
-    tn = t0 + n * h
-    x_exact = start_from_reference(reference, tn, h, tab.k)
-    phi = linear_transition(tab, prob, n, h, t0)
-    nxt = phi @ x_exact
-    target = np.atleast_1d(np.asarray(reference(tn + tab.k * h), dtype=float))
-    return float(np.linalg.norm(nxt[-prob.d:] - target))
-
-
 def lte_series(tab: GlmTableau, phis: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Vectorized restart defects for n = 0..len(phis)-1.
 
     refs holds reference values on the grid, shape (m, d) with m >= len(phis)+k, so
-    probe n uses rows n..n+k-1 as history and row n+k as target.
+    defect n takes rows n..n+k-1 as exact history, one step by phis[n], and the
+    2-norm of the newest block against row n+k. The defect scales like h^{p+1};
+    divide by h for the per-step-rate convention.
     """
     n = phis.shape[0]
     k = tab.k

@@ -207,9 +207,13 @@ class SackerSellEstimate:
 def sacker_sell_window(trail: QrTrail, H: float) -> SackerSellEstimate:
     """Windowed spectral-interval endpoints: extreme H-window averages per mode.
 
-    Needs H >= 2h and a trail at least 3 windows long.
+    Needs H >= 2h and a trail at least 3 windows long; an H/h that is not finite
+    raises ConfigError.
     """
-    m = int(round(H / trail.h))
+    ratio = H / trail.h
+    if not math.isfinite(ratio):
+        raise ConfigError(f"window H={H} at h={trail.h} must be finite")
+    m = int(round(ratio))
     if m < 2:
         raise WindowOutOfRange(f"window H={H} shorter than 2 steps at h={trail.h}")
     n = trail.n_steps
@@ -372,9 +376,12 @@ def integrate_diag(oracle: OracleTrail, t_a: float, t_b: float) -> np.ndarray:
 
     Endpoints must (nearly) coincide with oracle grid nodes; the node count in
     between is made even by splitting the last interval with a trapezoid if needed.
+    An endpoint that is not finite raises ConfigError.
     """
-    ia = int(round((t_a - oracle.ts[0]) / oracle.h_fine))
-    ib = int(round((t_b - oracle.ts[0]) / oracle.h_fine))
+    ra, rb = ((t - oracle.ts[0]) / oracle.h_fine for t in (t_a, t_b))
+    if not (math.isfinite(ra) and math.isfinite(rb)):
+        raise ConfigError(f"integration endpoints [{t_a}, {t_b}] must be finite")
+    ia, ib = int(round(ra)), int(round(rb))
     if not (0 <= ia < ib <= len(oracle.ts) - 1):
         raise WindowOutOfRange(f"[{t_a}, {t_b}] outside oracle span")
     seg = oracle.b_diag[ia: ib + 1]

@@ -47,8 +47,42 @@ def test_exit_code_config_errors(tmp_path, capsys):
                      "--out", out]) == 2
     assert cli.main(["run", "--h", "0.1", "--tfinal", "4", "--n0", "100", "--out", out]) == 2
     assert cli.main(["run", "--h", "0.1", "--tfinal", "4", "--n0", "-1", "--out", out]) == 2
+    # a step so small that the span holds no countable number of steps
+    assert cli.main(["run", "--h", "1e-320", "--tfinal", "1", "--out", out]) == 2
+    # config values that are not numbers
+    base = {"a1": 1.2, "a2": 1.2, "b1": -0.14, "b2": -0.15, "beta": 10.0}
+    for bad in ({"a1": "x"}, {"a1": None}, {"t0": "x"}, {"x0": "ab"}):
+        assert cli.main(["run", "--h", "0.1", "--tfinal", "1", "--out", out,
+                         "--config", json.dumps({**base, **bad})]) == 2
+    # a counterexample run of no steps
+    assert cli.main(["counterexample", "--steps", "0", "--out", out]) == 2
+    assert cli.main(["counterexample", "--steps", "-1", "--out", out]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 15 and all(ln.startswith("config error:") for ln in lines)
+    assert len(lines) == 22 and all(ln.startswith("config error:") for ln in lines)
+
+
+def test_oracle_step_checked_before_integrating(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking --oracle-h")
+
+    monkeypatch.setattr(glm, "run_linear", never)
+    for bad in ("-0.1", "0", "nan", "inf", "1e-320", "500"):
+        assert cli.main(["spectrum", "--h", "0.002", "--tfinal", "200", "--oracle-h", bad,
+                         "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 6 and all(ln.startswith("config error: --oracle-h:")
+                                   for ln in lines)
+
+
+def test_reference_start_samples_the_reference(capsys):
+    # the start supervector equals per-time reference samples at t0, t0 + h, ...
+    tab = glm.get_tableau("bdf2")
+    params = problems.RotatingCosineParams(**cli.TABLE1_PROBLEM)
+    h, t0, x0 = 0.05, 0.7, (0.6, -0.8)
+    _, traj, _ = cli._integrate(tab, params, h, 3, t0, x0, "reference")
+    want = np.concatenate([problems.reference_batch(params, [t0 + i * h], x0=x0, t0=t0)[0]
+                           for i in range(tab.k)])
+    assert np.array_equal(traj.states[0], want)
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):

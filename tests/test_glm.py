@@ -1,4 +1,4 @@
-"""Method tableaus, exact linear transitions, steppers, defect probes, gap scan."""
+"""Method tableaus, exact linear transitions, steppers, restart defects, gap scan."""
 
 import math
 import warnings
@@ -25,6 +25,26 @@ def _rotating(beta=10.0, **kw):
         warnings.simplefilter("ignore")
         p = problems.RotatingCosineParams(**base)
     return p, problems.rotating_cosine_problem(p)
+
+
+def reference_transition(tab, prob, n, h, t0=0.0):
+    """The one-step transition X_{n+1} = Phi(n;h) X_n, from a batch of one."""
+    return glm.transition_batch(tab, prob, n, 1, h, t0)[0]
+
+
+def reference_start(reference, t0, h, k):
+    """Supervector of a reference solution sampled at t0, t0+h, ..., one time a call."""
+    return np.concatenate([np.atleast_1d(np.asarray(reference(t0 + i * h), dtype=float))
+                           for i in range(k)])
+
+
+def reference_lte_probe(tab, prob, reference, n, h, t0=0.0):
+    """One restart defect: exact history at t_n..t_{n+k-1}, one step, the 2-norm of
+    the newest block against the reference at t_{n+k}."""
+    tn = t0 + n * h
+    nxt = reference_transition(tab, prob, n, h, t0) @ reference_start(reference, tn, h, tab.k)
+    target = np.atleast_1d(np.asarray(reference(tn + tab.k * h), dtype=float))
+    return float(np.linalg.norm(nxt[-prob.d:] - target))
 
 
 # -- tableaus ---------------------------------------------------------------
@@ -138,7 +158,7 @@ def test_linear_transition_constant_oracle():
     # S = 1 - (2/3) h lambda = 17/15
     tab = glm.get_tableau("bdf2")
     prob = problems.constant_problem(-2.0)
-    phi = glm.linear_transition(tab, prob, 0, 0.1)
+    phi = reference_transition(tab, prob, 0, 0.1)
     assert np.allclose(phi[0], [0.0, 1.0], atol=1e-16)
     assert phi[1, 1] == pytest.approx(20.0 / 17.0, abs=1e-15)
     assert phi[1, 0] == pytest.approx(-5.0 / 17.0, abs=1e-15)
@@ -150,7 +170,7 @@ def test_transition_batch_matches_single():
     tab = glm.get_tableau("bdf2")
     batch = glm.transition_batch(tab, prob, 3, 5, 0.1)
     for i in range(5):
-        assert np.allclose(batch[i], glm.linear_transition(tab, prob, 3 + i, 0.1),
+        assert np.allclose(batch[i], reference_transition(tab, prob, 3 + i, 0.1),
                            atol=1e-14)
 
 
@@ -215,7 +235,7 @@ def test_run_linear_one_more_step_appends():
     assert longer.n_steps == 4
     assert np.array_equal(longer.states[:4], short.states)
     assert np.allclose(longer.states[4],
-                       glm.linear_transition(tab, prob, 3, 0.1) @ short.states[3],
+                       reference_transition(tab, prob, 3, 0.1) @ short.states[3],
                        atol=1e-14)
 
 
@@ -228,11 +248,11 @@ def test_start_rk4_local_error():
 
 
 def test_start_from_reference_exact_samples():
-    sup = glm.start_from_reference(lambda t: np.array([t, t * t]), 1.0, 0.5, 2)
+    sup = reference_start(lambda t: np.array([t, t * t]), 1.0, 0.5, 2)
     assert np.array_equal(sup, [1.0, 1.0, 1.5, 2.25])
 
 
-# -- local error probes -------------------------------------------------------
+# -- restart defects ----------------------------------------------------------
 
 
 def test_lte_probe_third_order_constant():
@@ -241,10 +261,10 @@ def test_lte_probe_third_order_constant():
     tab = glm.get_tableau("bdf2")
     ref = lambda t: np.array([math.exp(t)])
     h = 5e-3
-    got = glm.lte_probe(tab, prob, ref, 0, h)
+    got = reference_lte_probe(tab, prob, ref, 0, h)
     assert got == pytest.approx((2.0 / 9.0) * h**3 * math.exp(2 * h), rel=0.02)
     # halving h divides the defect by ~8
-    ratio = got / glm.lte_probe(tab, prob, ref, 0, h / 2.0)
+    ratio = got / reference_lte_probe(tab, prob, ref, 0, h / 2.0)
     assert ratio == pytest.approx(8.0, rel=0.05)
 
 
@@ -258,7 +278,8 @@ def test_lte_series_matches_probe_loop():
     series = glm.lte_series(tab, phis, refs)
     ref = lambda t: problems.reference_batch(p, np.atleast_1d(t))[0]
     for j in (0, 5, 11):
-        assert series[j] == pytest.approx(glm.lte_probe(tab, prob, ref, j, h), abs=1e-13)
+        assert series[j] == pytest.approx(reference_lte_probe(tab, prob, ref, j, h),
+                                          abs=1e-13)
     with pytest.raises(ValueError):
         glm.lte_series(tab, phis, refs[: n + 1])
 
@@ -297,8 +318,8 @@ def test_nonlinear_second_order_on_tanh():
     errs = []
     for h in (0.02, 0.01):
         n = int(round(1.0 / h))
-        x0s = glm.start_from_reference(lambda t: np.array([problems.tanh_reference(p, t)]),
-                                       0.0, h, tab.k)
+        x0s = reference_start(lambda t: np.array([problems.tanh_reference(p, t)]),
+                              0.0, h, tab.k)
         traj = glm.run_nonlinear(tab, f, jac, x0s, n, h)
         t_last = (n + tab.k - 1) * h     # newest block of the final supervector
         errs.append(abs(float(traj.states[-1][-1]) - problems.tanh_reference(p, t_last)))

@@ -60,8 +60,7 @@ UNEQUAL = problems.RotatingCosineParams(a1=1.0, a2=1.5, b1=-0.1, b2=-0.3, beta=2
 
 def _no_batch(prob):
     """The same problem without coefficient_batch: batch() stacks coefficient()."""
-    return problems.LinearProblem(d=prob.d, coefficient=prob.coefficient,
-                                  name=prob.name + "-stacked")
+    return problems.LinearProblem(d=prob.d, coefficient=prob.coefficient)
 
 
 CASES = {
@@ -96,7 +95,7 @@ def test_oracle_matches_reference_bits(case):
         a1=1.2, a2=1.2, b1=-0.14, b2=-0.15, beta=10.0, resonant_h=0.5)),
     problems.scalar_cosine_problem(problems.ScalarCosineParams(D=1.0, L=-0.5)),
     problems.constant_problem([[2.0, 1.0], [0.0, 1.0]]),
-], ids=lambda prob: prob.name)
+], ids=["rotating-cosine"] * 3 + ["scalar-cosine", "constant"])
 def test_batch_equals_stacked_coefficients(prob):
     # the oracle's three node sets: nodes, midpoints and step ends
     h = 0.0123

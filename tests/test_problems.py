@@ -20,6 +20,32 @@ def _params(**kw):
         return problems.RotatingCosineParams(**base)
 
 
+def reference_solution(p, t, x0=(1.0, 0.0), t0=0.0, quad_points=64):
+    """x(t) with one panel-doubling check per time: the reference for reference_batch.
+
+    Off the closed-form case it integrates at quad_points and 2*quad_points
+    panels, raises QuadratureUnderResolved if the result moves by more than 1e-10
+    relative and returns the doubled-panel result.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    coarse = problems.propagate_exact(p, t0, x0, t - t0, quad_points=quad_points)
+    y2_0 = float(np.einsum("ji,j->i", problems.rotation(p.omega_dot * t0), x0)[1])
+    if y2_0 != 0.0 and p.beta != 0.0:
+        fine = problems.propagate_exact(p, t0, x0, t - t0, quad_points=2 * quad_points)
+        scale = max(float(np.linalg.norm(fine)), 1.0)
+        if float(np.linalg.norm(fine - coarse)) > 1e-10 * scale:
+            raise QuadratureUnderResolved(
+                f"panel doubling moved the result by "
+                f"{float(np.linalg.norm(fine - coarse)) / scale:.3e} (rel) at t={t}"
+            )
+        return fine
+    return coarse
+
+
+def _per_time(p, ts, **kw):
+    return np.stack([reference_solution(p, t, **kw) for t in ts])
+
+
 def _rk4(f, x, t, h, n):
     """Independent fixed-step RK4 used as an oracle against the references."""
     for _ in range(n):
@@ -72,17 +98,38 @@ def test_reference_against_rk4():
     x0 = np.array([0.7, -0.4])
     t_end = 2.0
     oracle = _rk4(lambda t, x: prob.coefficient(t) @ x, x0.copy(), 0.0, 1e-4, 20000)
-    ref = problems.reference_solution(p, t_end, x0=x0)
+    ref = problems.reference_batch(p, [t_end], x0=x0)[0]
     assert np.linalg.norm(ref - oracle) < 1e-9
 
 
 def test_reference_batch_matches_scalar_path():
-    p = _params(beta=2.0)
-    ts = np.array([0.0, 0.3, 1.1, 2.4])
-    x0 = (0.5, 0.2)
-    batch = problems.reference_batch(p, ts, x0=x0)
-    single = np.stack([problems.reference_solution(p, t, x0=np.asarray(x0)) for t in ts])
-    assert np.allclose(batch, single, atol=1e-12)
+    for kw, x0, t0 in (
+        ({}, (1.0, 0.0), 0.0),                                  # axis: the closed form
+        ({"beta": 2.0}, (0.5, 0.2), 0.0),
+        ({"omega_rate": 0.7}, (0.6, -0.8), 1.3),
+        ({"resonant_h": 0.05}, (1.0, 0.0), -0.4),               # axis x0, off-axis at t0
+        ({"beta": 0.0}, (0.6, -0.8), 0.0),                      # beta = 0: the closed form
+    ):
+        # 37 times: two full chunks and a partial one; and a single time
+        p = _params(**kw)
+        ts = t0 + np.linspace(0.0, 9.0, 37) ** 1.2
+        for sub in (ts, ts[:1]):
+            assert np.array_equal(problems.reference_batch(p, sub, x0=x0, t0=t0),
+                                  _per_time(p, sub, x0=x0, t0=t0))
+
+
+def test_reference_batch_matches_scalar_path_random():
+    rng = np.random.default_rng(2017)
+    for _ in range(12):
+        a = rng.uniform(0.5, 2.0)
+        p = _params(a1=a, a2=a + rng.uniform(-0.3, 0.3), b1=rng.uniform(-0.3, -0.05),
+                    b2=rng.uniform(-0.6, -0.35), beta=rng.choice([0.0, 1.0, 10.0]),
+                    omega_rate=rng.uniform(0.2, 3.0))
+        theta, t0 = rng.uniform(0.0, 2.0 * math.pi), rng.choice([0.0, rng.uniform(-2, 2)])
+        x0 = (math.cos(theta), math.sin(theta))
+        ts = t0 + np.sort(rng.uniform(0.0, 20.0, int(rng.integers(1, 60))))
+        assert np.array_equal(problems.reference_batch(p, ts, x0=x0, t0=t0),
+                              _per_time(p, ts, x0=x0, t0=t0))
 
 
 def test_propagate_exact_semigroup():
@@ -94,11 +141,33 @@ def test_propagate_exact_semigroup():
     assert np.linalg.norm(two_leg - direct) < 1e-11
 
 
+def _raised(fn, *args, **kwargs):
+    with pytest.raises(QuadratureUnderResolved) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
 def test_quadrature_underresolved_raises():
     # one panel over a long window with a large-amplitude integrand cannot hold 1e-10
     p = _params(a1=3.0, a2=1.0, beta=5.0)
-    with pytest.raises(QuadratureUnderResolved):
-        problems.reference_solution(p, 30.0, x0=(1.0, 1.0), quad_points=1)
+    got = _raised(problems.reference_batch, p, [30.0], x0=(1.0, 1.0), quad_points=1)
+    assert got == _raised(reference_solution, p, np.float64(30.0), x0=(1.0, 1.0),
+                          quad_points=1)
+
+
+@pytest.mark.parametrize("quad_points, first", [(1, 31), (4, 101)])
+def test_quadrature_underresolved_first_failing_time(quad_points, first):
+    # the doubling change grows along the grid and first exceeds 1e-10 (by less
+    # than a factor 2) at index `first`, past the first chunk of 16 times
+    p = _params(a1=3.0, a2=1.0, b1=-0.1, b2=-0.2, beta=5.0)
+    ts = np.linspace(0.0, 30.0, 301)
+    got = _raised(problems.reference_batch, p, ts, x0=(1.0, 1.0), quad_points=quad_points)
+    assert got == _raised(_per_time, p, ts, x0=(1.0, 1.0), quad_points=quad_points)
+    assert got.endswith(f"at t={ts[first]}")
+    assert 1e-10 < float(got.split()[6]) < 2e-10
+    assert np.array_equal(
+        problems.reference_batch(p, ts[:first], x0=(1.0, 1.0), quad_points=quad_points),
+        _per_time(p, ts[:first], x0=(1.0, 1.0), quad_points=quad_points))
 
 
 @settings(max_examples=60, deadline=None)

@@ -171,6 +171,14 @@ def test_sacker_sell_window_validation():
         spectra.sacker_sell_window(trail, 0.8)      # 3m = 24 > 20
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf])
+def test_sacker_sell_window_rejects_non_finite(H):
+    trail = _exp_trail(0.1, 0.1, 48)
+    with pytest.raises(ConfigError):
+        spectra.sacker_sell_window(trail, H)
+
+
 # -- integral separation ---------------------------------------------------------
 
 
@@ -235,6 +243,16 @@ def test_oracle_constant_triangular_is_exact():
     assert np.allclose(spectra.integrate_diag(oracle, 0.0, 0.51), [1.02, 0.51], atol=1e-13)
     with pytest.raises(WindowOutOfRange):
         spectra.integrate_diag(oracle, 0.0, 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_a, t_b", [(math.nan, 0.5), (0.0, math.nan),
+                                      (-math.inf, 0.5), (0.0, math.inf)])
+def test_integrate_diag_rejects_non_finite(t_a, t_b):
+    oracle = spectra.continuous_qr_oracle(problems.constant_problem([[2.0, 1.0], [0.0, 1.0]]),
+                                          1.0, 0.01)
+    with pytest.raises(ConfigError):
+        spectra.integrate_diag(oracle, t_a, t_b)
 
 
 def test_oracle_recovers_rotated_triangular_rates():
