@@ -32,6 +32,7 @@ def _csv_line(*fields: str) -> str:
 
 
 FIGURE_REST = _csv_line("%d", FLOAT_FMT, FLOAT_FMT, FLOAT_FMT)   # after the key field
+_LINES_PER_BLOCK = 4096   # CSV lines formatted, joined and written at a time
 
 # Published experiment values (side-by-side columns, tolerance-checked only by
 # the test suite). Table 1: h -> (lte_mean, lte_max, mu). Table 2:
@@ -63,42 +64,47 @@ TABLE2_PUBLISHED = {
 
 
 def _write_csv(path: str, header, lines) -> None:
-    """Write the header fields, then lines already formatted, in one write each.
+    """Write the header fields, then the formatted lines (any iterable of strings).
 
     Every CSV file goes through here, so a tracer wrapping it sees every byte.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + CSV_EOL)
-        fh.write("".join(lines))
+        fh.writelines(lines)
 
 
-def _figure_lines(key: float, times, lte, norms) -> list:
+def _figure_lines(key: float, times, lte, norms):
     """Figure CSV lines, one per defect: key, n, t_n, log10 LTE_n, log10 ||x_n||.
 
     The logarithms are math.log10 per value, clamped at 1e-300 (NaN passes
     through); np.log10 differs from it in the last ulp on some values. The key is
-    formatted once, as the prefix of every line.
+    formatted once, as the prefix of every line. Yields joined blocks of lines.
     """
     m = len(lte)
-    lg_lte, lg_norm = ([math.log10(v) for v in np.maximum(x[:m], 1e-300).tolist()]
-                       for x in (lte, norms))
     prefix = FLOAT_FMT % key + ","
-    return [prefix + FIGURE_REST % row
-            for row in zip(range(m), times[:m].tolist(), lg_lte, lg_norm)]
+    for lo in range(0, m, _LINES_PER_BLOCK):
+        hi = min(lo + _LINES_PER_BLOCK, m)
+        lg_lte, lg_norm = ([math.log10(v) for v in np.maximum(x[lo:hi], 1e-300).tolist()]
+                           for x in (lte, norms))
+        yield "".join([prefix + FIGURE_REST % row for row in
+                       zip(range(lo, hi), times[lo:hi].tolist(), lg_lte, lg_norm)])
 
 
-def _run_lines(times, norms, lte, running) -> list:
+def _run_lines(times, norms, lte, running):
     """run.csv lines for n = 0..m, m = len(lte) >= 1: n, t_n, ||x_n||, LTE_n, mu_n.
 
     The defect is empty on the last line, the running average on the first.
+    Yields joined blocks of lines.
     """
     m = len(lte)
-    t, x, e, r = times.tolist(), norms.tolist(), lte.tolist(), running.tolist()
-    first = _csv_line("0", FLOAT_FMT, FLOAT_FMT, FLOAT_FMT, "") % (t[0], x[0], e[0])
-    full = _csv_line("%d", FLOAT_FMT, FLOAT_FMT, FLOAT_FMT, FLOAT_FMT)
-    last = _csv_line("%d", FLOAT_FMT, FLOAT_FMT, "", FLOAT_FMT)
-    return ([first] + [full % row for row in zip(range(1, m), t[1:], x[1:], e[1:], r)]
-            + [last % (m, t[m], x[m], r[m - 1])])
+    yield _csv_line("0", *[FLOAT_FMT] * 3, "") % (times[0], norms[0], lte[0])
+    full = _csv_line("%d", *[FLOAT_FMT] * 4)
+    for lo in range(0, m - 1, _LINES_PER_BLOCK):       # lines n = lo + 1, ...
+        cols = [x[lo:lo + _LINES_PER_BLOCK].tolist()
+                for x in (times[1:m], norms[1:m], lte[1:], running)]
+        yield "".join([full % row for row in zip(range(lo + 1, m), *cols)])
+    yield _csv_line("%d", FLOAT_FMT, FLOAT_FMT, "", FLOAT_FMT) % (
+        m, times[m], norms[m], running[m - 1])
 
 
 def _write_json(path: str, obj) -> None:
@@ -150,12 +156,16 @@ def _span_steps(h: float, t_final: float, t0: float) -> int:
 
 
 def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: float,
-               n_f: int, t0: float, x0, start: str):
-    """Start the method and run it n_f steps from t0: (problem, trajectory, Phi series).
+               n_f: int, t0: float, x0, start: str, frame=False, lte=False):
+    """Start the method and run it n_f steps from t0: (trajectory, frame trail,
+    unscaled restart defects), the last two None unless frame and lte ask for them.
 
-    The one integration path of the commands; n_f comes from _span_steps, so that
-    a command can check its windows against it first. An unknown start procedure
-    ("rk4" or "reference") raises ConfigError.
+    The one integration path of the commands. Each chunk of Phi that run_linear
+    keeps feeds the trail and the defects (with that chunk's reference rows) and
+    is dropped, so RankDeficient (trail) and QuadratureUnderResolved (reference)
+    raise mid-run, the earlier step's first; both exit 3. n_f comes from
+    _span_steps, so a command can check its windows against it first. An
+    unknown start ("rk4", "reference") is a ConfigError.
     """
     prob = problems.rotating_cosine_problem(params)
     if start == "rk4":
@@ -165,8 +175,25 @@ def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: fl
                                        t0=t0).ravel()
     else:
         raise ConfigError(f"unknown start procedure {start!r}")
-    traj, phis = glm.run_linear(tab, prob, x0s, n_f, h, t0, keep_transitions=True)
-    return prob, traj, phis
+    trail = spectra.new_matrix_trail(tab.k * prob.d, h, t0) if frame else None
+    defects = [np.empty(0)]
+
+    def consume(base, phis):
+        if frame:
+            spectra.qr_advance_series(trail, phis)
+        if lte:
+            ts = t0 + h * np.arange(base, base + len(phis) + tab.k)
+            defects.append(glm.lte_series(
+                tab, phis, problems.reference_batch(params, ts, x0=x0, t0=t0)))
+
+    traj = glm.run_linear(tab, prob, x0s, n_f, h, t0, on_chunk=consume)
+    return traj, trail, np.concatenate(defects) if lte else None
+
+
+def _w_trail(tab: glm.GlmTableau, traj: glm.Trajectory) -> spectra.QrTrail:
+    """The vector trail of a run's w-sequence."""
+    w = onestep.extract_w(traj, onestep.spectral_split(tab))
+    return spectra.vector_trail_from_values(w.values, traj.h, traj.t0)
 
 
 def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
@@ -176,48 +203,37 @@ def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
                    lte_scale: str = "per-h", with_frame: bool = False) -> ExperimentRow:
     """Integrate one parameter set and compute the diagnostic row.
 
-    A window start n0 outside the requested steps raises ConfigError up front.
+    A window start n0 outside the requested steps, or an unknown lte_scale,
+    denominator or sum_start, raises ConfigError up front.
     """
     n_f = _span_steps(h, t_final, t0)
     if n0 is not None and not 0 <= n0 < n_f:
         raise ConfigError(f"window start n0={n0} must lie in [0, {n_f}) "
                           f"for a span of {n_f} steps")
-    prob, traj, phis = _integrate(tab, params, h, n_f, t0, x0, start)
+    for name, value, known in (("lte scale", lte_scale, ("per-h", "defect")),
+                               ("denominator mode", denominator, ("t0", "N0")),
+                               ("sum_start mode", sum_start, ("origin", "window"))):
+        if value not in known:
+            raise ConfigError(f"unknown {name} {value!r}")
+    traj, ftrail, lte = _integrate(tab, params, h, n_f, t0, x0, start,
+                                   frame=with_frame, lte=True)
     m = traj.n_steps
 
-    split = onestep.spectral_split(tab)
-    w = onestep.extract_w(traj, split)
-    trail = spectra.vector_trail_from_values(w.values, h, t0)
-    if n0 is None:
-        n0 = m // 2
-    est = spectra.mu_appr(trail, n0, m - n0, denominator=denominator,
-                          sum_start=sum_start)
+    trail = _w_trail(tab, traj)
+    n0 = m // 2 if n0 is None else n0
+    window = dict(n0=n0, n=m - n0, denominator=denominator, sum_start=sum_start)
+    est = spectra.mu_appr(trail, **window)
+    mu_frame = float(spectra.mu_appr(ftrail, **window).mu[0]) if with_frame else math.nan
 
-    mu_frame = math.nan
-    if with_frame:
-        ftrail = spectra.new_matrix_trail(tab.k * prob.d, h, t0)
-        spectra.qr_advance_series(ftrail, phis)
-        fest = spectra.mu_appr(ftrail, n0, m - n0, denominator=denominator,
-                               sum_start=sum_start)
-        mu_frame = float(fest.mu[0])
-
-    times = t0 + h * np.arange(m + tab.k)
-    refs = problems.reference_batch(params, times, x0=x0, t0=t0)
-    lte = glm.lte_series(tab, phis, refs)
-    if lte_scale == "per-h":
-        lte = lte / h
-    elif lte_scale != "defect":
-        raise ConfigError(f"unknown lte scale {lte_scale!r}")
+    lte = lte / h if lte_scale == "per-h" else lte
     _, tau_max = glm.tau_series(lte)
-
-    logs = trail.logs()[:, 0]
-    running = np.cumsum(logs) / (h * np.arange(1, m + 1))
-    first = traj.first_blocks()
+    running = np.cumsum(trail.logs()[:, 0]) / (h * np.arange(1, m + 1))
     return ExperimentRow(
         h=h, n_steps=m, diverged=traj.diverged, mu=float(est.mu[0]),
         mu_frame=mu_frame, argmax_t=float(est.argmax_t[0]),
         lte_mean=float(lte.mean()), lte_max=float(lte.max()), tau_max=tau_max,
-        times=times[: m + 1], norms=np.linalg.norm(first, axis=1),
+        times=t0 + h * np.arange(m + 1),
+        norms=np.linalg.norm(traj.first_blocks(), axis=1),
         lte=lte, running_mu=running,
     )
 
@@ -297,16 +313,15 @@ def cmd_table1(args) -> int:
     rows = table1_rows(denominator=args.denominator, sum_start=args.sum_start)
     out = _ensure_out(args.out)
     line = _csv_line(*[FLOAT_FMT] * 7, "%d")
-    body, fig = [], []
-    for h, row in zip(TABLE1_H, rows):
-        body.append(line % (h, row.lte_mean, row.lte_max, row.mu,
-                            *TABLE1_PUBLISHED[h], int(row.diverged)))
-        fig += _figure_lines(h, row.times, row.lte, row.norms)
     _write_csv(os.path.join(out, "table1.csv"),
                ["h", "lte_mean", "lte_max", "mu", "pub_lte_mean", "pub_lte_max",
-                "pub_mu", "diverged"], body)
+                "pub_mu", "diverged"],
+               [line % (h, row.lte_mean, row.lte_max, row.mu, *TABLE1_PUBLISHED[h],
+                        int(row.diverged)) for h, row in zip(TABLE1_H, rows)])
     _write_csv(os.path.join(out, "figure1.csv"),
-               ["h", "n", "t", "log10_lte", "log10_norm_x"], fig)
+               ["h", "n", "t", "log10_lte", "log10_norm_x"],
+               (block for h, row in zip(TABLE1_H, rows)
+                for block in _figure_lines(h, row.times, row.lte, row.norms)))
     for h, row in zip(TABLE1_H, rows):
         print(f"table1 h={h:g}: mu={row.mu:+.6e} (published {TABLE1_PUBLISHED[h][2]:+.3e}) "
               f"lte_mean={row.lte_mean:.3e} lte_max={row.lte_max:.3e}")
@@ -316,7 +331,7 @@ def cmd_table1(args) -> int:
 def cmd_table2(args) -> int:
     out = _ensure_out(args.out)
     line = _csv_line("%s", *[FLOAT_FMT] * 12)
-    body, fig = [], []
+    body, figured = [], []
     for b2_reading in ("as-printed", "corrected"):
         rows = table2_rows(b1_reading=args.b1_reading, b2_reading=b2_reading,
                            denominator=args.denominator, sum_start=args.sum_start)
@@ -326,7 +341,7 @@ def cmd_table2(args) -> int:
                                 TABLE2_B2[b2_reading], row.lte_mean, row.lte_max,
                                 row.mu, row.mu_frame, row.tau_max, *pub))
             if b2_reading == "as-printed":
-                fig += _figure_lines(a, row.times, row.lte, row.norms)
+                figured.append((a, row))
             print(f"table2 b2={b2_reading} a={a}: mu={row.mu:+.6e} "
                   f"mu_frame={row.mu_frame:+.6e} (published {pub[2]:+.3e}) "
                   f"tau_max={row.tau_max:.4f} (published {pub[3]})")
@@ -335,7 +350,9 @@ def cmd_table2(args) -> int:
                 "mu_frame", "tau_max", "pub_lte_mean", "pub_lte_max", "pub_mu",
                 "pub_tau_max"], body)
     _write_csv(os.path.join(out, "figure2.csv"),
-               ["a", "n", "t", "log10_lte", "log10_norm_x"], fig)
+               ["a", "n", "t", "log10_lte", "log10_norm_x"],
+               (block for a, row in figured
+                for block in _figure_lines(a, row.times, row.lte, row.norms)))
     return 0
 
 
@@ -344,6 +361,10 @@ def cmd_counterexample(args) -> int:
     a run the divergence guard cuts short is reported (stdout and JSON)."""
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
+    if not (math.isfinite(args.h) and args.h > 0.0
+            and math.isfinite(args.D) and math.isfinite(args.L)):
+        raise ConfigError(f"--h must be finite and positive and --D, --L finite, got "
+                          f"h={args.h}, D={args.D}, L={args.L}")
     tab = glm.get_tableau(args.method)
     delta = glm.require_inside_gap(tab, args.D, args.L, args.h)
     sp = problems.ScalarCosineParams(D=args.D, L=args.L, omega=2.0 * math.pi / args.h)
@@ -409,15 +430,11 @@ def cmd_spectrum(args) -> int:
             _span_steps(args.oracle_h, args.tfinal, t0)
         except ConfigError as exc:
             raise ConfigError(f"--oracle-h: {exc}") from exc
-    prob, traj, phis = _integrate(tab, params, args.h, n_f, t0, x0, "rk4")
+    traj, trail, _ = _integrate(tab, params, args.h, n_f, t0, x0, "rk4",
+                                frame=args.mode == "frame")
     m = traj.n_steps
-    if args.mode == "frame":
-        trail = spectra.new_matrix_trail(tab.k * prob.d, args.h, t0)
-        spectra.qr_advance_series(trail, phis)
-    else:
-        split = onestep.spectral_split(tab)
-        w = onestep.extract_w(traj, split)
-        trail = spectra.vector_trail_from_values(w.values, args.h, t0)
+    if args.mode == "w":
+        trail = _w_trail(tab, traj)
     n0 = m // 2
     est = spectra.mu_appr(trail, n0, m - n0, denominator=args.denominator,
                           sum_start=args.sum_start)
@@ -436,7 +453,8 @@ def cmd_spectrum(args) -> int:
         "diverged": traj.diverged,
     }
     if args.oracle_h is not None:
-        oracle = spectra.continuous_qr_oracle(prob, args.tfinal, args.oracle_h, t0=t0)
+        oracle = spectra.continuous_qr_oracle(problems.rotating_cosine_problem(params),
+                                              args.tfinal, args.oracle_h, t0=t0)
         span = oracle.ts[-1] - oracle.ts[0]
         bundle["oracle_mean_rates"] = [
             float(v / span) for v in spectra.integrate_diag(oracle, oracle.ts[0],
@@ -461,13 +479,11 @@ def cmd_converge(args) -> int:
     t_final = args.tfinal if args.tfinal is not None else 2.0
     ge, le = [], []
     for h in hs:
-        _, traj, phis = _integrate(tab, params, h, _span_steps(h, t_final, 0.0), 0.0,
-                                   (1.0, 0.0), "reference")
-        m = traj.n_steps
-        times = h * np.arange(m + tab.k)
-        refs = problems.reference_batch(params, times)
-        ge.append(float(np.linalg.norm(traj.last_blocks()[-1] - refs[m + tab.k - 1])))
-        le.append(float(glm.lte_series(tab, phis, refs).max()))
+        traj, _, lte = _integrate(tab, params, h, _span_steps(h, t_final, 0.0), 0.0,
+                                  (1.0, 0.0), "reference", lte=True)
+        end = problems.reference_batch(params, [h * (traj.n_steps + tab.k - 1)])
+        ge.append(float(np.linalg.norm(traj.last_blocks()[-1] - end[0])))
+        le.append(float(lte.max()))
     lh = np.log(np.asarray(hs))
     global_slope = float(np.polyfit(lh, np.log(ge), 1)[0])
     lte_slope = float(np.polyfit(lh, np.log(le), 1)[0])

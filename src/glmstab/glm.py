@@ -225,22 +225,27 @@ def transition_batch(tab: GlmTableau, prob: LinearProblem, n0: int, count: int,
 def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
                n_steps: int, h: float, t0: float = 0.0,
                divergence_factor: float = 1e12, chunk: int = 4096,
-               keep_transitions: bool = False):
+               keep_transitions: bool = False,
+               on_chunk: Optional[Callable[[int, np.ndarray], None]] = None):
     """Propagate the supervector recursion for n_steps.
 
     The trajectory is frozen (diverged flag + truncation) as soon as the norm exceeds
     divergence_factor * max(1, ||X_0||) or becomes non-finite; everything computed up
     to that point stays available. Returns the Trajectory, or (Trajectory, Phi-array)
-    when keep_transitions is set.
+    when keep_transitions is set. A step count too large to hold raises ConfigError.
 
     Each chunk of steps is propagated first and guarded after: a step whose
     vectorized norm is not clearly below the guard is re-checked with
     np.linalg.norm, in order, so the first failing step and the states are the
-    same as with a per-step check.
+    same as with a per-step check. Then on_chunk(base, phis) gets the Phi of the
+    chunk's kept steps base, base + 1, ... (if any), as keep_transitions does.
     """
     kd = tab.k * prob.d
     x0_super = np.asarray(x0_super, dtype=float).reshape(kd)
-    states = np.empty((n_steps + 1, kd))
+    try:
+        states = np.empty((n_steps + 1, kd))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot hold a run of {n_steps} steps: {exc}") from exc
     states[0] = x0_super
     guard = divergence_factor * max(1.0, float(np.linalg.norm(x0_super)))
     clear = guard * (1.0 - 1e-12)
@@ -251,8 +256,6 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
     for base in range(0, n_steps, chunk):
         cnt = min(chunk, n_steps - base)
         block = transition_batch(tab, prob, base, cnt, h, t0)
-        if keep_transitions:
-            phis[base: base + cnt] = block
         new = states[base + 1: base + cnt + 1]
         # steps past a divergence may overflow; they are cut off below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -264,10 +267,14 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
                 if not math.isfinite(norm) or norm > guard:
                     diverged_at = base + i + 1
                     break
+        n_done = base + cnt if diverged_at is None else diverged_at - 1
+        if n_done > base:                   # the hand-off of the kept steps
+            if keep_transitions:
+                phis[base: n_done] = block[: n_done - base]
+            if on_chunk is not None:
+                on_chunk(base, block[: n_done - base])
         if diverged_at is not None:
-            n_done = diverged_at - 1
             break
-        n_done = base + cnt
 
     diverged = diverged_at is not None
     states = states[: n_done + 1]

@@ -6,7 +6,9 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmstab import cli, glm, onestep, problems, spectra
+from glmstab.errors import ConfigError
 
 
 def _read_csv(path):
@@ -49,6 +52,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert cli.main(["run", "--h", "0.1", "--tfinal", "4", "--n0", "-1", "--out", out]) == 2
     # a step so small that the span holds no countable number of steps
     assert cli.main(["run", "--h", "1e-320", "--tfinal", "1", "--out", out]) == 2
+    # a step count too large to hold
+    assert cli.main(["run", "--h", "1e-300", "--tfinal", "1", "--out", out]) == 2
     # config values that are not numbers
     base = {"a1": 1.2, "a2": 1.2, "b1": -0.14, "b2": -0.15, "beta": 10.0}
     for bad in ({"a1": "x"}, {"a1": None}, {"t0": "x"}, {"x0": "ab"}):
@@ -58,7 +63,48 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert cli.main(["counterexample", "--steps", "0", "--out", out]) == 2
     assert cli.main(["counterexample", "--steps", "-1", "--out", out]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 22 and all(ln.startswith("config error:") for ln in lines)
+    assert len(lines) == 23 and all(ln.startswith("config error:") for ln in lines)
+
+
+def test_counterexample_bad_input_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    for bad in (["--h", "nan"], ["--h", "-0.5"], ["--h", "0"], ["--h", "inf"],
+                ["--D", "nan"], ["--L", "inf"], ["--D=-inf"]):
+        assert cli.main(["counterexample", *bad, "--out", out]) == 2, bad
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 7 and all(ln.startswith("config error: --h must be") for ln in err)
+    # finite input outside the stability gap stays a numerical failure
+    for outside in (["--D", "3.0"], ["--D", "-0.3"], ["--h", "1e6"]):
+        assert cli.main(["counterexample", *outside, "--out", out]) == 3, outside
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all("ParameterOutsideGap" in ln for ln in err)
+
+
+def test_row_options_checked_before_integrating(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking the row options")
+
+    monkeypatch.setattr(glm, "run_linear", never)
+    tab = glm.get_tableau("bdf2")
+    params = problems.RotatingCosineParams(**cli.TABLE1_PROBLEM)
+    for bad, match in ((dict(lte_scale="per-step"), "lte scale"),
+                       (dict(denominator="t1"), "denominator mode"),
+                       (dict(sum_start="end"), "sum_start mode")):
+        with pytest.raises(ConfigError, match=match):
+            cli.experiment_row(tab, params, 0.1, 4.0, **bad)
+
+
+def test_table1_heap_peak(tmp_path, capsys):
+    # Phi is consumed per chunk and figure1.csv written per block of lines: the
+    # heap peak stays below 10 MB (it was 23.2 MB with the whole series kept)
+    tracemalloc.start()
+    try:
+        assert cli.main(["table1", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, f"table1 heap peak {peak / 1e6:.1f} MB"
+    capsys.readouterr()
 
 
 def test_oracle_step_checked_before_integrating(tmp_path, capsys, monkeypatch):
@@ -79,7 +125,7 @@ def test_reference_start_samples_the_reference(capsys):
     tab = glm.get_tableau("bdf2")
     params = problems.RotatingCosineParams(**cli.TABLE1_PROBLEM)
     h, t0, x0 = 0.05, 0.7, (0.6, -0.8)
-    _, traj, _ = cli._integrate(tab, params, h, 3, t0, x0, "reference")
+    traj, _, _ = cli._integrate(tab, params, h, 3, t0, x0, "reference")
     want = np.concatenate([problems.reference_batch(params, [t0 + i * h], x0=x0, t0=t0)[0]
                            for i in range(tab.k)])
     assert np.array_equal(traj.states[0], want)
@@ -359,11 +405,17 @@ def test_csv_lines_match_csv_writer(key, rows):
                 _old_fmt(lte[n]) if n < m else "",
                 _old_fmt(running[n - 1]) if n >= 1 else ""] for n in range(m + 1)]
     header = ["a", "b", "c", "d", "e"]
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, old, new in (
-                ("figure", old_figure, cli._figure_lines(key, times, lte, norms)),
-                ("run", old_run, cli._run_lines(times, norms, lte, running))):
-            want, got = (os.path.join(tmp, name + ext) for ext in (".want", ".got"))
-            _old_write_csv(want, header, old)
-            cli._write_csv(got, header, new)
-            assert Path(got).read_bytes() == Path(want).read_bytes()
+    # the writers yield joined blocks of lines: at the default block size and at
+    # blocks small enough for the rows to span several
+    for block in (cli._LINES_PER_BLOCK, 1, 3):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "_LINES_PER_BLOCK", block):
+            for name, old, new in (
+                    ("figure", old_figure, cli._figure_lines(key, times, lte, norms)),
+                    ("run", old_run, cli._run_lines(times, norms, lte, running))):
+                blocks = list(new)
+                assert all(0 < b.count("\r\n") <= block for b in blocks)
+                want, got = (os.path.join(tmp, name + ext) for ext in (".want", ".got"))
+                _old_write_csv(want, header, old)
+                cli._write_csv(got, header, iter(blocks))
+                assert Path(got).read_bytes() == Path(want).read_bytes()

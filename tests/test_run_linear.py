@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from glmstab import cli, glm, problems
+from glmstab.errors import ConfigError
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -63,6 +64,17 @@ def assert_same_run(tab, prob, x0s, n_steps, h, t0=0.0, **kw):
     bare = glm.run_linear(tab, prob, x0s, n_steps, h, t0, **kw)
     assert np.array_equal(bare.states, want_states)
     assert (bare.diverged, bare.diverged_at) == (want_div, want_at)
+    # the per-chunk hand-off: consecutive, never empty, and all of the kept Phi
+    calls = []
+    handed = glm.run_linear(tab, prob, x0s, n_steps, h, t0,
+                            on_chunk=lambda base, phis: calls.append((base, phis.copy())),
+                            **kw)
+    assert np.array_equal(handed.states, want_states)
+    lengths = [len(phis) for _, phis in calls]
+    assert all(lengths)
+    assert [base for base, _ in calls] == [sum(lengths[:i]) for i in range(len(calls))]
+    assert np.array_equal(np.concatenate([phis for _, phis in calls])
+                          if calls else np.empty((0, 4, 4)), want_phis)
     return traj
 
 
@@ -177,3 +189,37 @@ def test_random_stacks(served, seed, n, chunk, growth, factor, bad_at, bad):
     prob = served(phis)
     x0s = np.random.default_rng(seed).standard_normal(4)
     assert_same_run(BDF2, prob, x0s, n, 0.1, divergence_factor=factor, chunk=chunk)
+
+
+def test_on_chunk_cuts_the_diverging_chunk(served):
+    # a step into the guard at the first step of the second chunk: no call for it;
+    # mid-chunk: the chunk's steps before it
+    for at, want in ((8, [(0, 7)]), (11, [(0, 7), (7, 3)])):
+        phis = _rotations(20)
+        phis[at - 1] *= 1e13
+        prob = served(phis)
+        calls = []
+        traj = glm.run_linear(BDF2, prob, np.ones(4), 20, 0.1, chunk=7,
+                              on_chunk=lambda base, p: calls.append((base, len(p))))
+        assert traj.diverged_at == at and calls == want
+
+
+def test_step_count_too_large_to_hold():
+    prob = _table1_problem()
+    x0s = np.array([1.0, 0.0, 1.0, 0.0])
+    with pytest.raises(ConfigError, match="cannot hold"):
+        glm.run_linear(BDF2, prob, x0s, 10**300, 1e-300)
+
+
+def test_unallocatable_step_count(monkeypatch):
+    # the allocation fails as for a count beyond memory, without allocating it
+    empty = np.empty
+
+    def small_only(shape, *args, **kwargs):
+        if shape[0] > 10**6:
+            raise MemoryError(f"Unable to allocate array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", small_only)
+    with pytest.raises(ConfigError, match="cannot hold"):
+        glm.run_linear(BDF2, _table1_problem(), np.ones(4), 10**7, 0.1)
