@@ -361,10 +361,10 @@ def cmd_counterexample(args) -> int:
     a run the divergence guard cuts short is reported (stdout and JSON)."""
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
-    if not (math.isfinite(args.h) and args.h > 0.0
+    if not (0.0 < args.h < math.inf and math.isfinite(2.0 * math.pi / args.h)
             and math.isfinite(args.D) and math.isfinite(args.L)):
-        raise ConfigError(f"--h must be finite and positive and --D, --L finite, got "
-                          f"h={args.h}, D={args.D}, L={args.L}")
+        raise ConfigError(f"--h must be finite and positive, with 2 pi / h finite, and "
+                          f"--D, --L finite, got h={args.h}, D={args.D}, L={args.L}")
     tab = glm.get_tableau(args.method)
     delta = glm.require_inside_gap(tab, args.D, args.L, args.h)
     sp = problems.ScalarCosineParams(D=args.D, L=args.L, omega=2.0 * math.pi / args.h)

@@ -260,7 +260,7 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
         # steps past a divergence may overflow; they are cut off below
         with np.errstate(over="ignore", invalid="ignore"):
             for phi, x, out in zip(block, states[base: base + cnt], new):
-                np.matmul(phi, x, out=out)
+                np.dot(phi, x, out)
             norms = np.sqrt(np.einsum("ij,ij->i", new, new))
             for i in np.flatnonzero(~(norms <= clear)).tolist():
                 norm = float(np.linalg.norm(new[i]))
@@ -434,25 +434,25 @@ def stability_gap(tab: GlmTableau, z_cap: float = 100.0, scan_step: float = 0.01
     Scans the spectral radius of the scalar-test transition for z > 0 and returns the
     first z where it re-enters the closed unit disk (to ~1e-10 by bisection), or
     infinity (capped search) if the recursion never restabilizes below z_cap. The
-    grid is built by repeated additions and scanned _GAP_CHUNK points per batch.
+    grid is the running sum of scan_step (np.cumsum, in order), scanned _GAP_CHUNK
+    points per batch; the 80-step bisection stops once a step leaves it unchanged.
     """
-    grid = []
-    z = scan_step
-    while z <= z_cap + 1e-12:
-        grid.append(z)
-        z += scan_step
+    cap = z_cap + 1e-12
+    grid = np.cumsum(np.full(max(int(cap / scan_step) + 2, 0), scan_step))
+    grid = grid[:np.searchsorted(grid, cap, side="right")]
     for base in range(0, len(grid), _GAP_CHUNK):
-        rho = spectral_radii(tab, np.array(grid[base: base + _GAP_CHUNK]))
+        rho = spectral_radii(tab, grid[base: base + _GAP_CHUNK])
         stable = np.flatnonzero(rho <= 1.0 + 1e-12)
         if stable.size:
             i = base + int(stable[0])
-            lo, hi = (grid[i - 1] if i else 1e-9), grid[i]
+            lo, hi = (float(grid[i - 1]) if i else 1e-9), float(grid[i])
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if spectral_radii(tab, mid) <= 1.0 + 1e-12:
-                    hi = mid
-                else:
-                    lo = mid
+                inside = spectral_radii(tab, mid) <= 1.0 + 1e-12
+                bracket = (lo, mid) if inside else (mid, hi)
+                if bracket == (lo, hi):
+                    break
+                lo, hi = bracket
             return 0.5 * (lo + hi)
     return math.inf
 

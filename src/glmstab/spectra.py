@@ -53,9 +53,20 @@ def new_matrix_trail(dim: int, h: float, t0: float = 0.0,
     return QrTrail(h=h, t0=t0, frame=frame, increments=np.empty((0, frame.shape[1])))
 
 
-# Steps per block of qr_advance_series: bounds its scratch buffers and the work done
-# past a failing step.
+# Steps per block of qr_advance_series and continuous_qr_oracle: bounds their scratch
+# buffers and the work done past a failing step.
 _QR_BLOCK = 1024
+
+
+def _rank_guard(ms: np.ndarray, diags: np.ndarray, fail: bool = True) -> int:
+    """Steps of ms before the first whose R diagonal fails qr_positive's rank guard
+    (NaN-safe, default rank_tol), or len(ms); with fail, that step raises instead."""
+    ok = np.min(np.abs(diags), axis=1) > 1e-14 * np.max(np.abs(ms), axis=(1, 2))
+    good = len(ok) if ok.all() else int(np.argmin(ok))
+    if fail and good < len(ok):
+        linalg.qr_positive(ms[good])   # fails the same guard: raises RankDeficient
+        raise AssertionError("block rank guard disagrees with qr_positive")
+    return good
 
 
 def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
@@ -79,14 +90,14 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     q = trail.frame                    # the raw frame; trail.frame is q * sign
     sign = np.ones(k)
     done = 0
-    # a non-finite phi makes matmul warn; the guard below turns it into RankDeficient
+    # a non-finite phi makes the product warn; the guard below turns it into RankDeficient
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, len(phis), _QR_BLOCK):
             block = phis[lo:lo + _QR_BLOCK]
             n = len(block)
             packs, qs = [], [q]        # the block's packed factors and raw frames
             for phi, m in zip(block, ms):
-                np.matmul(phi, q, out=m)
+                np.dot(phi, q, m)
                 packed, tau, _, info = dgeqrf(m)
                 if info == 0:
                     q, _, info = dorgqr(packed, tau)
@@ -95,11 +106,8 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
                 packs.append(packed)
                 qs.append(q)
             diags = np.diagonal(np.stack(packs), axis1=1, axis2=2)
-            absd = np.abs(diags)
-            # qr_positive's guard at its default rank_tol, negated the same way
-            ok = np.min(absd, axis=1) > 1e-14 * np.max(np.abs(ms[:n]), axis=(1, 2))
-            good = n if ok.all() else int(np.argmin(ok))
-            np.log(absd[:good], out=logs[lo:lo + good])
+            good = _rank_guard(ms[:n], diags, fail=False)
+            np.log(np.abs(diags[:good]), out=logs[lo:lo + good])
             sign *= np.prod(np.copysign(1.0, diags[:good]), axis=0)
             q = qs[good]
             done = lo + good
@@ -108,8 +116,7 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     trail.frame = np.multiply(q, sign, out=np.empty((d, k)))
     trail.increments = np.concatenate([trail.increments, logs[:done]])
     if done < len(phis):
-        linalg.qr_positive(ms[good])       # fails the same guard: raises RankDeficient
-        raise AssertionError("block rank guard disagrees with qr_positive")
+        _rank_guard(ms[good:n], diags[good:])      # raises for the step that failed
     return trail
 
 
@@ -320,7 +327,9 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     positive, or a span without one such step, raises ConfigError.
 
     A(t) comes from three prob.batch calls up front (nodes, midpoints, step ends), and
-    the rates from one batched product over the frames kept at the nodes.
+    the rates from one batched product over the frames kept at the nodes. The steps
+    chain LAPACK's raw Q as qr_advance_series does (RK4 commutes with column signs);
+    the checks run vectorized per block, raising as a per-step check would.
     """
     d = prob.d
     eye = np.eye(d)
@@ -346,26 +355,42 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     low = np.zeros((d, d))               # strictly lower part of w; the rest stays zero
 
     def rate(qm: np.ndarray, a: np.ndarray) -> np.ndarray:
-        w = qm.T @ a @ qm
+        w = np.dot(np.dot(qm.T, a), qm)
         np.copyto(low, w, where=lower)
-        return qm @ (low - low.T)        # Q times the skew projection of w
+        return np.dot(qm, low - low.T)   # Q times the skew projection of w
 
-    for idx in range(n):
-        k1 = rate(q, a_nodes[idx])
-        k2 = rate(q + half * k1, a_mid[idx])
-        k3 = rate(q + half * k2, a_mid[idx])
-        k4 = rate(q + h_fine * k3, a_end[idx])
-        q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = float(np.abs(q.T @ q - eye).max())
-        if not drift <= drift_tol:         # a NaN frame fails too
-            raise OrthogonalityLost(
-                f"frame drift {drift:.3e} exceeds {drift_tol:.1e} at t={ts[idx + 1]:.6g}")
-        packed, q_raw = linalg.householder_qr(q)
-        diag = packed.diagonal()
-        # qr_positive's rank guard at its default rank_tol, negated the same way
-        if not np.abs(diag).min() > 1e-14 * np.abs(q).max():
-            linalg.qr_positive(q)          # fails the same guard: raises RankDeficient
-        q = np.multiply(q_raw, np.copysign(1.0, diag), out=frames[idx + 1])
+    # steps past a failing one may overflow; the checks below discard them
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, n, _QR_BLOCK):
+            pres, packs = [], []         # the block's frames before the QR, and its R
+            for idx in range(lo, min(lo + _QR_BLOCK, n)):
+                k1 = rate(q, a_nodes[idx])
+                k2 = rate(q + half * k1, a_mid[idx])
+                k3 = rate(q + half * k2, a_mid[idx])
+                k4 = rate(q + h_fine * k3, a_end[idx])
+                pre = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                packed, tau, _, info = dgeqrf(pre)
+                if info == 0:
+                    q_raw, _, info = dorgqr(packed, tau)
+                pres.append(pre)
+                packs.append(packed)
+                if info != 0:
+                    break
+                q = frames[idx + 1]
+                q[...] = q_raw
+            pres, diags = np.stack(pres), np.diagonal(np.stack(packs), axis1=1, axis2=2)
+            # a step checks its drift, then LAPACK's info, then the rank guard
+            drift = np.abs(np.matmul(pres.transpose(0, 2, 1), pres) - eye).max(axis=(1, 2))
+            bad = min(np.flatnonzero(~(drift <= drift_tol)).tolist(), default=len(pres))
+            factored = min(bad, len(pres) - (info != 0))
+            _rank_guard(pres[:factored], diags[:factored])
+            if bad < len(pres):                # a NaN frame fails too
+                raise OrthogonalityLost(f"frame drift {drift[bad]:.3e} exceeds "
+                                        f"{drift_tol:.1e} at t={ts[lo + bad + 1]:.6g}")
+            if info != 0:
+                raise NumericalError(f"LAPACK QR returned info={info}")
+            frames[lo + 1: lo + len(pres) + 1] *= np.cumprod(    # q views the last
+                np.copysign(1.0, diags), axis=0)[:, np.newaxis]
     b_diag = np.matmul(np.matmul(frames.transpose(0, 2, 1), a_nodes), frames)
     return OracleTrail(ts=ts, b_diag=b_diag.diagonal(axis1=1, axis2=2).copy(),
                        q_final=q.copy(), h_fine=h_fine)

@@ -62,8 +62,10 @@ def test_exit_code_config_errors(tmp_path, capsys):
     # a counterexample run of no steps
     assert cli.main(["counterexample", "--steps", "0", "--out", out]) == 2
     assert cli.main(["counterexample", "--steps", "-1", "--out", out]) == 2
+    # a subnormal step, positive but with an infinite frequency 2 pi / h
+    assert cli.main(["counterexample", "--h", "1e-320", "--out", out]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 23 and all(ln.startswith("config error:") for ln in lines)
+    assert len(lines) == 24 and all(ln.startswith("config error:") for ln in lines)
 
 
 def test_counterexample_bad_input_is_config_error(tmp_path, capsys):

@@ -88,6 +88,37 @@ def test_solve_matches_scipy_lu_bits(seed, n, nrhs, shift):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), data=st.data(),
+       grade=st.floats(0.0, 20.0))
+def test_dot_matches_matmul_bits(seed, n, data, grade):
+    # the serial loops step through np.dot, which dispatches faster than np.matmul;
+    # on the shapes and memory orders they use, both must make the same BLAS call
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+
+    def graded(*shape):
+        return rng.standard_normal(shape) * np.exp(rng.uniform(-grade, grade, shape[-1]))
+
+    phi = graded(n, n)
+    # run_linear: a kd x kd transition times the state, into the next state's row
+    x = graded(n)
+    got, want = np.empty(n), np.empty(n)
+    np.dot(phi, x, got)
+    np.matmul(phi, x, out=want)
+    assert np.array_equal(got, want)
+    # qr_advance_series: a transition times the frame, F-ordered as dorgqr returns it
+    _, q = linalg.householder_qr(graded(n, k))
+    for frame in (q, np.ascontiguousarray(q)):
+        got = np.empty((n, k))
+        np.dot(phi, frame, got)
+        assert np.array_equal(got, np.matmul(phi, frame))
+    # continuous_qr_oracle's rate: a transposed view times a matrix, and C times C
+    a = graded(n, n)
+    assert np.array_equal(np.dot(phi.T, a), np.matmul(phi.T, a))
+    assert np.array_equal(np.dot(phi, a), np.matmul(phi, a))
+
+
 @pytest.mark.filterwarnings("error")
 def test_solve_singular():
     with pytest.raises(Singular):

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glmstab import linalg, problems, spectra
 from glmstab.errors import ConfigError, OrthogonalityLost, RankDeficient
@@ -23,8 +25,10 @@ def _skew_projection(w):
     return low - low.T
 
 
-def reference_oracle(prob, t_final, h_fine, t0=0.0, q0=None, drift_tol=1e-6):
-    """Per-step reference: (ts, b_diag, q_final)."""
+def reference_oracle(prob, t_final, h_fine, t0=0.0, q0=None, drift_tol=1e-6,
+                     drifts=None):
+    """Per-step reference: (ts, b_diag, q_final); each step's drift is appended to
+    drifts if given."""
     d = prob.d
     q = np.eye(d) if q0 is None else np.asarray(q0, dtype=float).copy()
     n = int(round((t_final - t0) / h_fine))
@@ -44,6 +48,8 @@ def reference_oracle(prob, t_final, h_fine, t0=0.0, q0=None, drift_tol=1e-6):
         k4 = rate(q + h_fine * k3, t + h_fine)
         q = q + (h_fine / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         drift = float(np.max(np.abs(q.T @ q - np.eye(d))))
+        if drifts is not None:
+            drifts.append(drift)
         if not drift <= drift_tol:
             raise OrthogonalityLost(
                 f"frame drift {drift:.3e} exceeds {drift_tol:.1e} at t={ts[idx + 1]:.6g}")
@@ -74,6 +80,11 @@ CASES = {
         [[0.3, 1.0, -2.0], [0.5, -1.0, 0.1], [1.0, 2.0, 3.0]]), 3.0, 0.01, 0.0, None),
     "stacked-fallback": (_no_batch(problems.rotating_cosine_problem(UNEQUAL)), 4.0, 0.02,
                          0.25, None),
+    # the first step's R has a negative diagonal, so its frame is flipped
+    "negated-q0": (problems.rotating_cosine_problem(UNEQUAL), 3.0, 0.01, 0.0, -np.eye(2)),
+    # 3600 steps: three full blocks of spectra._QR_BLOCK and a partial fourth
+    "four-blocks": (problems.rotating_cosine_problem(UNEQUAL), 36.0, 0.01, 0.0,
+                    problems.rotation(2.0)),
 }
 
 
@@ -111,6 +122,7 @@ def _both_raise(exc, *args, **kwargs):
     with pytest.raises(exc) as got:
         spectra.continuous_qr_oracle(*args, **kwargs)
     assert str(got.value) == str(ref.value)
+    return str(got.value)
 
 
 def test_oracle_fails_like_reference():
@@ -121,6 +133,72 @@ def test_oracle_fails_like_reference():
     prob = problems.rotating_cosine_problem(CRITERION_8)
     _both_raise(RankDeficient, prob, 1.0, 0.1, q0=np.ones((2, 2)), drift_tol=1e300)
     _both_raise(RankDeficient, prob, 1.0, 0.1, q0=np.zeros((2, 2)), drift_tol=1e300)
+
+
+# A(t) = omega(t) J, J the rotation generator, with omega growing linearly in t: an RK4
+# step's frame drift grows with h omega, so each step sets a new largest drift
+SPIN_UP = problems.LinearProblem(
+    d=2, coefficient=lambda t: (5.0 + 0.5 * t) * np.array([[0.0, -1.0], [1.0, 0.0]]))
+SPIN_UP_SPAN = (30.0, 0.01)         # 3000 steps, three blocks
+
+
+@pytest.fixture(scope="module")
+def spin_up_drifts():
+    drifts = []
+    reference_oracle(SPIN_UP, *SPIN_UP_SPAN, drift_tol=math.inf, drifts=drifts)
+    return drifts
+
+
+@pytest.mark.parametrize("step", [1, 1023, 1024, 1025, 2500])
+def test_orthogonality_lost_at_the_same_step(step, spin_up_drifts):
+    # drift_tol is the largest drift before the chosen step, so that step is the first
+    # to fail: the first step, around the end of the first block, in the third block
+    assert spectra._QR_BLOCK == 1024
+    drifts = spin_up_drifts
+    tol = max(drifts[:step - 1], default=0.5 * drifts[0])
+    assert drifts[step - 1] > tol
+    message = _both_raise(OrthogonalityLost, SPIN_UP, *SPIN_UP_SPAN, drift_tol=tol)
+    assert message.endswith(f"at t={step * SPIN_UP_SPAN[1]:.6g}")
+
+
+def _oracle_rk4_step(q, a_node, a_mid, a_end, h):
+    """One RK4 step written as continuous_qr_oracle takes it: k1-k4 and the frame
+    before its QR."""
+    lower = np.tri(len(q), k=-1, dtype=bool)
+    low = np.zeros_like(q)
+
+    def rate(qm, a):
+        w = np.dot(np.dot(qm.T, a), qm)
+        np.copyto(low, w, where=lower)
+        return np.dot(qm, low - low.T)
+
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = rate(q, a_node)
+    k2 = rate(q + half * k1, a_mid)
+    k3 = rate(q + half * k2, a_mid)
+    k4 = rate(q + h * k3, a_end)
+    return k1, k2, k3, k4, q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), grade=st.floats(0.0, 5.0),
+       h=st.floats(1e-4, 0.05))
+def test_rk4_step_commutes_with_column_signs(seed, d, grade, h):
+    # the oracle chains LAPACK's unflipped Q: a step from Q S must be the step from Q,
+    # times S, with the same pre-QR drift, for a +-1 diagonal S
+    rng = np.random.default_rng(seed)
+    graded = rng.standard_normal((d, d)) * np.exp(rng.uniform(-grade, grade, d))
+    q = np.ascontiguousarray(linalg.householder_qr(graded)[1])    # C-ordered, as kept
+    coeffs = [rng.standard_normal((d, d)) * np.exp(rng.uniform(-grade, grade, (d, d)))
+              for _ in range(3)]
+    s = rng.choice([-1.0, 1.0], d)
+    plain = _oracle_rk4_step(q, *coeffs, h)
+    signed = _oracle_rk4_step(q * s, *coeffs, h)
+    for got, want in zip(signed, plain):
+        assert np.array_equal(got, want * s)
+    pres = np.stack([plain[-1], signed[-1]])
+    drift = np.abs(np.matmul(pres.transpose(0, 2, 1), pres) - np.eye(d))
+    assert np.array_equal(drift[1], drift[0])
 
 
 # Seed 71 of the benchmark's oracle_separation workload: beta near 10 at

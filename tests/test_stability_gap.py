@@ -1,9 +1,10 @@
 """The batched stability-gap scan against the slow one-z-at-a-time reference.
 
-`reference_stability_gap` is the scan as first written: one scalar transition,
-one np.linalg.eigvals call and one comparison per grid point, then 80 bisection
-steps. The batched `glm.stability_gap` must give the same delta bit for bit, and
-`glm.spectral_radii` the same radii as `reference_rho` at every grid point.
+`reference_stability_gap` is the scan as first written: a grid built by repeated
+additions, one scalar transition, one np.linalg.eigvals call and one comparison
+per grid point, then all 80 bisection steps. The batched `glm.stability_gap` must
+give the same delta bit for bit, and `glm.spectral_radii` the same radii as
+`reference_rho` at every grid point.
 """
 
 import math
@@ -70,8 +71,22 @@ def _assert_same_radii(tab, grid):
 @pytest.mark.parametrize("name", ["bdf2", "ab2", "be"])
 def test_default_grid_matches_reference(name):
     tab = glm.get_tableau(name)
-    _assert_same_radii(tab, reference_grid())
+    grid = reference_grid()
+    assert np.array_equal(np.cumsum(np.full(len(grid), 0.01)), grid)
+    _assert_same_radii(tab, grid)
     assert _same_delta(glm.stability_gap(tab), reference_stability_gap(tab))
+
+
+@pytest.mark.parametrize("name", ["bdf2", "ab2", "be"])
+@pytest.mark.parametrize("z_cap, scan_step", [(7.3, 0.003), (250.0, 0.037)])
+def test_other_grids_match_reference(name, z_cap, scan_step):
+    # the library sums its grid with np.cumsum, which adds in order as the loop does,
+    # and stops its bisection once a step leaves the bracket unchanged
+    grid = reference_grid(z_cap, scan_step)
+    assert np.array_equal(np.cumsum(np.full(len(grid), scan_step)), grid)
+    tab = glm.get_tableau(name)
+    got = glm.stability_gap(tab, z_cap=z_cap, scan_step=scan_step)
+    assert _same_delta(got, reference_stability_gap(tab, z_cap=z_cap, scan_step=scan_step))
 
 
 @pytest.mark.parametrize("scan_step", [0.5, 0.25])
