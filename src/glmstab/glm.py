@@ -194,32 +194,65 @@ def stage_times(tab: GlmTableau, n, h: float, t0: float = 0.0) -> np.ndarray:
     return t0 + (n[..., np.newaxis] + tab.xi) * h
 
 
+def _kron_eye(m: np.ndarray, d: int) -> np.ndarray:
+    """np.kron(m, np.eye(d)) as one broadcast product: the same bits, less set-up."""
+    p, q = m.shape
+    big = m[:, np.newaxis, :, np.newaxis] * np.eye(d)[:, np.newaxis, :]
+    return big.reshape(p * d, q * d)
+
+
+def _sum_of_products(lhs: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = the sum over e of lhs[e] * rhs[e] (broadcast), added in ascending e to a
+    zero start; the einsum order, so the bits of a dense contraction."""
+    term = np.empty_like(out)
+    for e in range(len(lhs)):
+        np.multiply(lhs[e], rhs[e], out=term)
+        np.add(out if e else 0.0, term, out=out)
+    return out
+
+
 def transition_batch(tab: GlmTableau, prob: LinearProblem, n0: int, count: int,
                      h: float, t0: float = 0.0) -> np.ndarray:
-    """Transition matrices Phi(n;h) for n = n0 .. n0+count-1, shape (count, kd, kd)."""
+    """Transition matrices Phi(n;h) for n = n0 .. n0+count-1, shape (count, kd, kd).
+
+    The stage systems go to one batched LAPACK solve. The two products after it,
+    M T and (D (x) I)(M T), are sums of elementwise products over the contraction
+    index (_sum_of_products), with the step index last so each product runs along
+    it. Every term of D (x) I is kept, zeros included, so inf and NaN spread as
+    through the dense product; the bits are those of einsum.
+    """
     d, k, r = prob.d, tab.k, tab.r
+    eye = np.eye(d)
     ts = stage_times(tab, np.arange(n0, n0 + count), h, t0)      # (count, r)
     a_all = prob.batch(ts.ravel()).reshape(count, r, d, d)
-    # S = I - h (C (x) I) M as (count, r, d, r, d)
-    s = np.zeros((count, r, d, r, d))
-    idx = np.arange(d)
+    # S = I - h (C (x) I) M as (count, r, d, r, d), block by block
+    s = np.empty((count, r, d, r, d))
     for i in range(r):
-        s[:, i, idx, i, idx] = 1.0
         for j in range(r):
+            block, ident = s[:, i, :, j], (eye if i == j else 0.0)
             if tab.C[i, j] != 0.0:
-                s[:, i, :, j, :] -= h * tab.C[i, j] * a_all[:, j]
-    s = s.reshape(count, r * d, r * d)
-    u_big = np.kron(tab.U, np.eye(d))                            # (rd, kd)
+                np.multiply(a_all[:, j], h * tab.C[i, j], out=block)
+                np.subtract(ident, block, out=block)
+            else:
+                block[...] = ident
+    u_big = _kron_eye(tab.U, d)                                  # (rd, kd)
     try:
-        t_sol = np.linalg.solve(s, np.broadcast_to(u_big, (count,) + u_big.shape))
+        t_sol = np.linalg.solve(s.reshape(count, r * d, r * d),
+                                np.broadcast_to(u_big, (count,) + u_big.shape))
     except np.linalg.LinAlgError as exc:
         raise StageSingular(f"stage system singular near step {n0}: {exc}") from exc
-    mt = np.einsum("nide,niem->nidm", a_all, t_sol.reshape(count, r, d, k * d))
-    d_big = np.kron(tab.D, np.eye(d))                            # (kd, rd)
-    phi = np.kron(tab.V, np.eye(d)) + h * np.einsum(
-        "pe,nem->npm", d_big, mt.reshape(count, r * d, k * d)
-    )
-    return phi
+    # (M T)[i, x, m] = sum over e of A_i[x, e] T_i[e, m], as (r, d, kd, count)
+    t_sol = t_sol.reshape(count, r, d, k * d).transpose(2, 1, 3, 0)
+    mt = _sum_of_products(a_all.transpose(3, 1, 2, 0)[:, :, :, np.newaxis],
+                          t_sol[:, :, np.newaxis], np.empty((r, d, k * d, count)))
+    mt = mt.reshape(r * d, k * d, count)
+    del s, t_sol                         # freed before the two (kd, kd, count) buffers
+    # Phi = (V (x) I) + h (D (x) I) M T, as (kd, kd, count)
+    phi = _sum_of_products(_kron_eye(tab.D, d).T[:, :, np.newaxis, np.newaxis],
+                           mt[:, np.newaxis], np.empty((k * d, k * d, count)))
+    np.multiply(phi, h, out=phi)
+    np.add(_kron_eye(tab.V, d)[..., np.newaxis], phi, out=phi)
+    return np.ascontiguousarray(phi.transpose(2, 0, 1))
 
 
 def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
@@ -359,8 +392,7 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
     if d is None:
         d = x0_super.size // tab.k
     k, r = tab.k, tab.r
-    u_big, c_big, v_big, d_big = (np.kron(m, np.eye(d))
-                                  for m in (tab.U, tab.C, tab.V, tab.D))
+    u_big, c_big, v_big, d_big = (_kron_eye(m, d) for m in (tab.U, tab.C, tab.V, tab.D))
     eye_rd = np.eye(r * d)
     all_ts = stage_times(tab, np.arange(n_steps), h, t0)         # (n_steps, r)
     states = np.empty((n_steps + 1, k * d))
@@ -436,7 +468,11 @@ def stability_gap(tab: GlmTableau, z_cap: float = 100.0, scan_step: float = 0.01
     infinity (capped search) if the recursion never restabilizes below z_cap. The
     grid is the running sum of scan_step (np.cumsum, in order), scanned _GAP_CHUNK
     points per batch; the 80-step bisection stops once a step leaves it unchanged.
+    A z_cap or scan_step that is not finite and positive raises ConfigError.
     """
+    if not all(math.isfinite(v) and v > 0.0 for v in (z_cap, scan_step)):
+        raise ConfigError(f"z_cap and scan_step must be finite and positive, "
+                          f"got z_cap={z_cap}, scan_step={scan_step}")
     cap = z_cap + 1e-12
     grid = np.cumsum(np.full(max(int(cap / scan_step) + 2, 0), scan_step))
     grid = grid[:np.searchsorted(grid, cap, side="right")]

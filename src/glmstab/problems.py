@@ -99,22 +99,30 @@ def rotation(angle):
     return out
 
 
-def rotating_cosine_B(p: RotatingCosineParams, t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape + (2, 2))
-    out[..., 0, 0] = p.a1 * np.cos(t) + p.b1
-    out[..., 0, 1] = p.beta
-    out[..., 1, 1] = p.a2 * np.cos(t) + p.b2
-    return out
-
-
 def rotating_cosine_A(p: RotatingCosineParams, t):
-    """Coefficient matrix A(t); accepts scalar t or an array (vectorized)."""
-    t = np.asarray(t, dtype=float)
-    q = rotation(p.omega_dot * t)
-    b = rotating_cosine_B(p, t)
-    a = np.einsum("...ij,...jk,...lk->...il", q, b, q) + p.omega_dot * J
-    return a
+    """Coefficient matrix A(t); accepts scalar t or an array (vectorized).
+
+    Entry (i, l) is the sum over j (outer) and k (inner) of (Q_ij B_jk) Q_lk, every
+    term kept and added in that order to a zero start, plus omega_dot J_il: the order
+    of a dense einsum. As elementwise products, a scalar t and an array of times give
+    the same bits. The constant entries of B (beta and the zero below the diagonal)
+    stay scalars.
+    """
+    t = np.asarray(t, dtype=float)[()]      # a scalar t stays a cheap numpy scalar
+    w = p.omega_dot
+    c, s, ct = np.cos(w * t), np.sin(w * t), np.cos(t)
+    q = ((c, -s), (s, c))
+    b = ((p.a1 * ct + p.b1, p.beta), (0.0, p.a2 * ct + p.b2))
+    wj = w * J
+    out = np.empty(np.shape(t) + (2, 2))
+    for i in range(2):
+        for l in range(2):
+            acc = 0.0
+            for j in range(2):
+                for k in range(2):
+                    acc = acc + q[i][j] * b[j][k] * q[l][k]
+            out[..., i, l] = acc + wj[i, l]
+    return out
 
 
 def rotating_cosine_problem(p: RotatingCosineParams) -> LinearProblem:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glmstab import glm, linalg, problems
@@ -15,6 +15,7 @@ from glmstab.errors import (
     NewtonDiverged,
     NotStrictlyStable,
     ParameterOutsideGap,
+    StageSingular,
 )
 
 
@@ -172,6 +173,125 @@ def test_transition_batch_matches_single():
     for i in range(5):
         assert np.allclose(batch[i], reference_transition(tab, prob, 3 + i, 0.1),
                            atol=1e-14)
+
+
+def einsum_transition_batch(tab, prob, n0, count, h, t0=0.0):
+    """The transition kernel as first written: a zero-filled stage matrix, Kronecker
+    products and two einsum contractions. The reference for glm.transition_batch."""
+    d, k, r = prob.d, tab.k, tab.r
+    ts = glm.stage_times(tab, np.arange(n0, n0 + count), h, t0)
+    a_all = prob.batch(ts.ravel()).reshape(count, r, d, d)
+    s = np.zeros((count, r, d, r, d))
+    idx = np.arange(d)
+    for i in range(r):
+        s[:, i, idx, i, idx] = 1.0
+        for j in range(r):
+            if tab.C[i, j] != 0.0:
+                s[:, i, :, j, :] -= h * tab.C[i, j] * a_all[:, j]
+    s = s.reshape(count, r * d, r * d)
+    u_big = np.kron(tab.U, np.eye(d))
+    t_sol = np.linalg.solve(s, np.broadcast_to(u_big, (count,) + u_big.shape))
+    mt = np.einsum("nide,niem->nidm", a_all, t_sol.reshape(count, r, d, k * d))
+    d_big = np.kron(tab.D, np.eye(d))
+    return np.kron(tab.V, np.eye(d)) + h * np.einsum(
+        "pe,nem->npm", d_big, mt.reshape(count, r * d, k * d))
+
+
+def _same_bits(got, want):
+    """Equal values, NaN at the same places and the same sign on every zero."""
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[got == 0.0]), np.signbit(want[want == 0.0])))
+
+
+def _radau_iia2():
+    """Two-stage Radau IIA as a one-step GLM (k = 1, r = 2, full C)."""
+    return glm.GlmTableau(
+        name="radau2", k=1, r=2, order=3,
+        U=[[1.0], [1.0]], V=[[1.0]],
+        C=[[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]],
+        D=[[3.0 / 4.0, 1.0 / 4.0]],
+        xi=[1.0 / 3.0, 1.0],
+    )
+
+
+_KERNEL_TABLEAUS = {"bdf2": lambda: glm.get_tableau("bdf2"),
+                    "ab2": lambda: glm.get_tableau("ab2"),
+                    "be": lambda: glm.get_tableau("be"),
+                    "radau2": _radau_iia2}
+_KERNEL_PROBLEMS = {
+    "rotating": lambda: _rotating()[1],
+    "rotating-omega": lambda: _rotating(omega_rate=2.7)[1],
+    "rotating-reversed": lambda: _rotating(omega_rate=-1.1)[1],
+    "rotating-resonant": lambda: _rotating(resonant_h=0.05)[1],
+    "scalar-cosine": lambda: problems.scalar_cosine_problem(
+        problems.ScalarCosineParams(D=0.7, L=0.1)),
+    "constant": lambda: problems.constant_problem([[-2.0, 0.5], [0.0, -1.0]]),
+    "constant-zero": lambda: problems.constant_problem([[0.0, -0.0], [-0.0, 0.0]]),
+    "constant-3x3": lambda: problems.constant_problem(
+        [[0.3, -1.0, 0.2], [0.0, -0.5, 1.0], [0.1, 0.0, -2.0]]),
+    "planted-inf-nan": lambda: problems.constant_problem([[math.inf, 1.0], [0.0, math.nan]]),
+    "planted-nan": lambda: problems.constant_problem([[1.0, math.nan], [0.0, -2.0]]),
+    "planted-inf": lambda: problems.constant_problem([[0.0, -math.inf], [-0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("tab_name", sorted(_KERNEL_TABLEAUS))
+@pytest.mark.parametrize("prob_name", sorted(_KERNEL_PROBLEMS))
+def test_transition_batch_matches_einsum_reference(tab_name, prob_name):
+    # elementwise multiply-adds in the einsum's order: the same bits, zero signs and
+    # NaN places included, for any batch length, start step and start time
+    tab, prob = _KERNEL_TABLEAUS[tab_name](), _KERNEL_PROBLEMS[prob_name]()
+    for n0, count, h, t0 in ((0, 1, 0.07, 0.0), (5, 3, 0.05, 3.3), (2, 4096, 0.03, -1.2)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = glm.transition_batch(tab, prob, n0, count, h, t0)
+            want = einsum_transition_batch(tab, prob, n0, count, h, t0)
+        assert _same_bits(got, want)
+        assert got.flags.c_contiguous
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), r=st.integers(1, 3),
+       c_scale=st.sampled_from([0.0, 0.3, 1.0]),
+       prob_name=st.sampled_from(["rotating-omega", "scalar-cosine", "constant-3x3"]))
+def test_transition_batch_drawn_tableaus_match_einsum(seed, k, r, c_scale, prob_name):
+    rng = np.random.default_rng(seed)
+    tab = glm.GlmTableau(
+        name="drawn", k=k, r=r, order=1,
+        U=rng.standard_normal((r, k)), V=rng.standard_normal((k, k)),
+        C=rng.standard_normal((r, r)) * c_scale,
+        D=rng.standard_normal((k, r)) * (rng.random((k, r)) < 0.7),
+        xi=rng.uniform(0.0, 2.0, r),
+    )
+    prob = _KERNEL_PROBLEMS[prob_name]()
+    # with k = d = 1 the (D (x) I) contraction is contiguous in both operands, and
+    # einsum sums three or more such terms with its SIMD dot kernel, in another order
+    assume(not (k == 1 and prob.d == 1 and r >= 3))
+    try:
+        want = einsum_transition_batch(tab, prob, 2, 37, 0.09, 0.4)
+    except np.linalg.LinAlgError:
+        with pytest.raises(StageSingular):
+            glm.transition_batch(tab, prob, 2, 37, 0.09, 0.4)
+        return
+    assert _same_bits(glm.transition_batch(tab, prob, 2, 37, 0.09, 0.4), want)
+
+
+def test_kron_eye_matches_kron():
+    rng = np.random.default_rng(7)
+    mats = [rng.standard_normal((3, 2)), np.array([[-0.0, math.inf], [math.nan, -1.0]])]
+    for make in _KERNEL_TABLEAUS.values():
+        tab = make()
+        mats += [tab.U, tab.C, tab.V, tab.D]
+    for m in mats:
+        for d in (1, 2, 3):
+            with np.errstate(invalid="ignore"):
+                assert _same_bits(glm._kron_eye(m, d), np.kron(m, np.eye(d)))
+
+
+def test_transition_batch_singular_stage():
+    # backward Euler with h a = 1: the stage matrix 1 - h a is exactly zero
+    prob = problems.constant_problem(2.0)
+    with pytest.raises(StageSingular, match="near step 3"):
+        glm.transition_batch(glm.get_tableau("be"), prob, 3, 4, 0.5)
 
 
 def test_ab2_matches_textbook_recursion():

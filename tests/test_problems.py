@@ -81,14 +81,60 @@ def test_coefficient_batch_matches_scalar():
     ts = np.linspace(-2.0, 7.0, 23)
     batch = prob.batch(ts)
     single = np.stack([prob.coefficient(t) for t in ts])
-    assert np.allclose(batch, single, atol=1e-15)
+    assert np.array_equal(batch, single)
 
 
 def test_linear_problem_batch_fallback():
     p = _params()
     prob = problems.LinearProblem(d=2, coefficient=lambda t: problems.rotating_cosine_A(p, float(t)))
     ts = np.linspace(0.0, 1.0, 5)
-    assert np.allclose(prob.batch(ts), problems.rotating_cosine_A(p, ts), atol=1e-15)
+    assert np.array_equal(prob.batch(ts), problems.rotating_cosine_A(p, ts))
+
+
+def einsum_rotating_cosine_A(p, t):
+    """A(t) as first written: Q, B and Q as (..., 2, 2) arrays, one three-operand
+    einsum and omega_dot J. The reference for problems.rotating_cosine_A."""
+    t = np.asarray(t, dtype=float)
+    q = problems.rotation(p.omega_dot * t)
+    b = np.zeros(t.shape + (2, 2))
+    b[..., 0, 0] = p.a1 * np.cos(t) + p.b1
+    b[..., 0, 1] = p.beta
+    b[..., 1, 1] = p.a2 * np.cos(t) + p.b2
+    return np.einsum("...ij,...jk,...lk->...il", q, b, q) + p.omega_dot * problems.J
+
+
+def _same_bits(got, want):
+    """Equal values, NaN at the same places and the same sign on every zero."""
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[got == 0.0]), np.signbit(want[want == 0.0])))
+
+
+@pytest.mark.parametrize("kw", [
+    {}, {"omega_rate": 2.7}, {"omega_rate": -1.1}, {"omega_rate": 0.0},
+    {"resonant_h": 0.05}, {"beta": 0.0}, {"beta": -3.5, "a1": 0.0, "b1": 0.0},
+    {"omega_rate": 0.0, "beta": -0.0, "a1": 0.0},       # all-negative-zero sums
+])
+@pytest.mark.parametrize("t0", [0.0, 3.3, -17.0])
+def test_coefficient_matches_einsum_reference(kw, t0):
+    # the elementwise sums run in the einsum's order: the same bits, zero signs too
+    p = _params(**kw)
+    ts = t0 + np.linspace(0.0, 40.0, 257)
+    assert _same_bits(problems.rotating_cosine_A(p, ts), einsum_rotating_cosine_A(p, ts))
+    for t in (t0, np.float64(t0 + 0.1), np.asarray(t0 - 2.5)):
+        assert _same_bits(problems.rotating_cosine_A(p, t), einsum_rotating_cosine_A(p, t))
+    assert problems.rotating_cosine_A(p, t0).shape == (2, 2)
+
+
+@pytest.mark.parametrize("kw", [{"beta": math.nan}, {"beta": math.inf}, {"a1": math.inf},
+                                {"b2": -math.inf}, {"omega_rate": math.inf}])
+def test_coefficient_planted_inf_nan_matches_einsum_reference(kw):
+    p = _params(**kw)
+    ts = np.array([0.0, 0.5 * math.pi, 1.0, -2.0, math.inf, math.nan])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got, want = problems.rotating_cosine_A(p, ts), einsum_rotating_cosine_A(p, ts)
+        assert _same_bits(got, want)
+        for t, row in zip(ts, got):
+            assert _same_bits(problems.rotating_cosine_A(p, t), row)
 
 
 def test_reference_against_rk4():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmstab import glm
+from glmstab.errors import ConfigError
 
 
 def reference_transition(tab, z):
@@ -114,6 +115,18 @@ def test_first_stable_point_opens_a_chunk():
     assert first == glm._GAP_CHUNK
     got = glm.stability_gap(tab, z_cap=3.0, scan_step=0.001952)
     assert got == reference_stability_gap(tab, z_cap=3.0, scan_step=0.001952)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kw", [
+    {"z_cap": math.inf}, {"z_cap": math.nan}, {"z_cap": 0.0}, {"z_cap": -3.0},
+    {"scan_step": 0.0}, {"scan_step": math.nan}, {"scan_step": -0.01},
+    {"scan_step": math.inf},
+])
+def test_stability_gap_rejects_bad_grid(kw):
+    # each once escaped as OverflowError, ZeroDivisionError, ValueError or a silent inf
+    with pytest.raises(ConfigError, match="finite and positive"):
+        glm.stability_gap(glm.get_tableau("bdf2"), **kw)
 
 
 def test_scalar_transition_batch_matches_single():
