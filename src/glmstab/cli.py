@@ -280,14 +280,18 @@ def _load_config(raw: Optional[str]) -> dict:
     return cfg
 
 
-def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    if not cfg:
-        cfg = dict(TABLE1_PROBLEM)
-    params, t0, x0 = problems.rotating_config(cfg)
+def _problem_and_method(args):
+    """The --config problem (TABLE1_PROBLEM if empty), then --h and --tfinal, then
+    the --method tableau, checked in that order: (tab, params, t0, x0)."""
+    params, t0, x0 = problems.rotating_config(_load_config(args.config)
+                                              or dict(TABLE1_PROBLEM))
     if args.h is None or args.tfinal is None:
-        raise ConfigError("run needs --h and --tfinal")
-    tab = glm.get_tableau(args.method)
+        raise ConfigError(f"{args.cmd} needs --h and --tfinal")
+    return glm.get_tableau(args.method), params, t0, x0
+
+
+def cmd_run(args) -> int:
+    tab, params, t0, x0 = _problem_and_method(args)
     row = experiment_row(tab, params, args.h, args.tfinal, t0=t0, x0=tuple(x0),
                          start=args.start, n0=args.n0,
                          denominator=args.denominator, sum_start=args.sum_start,
@@ -410,13 +414,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _load_config(args.config)
-    if not cfg:
-        cfg = dict(TABLE1_PROBLEM)
-    params, t0, x0 = problems.rotating_config(cfg)
-    if args.h is None or args.tfinal is None:
-        raise ConfigError("spectrum needs --h and --tfinal")
-    tab = glm.get_tableau(args.method)
+    tab, params, t0, x0 = _problem_and_method(args)
     n_f = _span_steps(args.h, args.tfinal, t0)
     H = args.H if args.H is not None else max(1.0, 10.0 * args.h)
     # the window sacker_sell_window takes, checked against the requested steps
@@ -475,7 +473,7 @@ CONVERGE_H = {
 def cmd_converge(args) -> int:
     tab = glm.get_tableau(args.method)
     params = problems.RotatingCosineParams(**TABLE1_PROBLEM)
-    hs = CONVERGE_H.get(args.method, (2e-2, 1e-2, 5e-3))
+    hs = CONVERGE_H[args.method]
     t_final = args.tfinal if args.tfinal is not None else 2.0
     ge, le = [], []
     for h in hs:

@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     NewtonDiverged,
     NotStrictlyStable,
+    ParameterOutsideGap,
     StageSingular,
 )
 from .problems import LinearProblem
@@ -129,21 +130,6 @@ def backward_euler_tableau() -> GlmTableau:
     )
 
 
-def leapfrog_tableau() -> GlmTableau:
-    """Explicit midpoint (leapfrog) two-step method; NOT strictly stable (eigs +-1).
-
-    Kept as the canonical rejection example for the validator.
-    """
-    return GlmTableau(
-        name="leapfrog", k=2, r=1, order=2,
-        U=[[0.0, 1.0]],
-        V=[[0.0, 1.0], [1.0, 0.0]],
-        C=[[0.0]],
-        D=[[0.0], [2.0]],
-        xi=[1.0],
-    )
-
-
 _TABLEAUS = {
     "bdf2": bdf2_tableau,
     "ab2": ab2_tableau,
@@ -168,8 +154,11 @@ class Trajectory:
     d: int
     k: int
     states: np.ndarray              # (n_states, k*d)
-    diverged: bool = False
     diverged_at: Optional[int] = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     @property
     def n_steps(self) -> int:
@@ -309,10 +298,8 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
         if diverged_at is not None:
             break
 
-    diverged = diverged_at is not None
-    states = states[: n_done + 1]
-    traj = Trajectory(h=h, t0=t0, d=prob.d, k=tab.k, states=states,
-                      diverged=diverged, diverged_at=diverged_at)
+    traj = Trajectory(h=h, t0=t0, d=prob.d, k=tab.k, states=states[: n_done + 1],
+                      diverged_at=diverged_at)
     if keep_transitions:
         return traj, phis[: n_done]
     return traj
@@ -320,7 +307,7 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
 
 def _rhs_of(prob_or_f) -> Callable:
     if isinstance(prob_or_f, LinearProblem):
-        return lambda x, t: prob_or_f.coefficient(t) @ x
+        return lambda x, t: prob_or_f.batch(np.array([t], dtype=float))[0] @ x
     return prob_or_f
 
 
@@ -381,13 +368,13 @@ def tau_series(lte_values: np.ndarray):
 class NewtonConfig:
     tol: float = 1e-12
     max_iters: int = 25
-    predictor: str = "explicit-euler"   # or "history"
 
 
 def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps: int,
                   h: float, t0: float = 0.0, cfg: NewtonConfig = NewtonConfig(),
                   d: Optional[int] = None) -> Trajectory:
-    """Integrate the GLM on x' = f(x,t) for n_steps, stages by a Newton iteration."""
+    """Integrate the GLM on x' = f(x,t) for n_steps, stages by a Newton iteration
+    from an explicit-Euler predictor off the newest block."""
     x0_super = np.asarray(x0_super, dtype=float)
     if d is None:
         d = x0_super.size // tab.k
@@ -401,16 +388,9 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
         x_cur = states[n]
         base = u_big @ x_cur
 
-        # stage predictor
         x_last = x_cur[-d:]
-        t_last = t0 + (n + k - 1) * h
-        if cfg.predictor == "explicit-euler":
-            f_last = np.atleast_1d(f(x_last, t_last))
-            g = np.concatenate([x_last + (ts[i] - (k - 1)) * h * f_last for i in range(r)])
-        elif cfg.predictor == "history":
-            g = np.tile(x_last, r)
-        else:
-            raise ConfigError(f"unknown predictor {cfg.predictor!r}")
+        f_last = np.atleast_1d(f(x_last, t0 + (n + k - 1) * h))
+        g = np.concatenate([x_last + (ts[i] - (k - 1)) * h * f_last for i in range(r)])
 
         scale = max(1.0, float(np.linalg.norm(base)))
         for _ in range(cfg.max_iters):
@@ -499,8 +479,6 @@ def require_inside_gap(tab: GlmTableau, D: float, L: float, h: float) -> float:
     Needs 0 < D+L < delta/2 and 0 < h (D+L) < delta; returns delta or raises
     ParameterOutsideGap.
     """
-    from .errors import ParameterOutsideGap
-
     delta = stability_gap(tab)
     s = D + L
     if not (0.0 < s and (math.isinf(delta) or s < 0.5 * delta)):

@@ -1,8 +1,9 @@
-"""Small dense linear-algebra kernel.
+"""Small dense linear-algebra kernel, and the one module that imports scipy's LAPACK.
 
 Thin wrappers over numpy/scipy with deterministic conventions and explicit failure
 modes: Householder QR and guarded LU solves on direct LAPACK calls, and the
-positive-diagonal form of the QR.
+positive-diagonal form of the QR. The per-step loops of spectra call dgeqrf and
+dorgqr from here directly.
 Everything here operates on small dense float64 arrays (supervector dimensions are
 k*d with k,d <= a few dozen).
 """

@@ -72,19 +72,12 @@ class TanhForcedParams:
 class LinearProblem:
     """A linear nonautonomous system x' = A(t) x.
 
-    coefficient maps a scalar time to a (d,d) array; coefficient_batch (optional fast
-    path) maps a time vector (n,) to (n,d,d).
+    batch maps a time vector (n,) to the (n, d, d) stack of A(t), and is the one way
+    to read A(t): a single time t is batch(np.array([t]))[0].
     """
 
     d: int
-    coefficient: Callable[[float], np.ndarray]
-    coefficient_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def batch(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if self.coefficient_batch is not None:
-            return self.coefficient_batch(ts)
-        return np.stack([self.coefficient(t) for t in ts])
+    batch: Callable[[np.ndarray], np.ndarray]
 
 
 def rotation(angle):
@@ -126,11 +119,7 @@ def rotating_cosine_A(p: RotatingCosineParams, t):
 
 
 def rotating_cosine_problem(p: RotatingCosineParams) -> LinearProblem:
-    return LinearProblem(
-        d=2,
-        coefficient=lambda t: rotating_cosine_A(p, float(t)),
-        coefficient_batch=lambda ts: rotating_cosine_A(p, ts),
-    )
+    return LinearProblem(d=2, batch=lambda ts: rotating_cosine_A(p, ts))
 
 
 def _panel_quadrature(f, lo, hi, panels):
@@ -232,10 +221,7 @@ def scalar_cosine_lambda(p: ScalarCosineParams, t):
 
 def scalar_cosine_problem(p: ScalarCosineParams) -> LinearProblem:
     return LinearProblem(
-        d=1,
-        coefficient=lambda t: np.array([[float(scalar_cosine_lambda(p, t))]]),
-        coefficient_batch=lambda ts: scalar_cosine_lambda(p, ts)[:, np.newaxis, np.newaxis],
-    )
+        d=1, batch=lambda ts: scalar_cosine_lambda(p, ts)[:, np.newaxis, np.newaxis])
 
 
 def scalar_cosine_reference(p: ScalarCosineParams, t, x0=1.0, t0=0.0):
@@ -248,11 +234,8 @@ def scalar_cosine_reference(p: ScalarCosineParams, t, x0=1.0, t0=0.0):
 
 def constant_problem(a) -> LinearProblem:
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    return LinearProblem(
-        d=a.shape[0],
-        coefficient=lambda t: a,
-        coefficient_batch=lambda ts: np.broadcast_to(a, (len(ts),) + a.shape),
-    )
+    return LinearProblem(d=a.shape[0],
+                         batch=lambda ts: np.broadcast_to(a, (len(ts),) + a.shape))
 
 
 def tanh_rhs(p: TanhForcedParams, x, t):
@@ -290,6 +273,11 @@ def rotating_config(cfg: dict):
     try:
         kwargs = {k: None if (k == "resonant_h" and cfg[k] is None) else float(cfg[k])
                   for k in ROTATING_KEYS if k in cfg}
+        res_h = kwargs.get("resonant_h")
+        if res_h is not None and not (0.0 < res_h < math.inf
+                                      and math.isfinite(2.0 * math.pi / res_h)):
+            raise ConfigError(f"resonant_h must be null or finite and positive, with "
+                              f"2 pi / resonant_h finite, got {res_h}")
         params = RotatingCosineParams(**kwargs)
         t0 = float(cfg.get("t0", 0.0))
         x0 = np.asarray(cfg.get("x0", (1.0, 0.0)), dtype=float)

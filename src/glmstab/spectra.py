@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from . import linalg
 from .errors import (ConfigError, NumericalError, OrthogonalityLost, WindowOutOfRange,
                      ZeroVector)
+from .linalg import dgeqrf, dorgqr
 from .problems import LinearProblem
 
 

@@ -66,6 +66,16 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert cli.main(["counterexample", "--h", "1e-320", "--out", out]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 24 and all(ln.startswith("config error:") for ln in lines)
+    # a resonant step that is zero, negative, infinite (omega_dot = 0) or so small
+    # that omega_dot = 2 pi / resonant_h is infinite
+    for res_h in (0.0, -0.5, math.inf, 1e-320):
+        cfg = {"a1": 1.2, "a2": 1.2, "b1": -0.14, "b2": -0.15, "beta": 1.0,
+               "resonant_h": res_h}
+        assert cli.main(["run", "--h", "0.1", "--tfinal", "1", "--out", out,
+                         "--config", json.dumps(cfg)]) == 2, res_h
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and all(ln.startswith("config error: resonant_h must be")
+                                   for ln in lines)
 
 
 def test_counterexample_bad_input_is_config_error(tmp_path, capsys):

@@ -28,6 +28,11 @@ def _rotating(beta=10.0, **kw):
     return p, problems.rotating_cosine_problem(p)
 
 
+def _at(prob, t):
+    """A(t) at one time: the one-element batch."""
+    return prob.batch(np.array([t]))[0]
+
+
 def reference_transition(tab, prob, n, h, t0=0.0):
     """The one-step transition X_{n+1} = Phi(n;h) X_n, from a batch of one."""
     return glm.transition_batch(tab, prob, n, 1, h, t0)[0]
@@ -67,10 +72,23 @@ def test_update_matrix_spectra():
     assert np.allclose(glm.check_strictly_stable(glm.get_tableau("be").V), [1.0])
 
 
+def leapfrog_tableau():
+    """Explicit midpoint (leapfrog) two-step method; NOT strictly stable (eigs +-1):
+    the canonical rejection example for the validator."""
+    return glm.GlmTableau(
+        name="leapfrog", k=2, r=1, order=2,
+        U=[[0.0, 1.0]],
+        V=[[0.0, 1.0], [1.0, 0.0]],
+        C=[[0.0]],
+        D=[[0.0], [2.0]],
+        xi=[1.0],
+    )
+
+
 def test_leapfrog_rejected():
     # eigenvalues +-1: the parasitic root sits on the unit circle
     with pytest.raises(NotStrictlyStable):
-        glm.validate_tableau(glm.leapfrog_tableau())
+        glm.validate_tableau(leapfrog_tableau())
 
 
 def test_strict_stability_boundaries():
@@ -117,7 +135,7 @@ def test_strictly_stable_accepts_inner_complex_pair():
 
 def test_strictly_stable_rejects_unit_modulus_pair():
     with pytest.raises(NotStrictlyStable):
-        glm.check_strictly_stable(glm.leapfrog_tableau().V)          # eigenvalues +-1
+        glm.check_strictly_stable(leapfrog_tableau().V)              # eigenvalues +-1
     with pytest.raises(NotStrictlyStable):
         glm.check_strictly_stable(_with_unit_mode(_rotation(1.0)))   # e^{+-i}
 
@@ -300,8 +318,8 @@ def test_ab2_matches_textbook_recursion():
     h = 0.05
     x0, x1 = np.array([1.0, 0.0]), np.array([0.9, 0.1])
     traj = glm.run_linear(tab, prob, np.concatenate([x0, x1]), 1, h)
-    f0 = prob.coefficient(0.0) @ x0
-    f1 = prob.coefficient(h) @ x1
+    f0 = _at(prob, 0.0) @ x0
+    f1 = _at(prob, h) @ x1
     want = x1 + h * (1.5 * f1 - 0.5 * f0)
     assert np.allclose(traj.states[1][2:], want, atol=1e-14)
     assert np.allclose(traj.states[1][:2], x1, atol=1e-16)
@@ -313,7 +331,7 @@ def test_be_matches_implicit_recursion():
     h = 0.1
     x0 = np.array([1.0, -0.5])
     traj = glm.run_linear(tab, prob, x0, 1, h)
-    want = np.linalg.solve(np.eye(2) - h * prob.coefficient(h), x0)
+    want = np.linalg.solve(np.eye(2) - h * _at(prob, h), x0)
     assert np.allclose(traj.states[1], want, atol=1e-13)
 
 
@@ -365,6 +383,38 @@ def test_start_rk4_local_error():
     sup = glm.start_rk4(lambda x, t: x, (1.0,), 0.0, h, 2)
     err = abs(float(sup[1]) - math.exp(h))
     assert err == pytest.approx(h**5 / 120.0, rel=0.05)
+
+
+def _former_coefficients(rng):
+    """(problem, scalar coefficient) pairs: the coefficient is A(t) as
+    LinearProblem.coefficient gave it for one time before batch was the one path."""
+    for _ in range(40):
+        kw = dict(a1=rng.uniform(0.1, 4.0), a2=rng.uniform(0.1, 4.0),
+                  b1=rng.uniform(-1.0, 0.0), b2=rng.uniform(-1.0, 0.0),
+                  beta=rng.uniform(-10.0, 10.0), omega_rate=rng.uniform(-3.0, 3.0),
+                  resonant_h=(None, rng.uniform(0.01, 1.0))[rng.integers(2)])
+        p, prob = _rotating(**kw)
+        yield prob, lambda t, p=p: problems.rotating_cosine_A(p, float(t))
+        sp = problems.ScalarCosineParams(D=rng.uniform(-2.0, 2.0), L=rng.uniform(-2.0, 2.0),
+                                         omega=rng.uniform(0.0, 20.0))
+        yield (problems.scalar_cosine_problem(sp),
+               lambda t, sp=sp: np.array([[float(problems.scalar_cosine_lambda(sp, t))]]))
+        a = rng.standard_normal((3, 3))
+        yield problems.constant_problem(a), lambda t, a=a: a
+
+
+def test_start_rk4_on_problem_matches_former_coefficient_start():
+    # start_rk4 reads A(t) through a one-element batch; its values feed every digest,
+    # so they must be the bits of the former per-time coefficient start
+    rng = np.random.default_rng(17)
+    for prob, coefficient in _former_coefficients(rng):
+        x0 = rng.standard_normal(prob.d)
+        t0 = (0.0, 3, rng.uniform(-20.0, 20.0))[rng.integers(3)]     # 3: an int t0
+        h = rng.uniform(1e-4, 1.0)
+        for k in (1, 2, 3, 5):
+            got = glm.start_rk4(prob, x0, t0, h, k)
+            want = glm.start_rk4(lambda x, t: coefficient(t) @ x, x0, t0, h, k)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_start_from_reference_exact_samples():
@@ -424,8 +474,8 @@ def test_nonlinear_matches_linear_on_linear_problem():
     h = 0.05
     x0s = glm.start_rk4(prob, (1.0, 0.0), 0.0, h, tab.k)
     lin = glm.run_linear(tab, prob, x0s, 10, h)
-    f = lambda x, t: prob.coefficient(t) @ x
-    jac = lambda x, t: prob.coefficient(t)
+    f = lambda x, t: _at(prob, t) @ x
+    jac = lambda x, t: _at(prob, t)
     non = glm.run_nonlinear(tab, f, jac, x0s, 10, h)
     assert np.allclose(lin.states, non.states, atol=1e-11)
 
@@ -447,24 +497,23 @@ def test_nonlinear_second_order_on_tanh():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", ["bdf2", "be", "ab2"])
-@pytest.mark.parametrize("predictor", ["explicit-euler", "history"])
-def test_nonlinear_states_match_scipy_lu_solve(name, predictor, monkeypatch):
+@pytest.mark.parametrize("name", ["bdf2", "be", "ab2"],
+                         ids=lambda name: f"explicit-euler-{name}")   # the one predictor
+def test_nonlinear_states_match_scipy_lu_solve(name, monkeypatch):
     # reference: the scipy.linalg.lu_factor + lu_solve pair linalg.solve replaced
     p = problems.TanhForcedParams(a=-1.5)
     tab = glm.get_tableau(name)
     f = lambda x, t: problems.tanh_rhs(p, x, t)
     jac = lambda x, t: problems.tanh_jac(p, x, t)
-    cfg = glm.NewtonConfig(predictor=predictor)
     x0s = glm.start_rk4(f, (0.3,), 0.0, 0.05, tab.k)
-    got = glm.run_nonlinear(tab, f, jac, x0s, 60, 0.05, cfg=cfg)
+    got = glm.run_nonlinear(tab, f, jac, x0s, 60, 0.05)
 
     def lu_solve(a, rhs):
         lu = scipy.linalg.lu_factor(a, check_finite=False)
         return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
 
     monkeypatch.setattr(linalg, "solve", lu_solve)
-    want = glm.run_nonlinear(tab, f, jac, x0s, 60, 0.05, cfg=cfg)
+    want = glm.run_nonlinear(tab, f, jac, x0s, 60, 0.05)
     assert np.array_equal(got.states, want.states)
 
 
@@ -475,14 +524,6 @@ def test_newton_budget_exhausted():
     with pytest.raises(NewtonDiverged):
         glm.run_nonlinear(tab, f, jac, np.array([10.0]), 1, 1.0,
                           cfg=glm.NewtonConfig(max_iters=2))
-
-
-def test_unknown_predictor_rejected():
-    tab = glm.get_tableau("be")
-    with pytest.raises(ConfigError):
-        glm.run_nonlinear(tab, lambda x, t: x, lambda x, t: np.eye(1),
-                          np.array([1.0]), 1, 0.1,
-                          cfg=glm.NewtonConfig(predictor="magic"))
 
 
 # -- frozen-coefficient stability gap -----------------------------------------

@@ -1,4 +1,7 @@
-"""Dense kernel: QR sign convention, Kronecker, guarded solves."""
+"""Dense kernel: QR sign convention, Kronecker, guarded solves, the LAPACK owner."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,3 +138,19 @@ def test_solve_singular():
         linalg.solve(np.array([[1.0, -np.inf], [0.0, 1.0]]), np.ones(2))
     with pytest.raises(Singular):
         linalg.solve(np.diag([np.inf, np.inf]), np.ones(2))
+
+
+def test_only_linalg_imports_scipy():
+    # linalg owns LAPACK: every other module reaches scipy through it
+    importers = set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                importers.add(path.name)
+    assert importers == {"linalg.py"}

@@ -1,7 +1,7 @@
 """The continuous-QR oracle against the per-step loop it replaced.
 
-`reference_oracle` is continuous_qr_oracle as first written: A(t) evaluated by
-prob.coefficient inside the RK4 loop, the skew projection through np.tril,
+`reference_oracle` is continuous_qr_oracle as first written: A(t) evaluated one
+time at a time inside the RK4 loop, the skew projection through np.tril,
 linalg.qr_positive for every re-orthonormalization and the diagonal rates taken
 per step. The oracle must give the same nodes, rates and final frame bit for
 bit, and fail at the same step with the same typed error.
@@ -25,6 +25,11 @@ def _skew_projection(w):
     return low - low.T
 
 
+def _at(prob, t):
+    """A(t) at one time: the one-element batch."""
+    return prob.batch(np.array([t]))[0]
+
+
 def reference_oracle(prob, t_final, h_fine, t0=0.0, q0=None, drift_tol=1e-6,
                      drifts=None):
     """Per-step reference: (ts, b_diag, q_final); each step's drift is appended to
@@ -36,10 +41,10 @@ def reference_oracle(prob, t_final, h_fine, t0=0.0, q0=None, drift_tol=1e-6,
     b_diag = np.empty((n + 1, d))
 
     def rate(qm, t):
-        w = qm.T @ prob.coefficient(t) @ qm
+        w = qm.T @ _at(prob, t) @ qm
         return qm @ _skew_projection(w)
 
-    b_diag[0] = np.diag(q.T @ prob.coefficient(ts[0]) @ q)
+    b_diag[0] = np.diag(q.T @ _at(prob, ts[0]) @ q)
     for idx in range(n):
         t = ts[idx]
         k1 = rate(q, t)
@@ -54,7 +59,7 @@ def reference_oracle(prob, t_final, h_fine, t0=0.0, q0=None, drift_tol=1e-6,
             raise OrthogonalityLost(
                 f"frame drift {drift:.3e} exceeds {drift_tol:.1e} at t={ts[idx + 1]:.6g}")
         q = linalg.qr_positive(q).q
-        b_diag[idx + 1] = np.diag(q.T @ prob.coefficient(ts[idx + 1]) @ q)
+        b_diag[idx + 1] = np.diag(q.T @ _at(prob, ts[idx + 1]) @ q)
     return ts, b_diag, q
 
 
@@ -64,9 +69,10 @@ UNEQUAL = problems.RotatingCosineParams(a1=1.0, a2=1.5, b1=-0.1, b2=-0.3, beta=2
                                         omega_rate=0.8)
 
 
-def _no_batch(prob):
-    """The same problem without coefficient_batch: batch() stacks coefficient()."""
-    return problems.LinearProblem(d=prob.d, coefficient=prob.coefficient)
+def _stacked(prob):
+    """The same problem with a batch that stacks one-time values, time by time."""
+    return problems.LinearProblem(
+        d=prob.d, batch=lambda ts: np.stack([_at(prob, t) for t in ts]))
 
 
 CASES = {
@@ -78,7 +84,7 @@ CASES = {
         problems.ScalarCosineParams(D=1.0, L=-0.5)), 6.0, 0.01, 0.3, None),
     "constant-3x3": (problems.constant_problem(
         [[0.3, 1.0, -2.0], [0.5, -1.0, 0.1], [1.0, 2.0, 3.0]]), 3.0, 0.01, 0.0, None),
-    "stacked-fallback": (_no_batch(problems.rotating_cosine_problem(UNEQUAL)), 4.0, 0.02,
+    "stacked-fallback": (_stacked(problems.rotating_cosine_problem(UNEQUAL)), 4.0, 0.02,
                          0.25, None),
     # the first step's R has a negative diagonal, so its frame is flipped
     "negated-q0": (problems.rotating_cosine_problem(UNEQUAL), 3.0, 0.01, 0.0, -np.eye(2)),
@@ -108,12 +114,16 @@ def test_oracle_matches_reference_bits(case):
     problems.constant_problem([[2.0, 1.0], [0.0, 1.0]]),
 ], ids=["rotating-cosine"] * 3 + ["scalar-cosine", "constant"])
 def test_batch_equals_stacked_coefficients(prob):
-    # the oracle's three node sets: nodes, midpoints and step ends
+    # row i of an n-element batch is the one-element batch at ts[i], bit for bit:
+    # start_rk4 reads A(t) one time at a time, transition_batch and the oracle batched.
+    # The times are the oracle's three node sets: nodes, midpoints and step ends
     h = 0.0123
     ts = 0.7 + h * np.arange(500)
     for nodes in (ts, ts[:-1] + 0.5 * h, ts[:-1] + h):
-        want = np.stack([prob.coefficient(t) for t in nodes])
-        assert np.array_equal(prob.batch(nodes), want)
+        got = prob.batch(nodes)
+        assert got.shape == (len(nodes), prob.d, prob.d)
+        for t, row in zip(nodes, got):
+            assert row.tobytes() == _at(prob, t).tobytes()
 
 
 def _both_raise(exc, *args, **kwargs):
@@ -137,8 +147,8 @@ def test_oracle_fails_like_reference():
 
 # A(t) = omega(t) J, J the rotation generator, with omega growing linearly in t: an RK4
 # step's frame drift grows with h omega, so each step sets a new largest drift
-SPIN_UP = problems.LinearProblem(
-    d=2, coefficient=lambda t: (5.0 + 0.5 * t) * np.array([[0.0, -1.0], [1.0, 0.0]]))
+SPIN_UP = problems.LinearProblem(d=2, batch=lambda ts: np.stack(
+    [(5.0 + 0.5 * t) * np.array([[0.0, -1.0], [1.0, 0.0]]) for t in ts]))
 SPIN_UP_SPAN = (30.0, 0.01)         # 3000 steps, three blocks
 
 

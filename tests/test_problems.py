@@ -80,15 +80,8 @@ def test_coefficient_batch_matches_scalar():
     prob = problems.rotating_cosine_problem(p)
     ts = np.linspace(-2.0, 7.0, 23)
     batch = prob.batch(ts)
-    single = np.stack([prob.coefficient(t) for t in ts])
+    single = np.stack([problems.rotating_cosine_A(p, float(t)) for t in ts])
     assert np.array_equal(batch, single)
-
-
-def test_linear_problem_batch_fallback():
-    p = _params()
-    prob = problems.LinearProblem(d=2, coefficient=lambda t: problems.rotating_cosine_A(p, float(t)))
-    ts = np.linspace(0.0, 1.0, 5)
-    assert np.array_equal(prob.batch(ts), problems.rotating_cosine_A(p, ts))
 
 
 def einsum_rotating_cosine_A(p, t):
@@ -140,10 +133,10 @@ def test_coefficient_planted_inf_nan_matches_einsum_reference(kw):
 def test_reference_against_rk4():
     # generic x0 exercises the variation-of-constants quadrature path
     p = _params(beta=2.0)
-    prob = problems.rotating_cosine_problem(p)
     x0 = np.array([0.7, -0.4])
     t_end = 2.0
-    oracle = _rk4(lambda t, x: prob.coefficient(t) @ x, x0.copy(), 0.0, 1e-4, 20000)
+    oracle = _rk4(lambda t, x: problems.rotating_cosine_A(p, t) @ x, x0.copy(), 0.0,
+                  1e-4, 20000)
     ref = problems.reference_batch(p, [t_end], x0=x0)[0]
     assert np.linalg.norm(ref - oracle) < 1e-9
 
@@ -252,7 +245,7 @@ def test_scalar_cosine_reference_derivative():
 def test_constant_problem():
     prob = problems.constant_problem([[1.0, 2.0], [0.0, 3.0]])
     assert prob.d == 2
-    assert np.array_equal(prob.coefficient(17.0), [[1.0, 2.0], [0.0, 3.0]])
+    assert np.array_equal(prob.batch(np.array([17.0]))[0], [[1.0, 2.0], [0.0, 3.0]])
     assert prob.batch(np.zeros(4)).shape == (4, 2, 2)
 
 
