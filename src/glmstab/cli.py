@@ -4,9 +4,9 @@ Subcommands: run, table1, table2, counterexample, spectrum, converge.
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 
 All output is deterministic: CSV with 17-significant-digit scientific floats and
-csv.writer's conventions (comma separated, "\r\n" line ends), JSON with sorted
-keys. Table commands emit computed columns side by side with the published values
-they are compared against.
+csv.writer's conventions (comma separated, "\r\n" line ends), strict JSON with
+sorted keys and null for a float that is not finite. Table commands emit computed
+columns side by side with the published values they are compared against.
 """
 
 import argparse
@@ -107,9 +107,21 @@ def _run_lines(times, norms, lte, running):
         m, times[m], norms[m], running[m - 1])
 
 
+def _finite_or_null(obj):
+    """obj with each NaN or infinite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _write_json(path: str, obj) -> None:
+    """Strict JSON: a float that is not finite is written as null."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

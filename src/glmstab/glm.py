@@ -41,7 +41,6 @@ _GAP_CHUNK = 1024       # grid points per batched solve and eigvals in stability
 
 @dataclass
 class GlmTableau:
-    name: str
     k: int                  # number of supervector blocks
     r: int                  # number of stages
     order: int              # classical order p
@@ -98,51 +97,37 @@ def validate_tableau(tab: GlmTableau) -> GlmTableau:
     return tab
 
 
-def bdf2_tableau() -> GlmTableau:
-    """Two-step BDF as a GLM: one implicit stage g = x_{n+2}."""
-    return GlmTableau(
-        name="bdf2", k=2, r=1, order=2,
-        U=[[-1.0 / 3.0, 4.0 / 3.0]],
-        V=[[0.0, 1.0], [-1.0 / 3.0, 4.0 / 3.0]],
-        C=[[2.0 / 3.0]],
-        D=[[0.0], [2.0 / 3.0]],
-        xi=[2.0],
-    )
-
-
-def ab2_tableau() -> GlmTableau:
-    """Two-step Adams-Bashforth as a GLM: two explicit stages at the history points."""
-    return GlmTableau(
-        name="ab2", k=2, r=2, order=2,
-        U=np.eye(2),
-        V=[[0.0, 1.0], [0.0, 1.0]],
-        C=np.zeros((2, 2)),
-        D=[[0.0, 0.0], [-0.5, 1.5]],
-        xi=[0.0, 1.0],
-    )
-
-
-def backward_euler_tableau() -> GlmTableau:
-    return GlmTableau(
-        name="be", k=1, r=1, order=1,
-        U=[[1.0]], V=[[1.0]], C=[[1.0]], D=[[1.0]],
-        xi=[1.0],
-    )
-
-
+# The built-in methods by name, as GlmTableau fields; each get_tableau builds fresh
+# arrays from these lists.
 _TABLEAUS = {
-    "bdf2": bdf2_tableau,
-    "ab2": ab2_tableau,
-    "be": backward_euler_tableau,
+    # two-step BDF: one implicit stage g = x_{n+2}
+    "bdf2": dict(k=2, r=1, order=2,
+                 U=[[-1.0 / 3.0, 4.0 / 3.0]],
+                 V=[[0.0, 1.0], [-1.0 / 3.0, 4.0 / 3.0]],
+                 C=[[2.0 / 3.0]],
+                 D=[[0.0], [2.0 / 3.0]],
+                 xi=[2.0]),
+    # two-step Adams-Bashforth: two explicit stages at the history points
+    "ab2": dict(k=2, r=2, order=2,
+                U=[[1.0, 0.0], [0.0, 1.0]],
+                V=[[0.0, 1.0], [0.0, 1.0]],
+                C=[[0.0, 0.0], [0.0, 0.0]],
+                D=[[0.0, 0.0], [-0.5, 1.5]],
+                xi=[0.0, 1.0]),
+    # backward Euler
+    "be": dict(k=1, r=1, order=1,
+               U=[[1.0]], V=[[1.0]], C=[[1.0]], D=[[1.0]],
+               xi=[1.0]),
 }
 
 
 def get_tableau(name: str) -> GlmTableau:
+    """The validated built-in method of that name ("bdf2", "ab2" or "be")."""
     try:
-        factory = _TABLEAUS[name]
+        fields = _TABLEAUS[name]
     except KeyError:
         raise ConfigError(f"unknown method {name!r}; choose from {sorted(_TABLEAUS)}")
-    return validate_tableau(factory())
+    return validate_tableau(GlmTableau(**fields))
 
 
 @dataclass
@@ -374,7 +359,10 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
                   h: float, t0: float = 0.0, cfg: NewtonConfig = NewtonConfig(),
                   d: Optional[int] = None) -> Trajectory:
     """Integrate the GLM on x' = f(x,t) for n_steps, stages by a Newton iteration
-    from an explicit-Euler predictor off the newest block."""
+    from an explicit-Euler predictor off the newest block. A cfg.max_iters below 1
+    raises ConfigError."""
+    if cfg.max_iters < 1:
+        raise ConfigError(f"Newton max_iters must be at least 1, got {cfg.max_iters}")
     x0_super = np.asarray(x0_super, dtype=float)
     if d is None:
         d = x0_super.size // tab.k
@@ -390,7 +378,7 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
 
         x_last = x_cur[-d:]
         f_last = np.atleast_1d(f(x_last, t0 + (n + k - 1) * h))
-        g = np.concatenate([x_last + (ts[i] - (k - 1)) * h * f_last for i in range(r)])
+        g = np.concatenate([x_last + (tab.xi[i] - (k - 1)) * h * f_last for i in range(r)])
 
         scale = max(1.0, float(np.linalg.norm(base)))
         for _ in range(cfg.max_iters):
@@ -398,7 +386,7 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
                                  for i in range(r)])
             resid = g - base - h * (c_big @ fg)
             if float(np.linalg.norm(resid)) <= cfg.tol * scale:
-                break
+                break                   # fg is f at the converged stages
             jblk = np.zeros((r * d, r * d))
             for i in range(r):
                 jblk[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.atleast_2d(
@@ -410,7 +398,6 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
                 f"(residual {float(np.linalg.norm(resid)):.3e})"
             )
 
-        fg = np.concatenate([np.atleast_1d(f(g[i * d:(i + 1) * d], ts[i])) for i in range(r)])
         states[n + 1] = v_big @ x_cur + h * (d_big @ fg)
     return Trajectory(h=h, t0=t0, d=d, k=k, states=states)
 

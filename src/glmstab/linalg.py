@@ -17,6 +17,8 @@ from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dorgqr
 
 from .errors import NumericalError, RankDeficient, Singular
 
+RANK_TOL = 1e-14    # qr_positive's default: min|R_ii| must exceed this times max|m|
+
 
 @dataclass
 class QrFactors:
@@ -40,7 +42,7 @@ def householder_qr(m):
     return packed, q
 
 
-def qr_positive(m, rank_tol=1e-14):
+def qr_positive(m, rank_tol=RANK_TOL):
     """Reduced QR factorization (m tall or square) with a nonnegative-diagonal R.
 
     Columns of Q are flipped so every diagonal entry of R is >= 0; a diagonal entry

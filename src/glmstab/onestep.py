@@ -37,8 +37,6 @@ class SpectralSplit:
 @dataclass
 class WSequence:
     values: np.ndarray       # (n_states, d)
-    h: float
-    t0: float
 
 
 def _unit_eigvec(v: np.ndarray) -> np.ndarray:
@@ -49,13 +47,12 @@ def _unit_eigvec(v: np.ndarray) -> np.ndarray:
     return vec / vec[idx]
 
 
-def spectral_split(v_or_tab) -> SpectralSplit:
-    """Split V into its unit mode and the strictly contracting remainder.
+def spectral_split(tab: glm.GlmTableau) -> SpectralSplit:
+    """Split the tableau's V into its unit mode and the strictly contracting remainder.
 
-    Accepts a tableau or a bare update matrix. Raises NotStrictlyStable when the
-    spectrum does not qualify.
+    Raises NotStrictlyStable when the spectrum does not qualify.
     """
-    v = v_or_tab.V if isinstance(v_or_tab, glm.GlmTableau) else np.asarray(v_or_tab, dtype=float)
+    v = tab.V
     glm.check_strictly_stable(v)
     k = v.shape[0]
     if k == 1:
@@ -105,7 +102,7 @@ def extract_w(traj: glm.Trajectory, split: SpectralSplit) -> WSequence:
     """w-sequence of a trajectory: unit-row contraction of each supervector."""
     blocks = traj.blocks()                      # (n, k, d)
     values = np.einsum("j,njd->nd", split.unit_row, blocks)
-    return WSequence(values=values, h=traj.h, t0=traj.t0)
+    return WSequence(values=values)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .errors import (ConfigError, NumericalError, OrthogonalityLost, WindowOutOfRange,
                      ZeroVector)
-from .linalg import dgeqrf, dorgqr
+from .linalg import RANK_TOL, dgeqrf, dorgqr
 from .problems import LinearProblem
 
 
@@ -41,7 +41,7 @@ class QrTrail:
         return self.increments.shape[1]
 
     def logs(self) -> np.ndarray:
-        """Accumulated per-step log increments, shape (n_steps, n_modes)."""
+        """The per-step log increments, one row per step, shape (n_steps, n_modes)."""
         return self.increments
 
 
@@ -61,7 +61,7 @@ _QR_BLOCK = 1024
 def _rank_guard(ms: np.ndarray, diags: np.ndarray, fail: bool = True) -> int:
     """Steps of ms before the first whose R diagonal fails qr_positive's rank guard
     (NaN-safe, default rank_tol), or len(ms); with fail, that step raises instead."""
-    ok = np.min(np.abs(diags), axis=1) > 1e-14 * np.max(np.abs(ms), axis=(1, 2))
+    ok = np.min(np.abs(diags), axis=1) > RANK_TOL * np.max(np.abs(ms), axis=(1, 2))
     good = len(ok) if ok.all() else int(np.argmin(ok))
     if fail and good < len(ok):
         linalg.qr_positive(ms[good])   # fails the same guard: raises RankDeficient
@@ -141,12 +141,6 @@ def _cumlogs(trail: QrTrail) -> np.ndarray:
 class LyapunovEstimate:
     mu: np.ndarray           # per mode
     argmax_t: np.ndarray     # time where the running max is attained, per mode
-    n0: int
-    n: int
-    denominator: str
-    sum_start: str
-    h: float
-    t0: float
 
 
 def mu_appr(trail: QrTrail, n0: int, n: int, denominator: str = "t0",
@@ -176,10 +170,7 @@ def mu_appr(trail: QrTrail, n0: int, n: int, denominator: str = "t0",
     ratios = sums / (ts - t_ref)[:, np.newaxis]
     best = np.argmax(ratios, axis=0)
     mu = ratios[best, np.arange(ratios.shape[1])]
-    return LyapunovEstimate(
-        mu=mu, argmax_t=ts[best], n0=n0, n=n, denominator=denominator,
-        sum_start=sum_start, h=trail.h, t0=trail.t0,
-    )
+    return LyapunovEstimate(mu=mu, argmax_t=ts[best])
 
 
 @dataclass
@@ -207,7 +198,6 @@ def lyapunov_endpoints(trail: QrTrail, burn_in: Optional[int] = None) -> Lyapuno
 class SackerSellEstimate:
     alpha: np.ndarray
     beta: np.ndarray
-    H: float
     m_steps: int
 
 
@@ -230,7 +220,7 @@ def sacker_sell_window(trail: QrTrail, H: float) -> SackerSellEstimate:
     span = m * trail.h
     avgs = (cs[m:] - cs[:-m]) / span
     return SackerSellEstimate(alpha=np.min(avgs, axis=0), beta=np.max(avgs, axis=0),
-                              H=H, m_steps=m)
+                              m_steps=m)
 
 
 @dataclass
@@ -243,8 +233,6 @@ class IntegralSeparationReport:
     M: float = math.nan      # fitted oscillation bound (bounded-average)
     min_window_avg: float = math.nan
     max_abs_window_avg: float = math.nan
-    a0: float = math.nan
-    T0: float = math.nan
 
 
 def _max_rise(g: np.ndarray) -> float:
@@ -294,16 +282,16 @@ def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
         b = max(0.0, _max_rise(min_avg * k - cs))
         return IntegralSeparationReport(
             pair=(i, j), kind="separated", a=min_avg, b=b,
-            min_window_avg=min_avg, max_abs_window_avg=max_abs_avg, a0=a0, T0=T0)
+            min_window_avg=min_avg, max_abs_window_avg=max_abs_avg)
     if max_abs_avg <= a0:
         eps = max_abs_avg
         m_bound = max(0.0, _max_rise(cs - eps * k), _max_rise(-cs - eps * k))
         return IntegralSeparationReport(
             pair=(i, j), kind="bounded-average", eps=eps, M=m_bound,
-            min_window_avg=min_avg, max_abs_window_avg=max_abs_avg, a0=a0, T0=T0)
+            min_window_avg=min_avg, max_abs_window_avg=max_abs_avg)
     return IntegralSeparationReport(
         pair=(i, j), kind="inconclusive",
-        min_window_avg=min_avg, max_abs_window_avg=max_abs_avg, a0=a0, T0=T0)
+        min_window_avg=min_avg, max_abs_window_avg=max_abs_avg)
 
 
 @dataclass

@@ -25,6 +25,13 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+def _strict_json(path):
+    """The parsed JSON file; NaN, Infinity and -Infinity tokens raise ValueError."""
+    def reject(token):
+        raise ValueError(f"{path}: non-standard JSON token {token}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def test_exit_code_config_errors(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert cli.main(["run", "--method", "rk19", "--h", "0.1", "--tfinal", "1",
@@ -168,6 +175,16 @@ def test_run_outputs(tmp_path, capsys):
     assert report["n_steps"] == 40
     assert report["lte_mean"] <= report["lte_max"]
     assert not report["diverged"]
+    capsys.readouterr()
+
+
+def test_short_run_writes_null_tau_max(tmp_path, capsys):
+    # one restart defect gives no ratio: tau_max is NaN, written as null
+    out = tmp_path / "short"
+    assert cli.main(["run", "--h", "0.1", "--tfinal", "0.1", "--out", str(out)]) == 0
+    report = _strict_json(out / "run_report.json")
+    assert report["n_steps"] == 1
+    assert report["tau_max"] is None
     capsys.readouterr()
 
 
@@ -352,7 +369,8 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
     # before the stability-gap scan was batched; run and spectrum outputs,
     # recorded before the CSV writer and the propagation loop were rewritten; the
     # ab2 and be converge runs and the N0 / window readings, recorded before the
-    # commands shared one integration path
+    # commands shared one integration path; counterexample-ab2's report, re-recorded
+    # when its infinite stability_gap became null. Every JSON output is strict JSON.
     want = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
     calls = {f"counterexample-{m}": ["counterexample", "--method", m]
              for m in ("bdf2", "ab2", "be")}
@@ -373,6 +391,8 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path / key)]) == 0
         for path in (tmp_path / key).iterdir():
             got[f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            if path.suffix == ".json":
+                _strict_json(path)
     assert got == want
     capsys.readouterr()
 

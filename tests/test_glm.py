@@ -64,6 +64,15 @@ def test_tableau_registry():
         glm.get_tableau("rk4")
 
 
+@pytest.mark.parametrize("name", ["bdf2", "ab2", "be"])
+def test_get_tableau_returns_fresh_arrays(name):
+    # a caller that edits its tableau in place leaves the next one as it was
+    first = glm.get_tableau(name)
+    want = first.U.copy()
+    first.U[...] = 7.0
+    assert np.array_equal(glm.get_tableau(name).U, want)
+
+
 def test_update_matrix_spectra():
     eigs = np.sort_complex(glm.check_strictly_stable(glm.get_tableau("bdf2").V))
     assert np.allclose(eigs, [1.0 / 3.0, 1.0], atol=1e-14)
@@ -76,7 +85,7 @@ def leapfrog_tableau():
     """Explicit midpoint (leapfrog) two-step method; NOT strictly stable (eigs +-1):
     the canonical rejection example for the validator."""
     return glm.GlmTableau(
-        name="leapfrog", k=2, r=1, order=2,
+        k=2, r=1, order=2,
         U=[[0.0, 1.0]],
         V=[[0.0, 1.0], [1.0, 0.0]],
         C=[[0.0]],
@@ -104,7 +113,7 @@ def test_strict_stability_boundaries():
 def test_strictly_stable_rejects_non_finite(bad):
     with pytest.raises(NotStrictlyStable):
         glm.check_strictly_stable(np.array([[bad, 0.0], [0.0, 1.0]]))
-    tab = glm.bdf2_tableau()
+    tab = glm.get_tableau("bdf2")
     tab.V[1, 0] = bad
     with pytest.raises(NotStrictlyStable):
         glm.validate_tableau(tab)
@@ -153,7 +162,7 @@ def test_strictly_stable_accepts_similar_diagonal(seed, n):
 
 
 def test_validate_tableau_shape_guard():
-    tab = glm.bdf2_tableau()
+    tab = glm.get_tableau("bdf2")
     tab.U = np.ones((2, 2))
     with pytest.raises(ConfigError):
         glm.validate_tableau(tab)
@@ -224,7 +233,7 @@ def _same_bits(got, want):
 def _radau_iia2():
     """Two-stage Radau IIA as a one-step GLM (k = 1, r = 2, full C)."""
     return glm.GlmTableau(
-        name="radau2", k=1, r=2, order=3,
+        k=1, r=2, order=3,
         U=[[1.0], [1.0]], V=[[1.0]],
         C=[[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]],
         D=[[3.0 / 4.0, 1.0 / 4.0]],
@@ -274,7 +283,7 @@ def test_transition_batch_matches_einsum_reference(tab_name, prob_name):
 def test_transition_batch_drawn_tableaus_match_einsum(seed, k, r, c_scale, prob_name):
     rng = np.random.default_rng(seed)
     tab = glm.GlmTableau(
-        name="drawn", k=k, r=r, order=1,
+        k=k, r=r, order=1,
         U=rng.standard_normal((r, k)), V=rng.standard_normal((k, k)),
         C=rng.standard_normal((r, r)) * c_scale,
         D=rng.standard_normal((k, r)) * (rng.random((k, r)) < 0.7),
@@ -524,6 +533,36 @@ def test_newton_budget_exhausted():
     with pytest.raises(NewtonDiverged):
         glm.run_nonlinear(tab, f, jac, np.array([10.0]), 1, 1.0,
                           cfg=glm.NewtonConfig(max_iters=2))
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_newton_budget_below_one_rejected(max_iters):
+    tab = glm.get_tableau("be")
+    f = lambda x, t: -x
+    jac = lambda x, t: np.array([[-1.0]])
+    with pytest.raises(ConfigError):
+        glm.run_nonlinear(tab, f, jac, np.array([1.0]), 1, 0.1,
+                          cfg=glm.NewtonConfig(max_iters=max_iters))
+
+
+def test_newton_cost_independent_of_start_time():
+    # the predictor steps from the newest block by the stage abscissa, so the
+    # Newton iterations per step do not grow with the absolute time
+    tab = glm.get_tableau("bdf2")
+    h, n = 0.05, 200
+    f = lambda x, t: -x ** 3 + math.sin(t)
+    per_step = []
+    for t0 in (0.0, 50.0, 200.0):
+        calls = []
+
+        def jac(x, t):
+            calls.append(t)
+            return np.atleast_2d(-3.0 * x * x)
+
+        x0s = glm.start_rk4(f, (0.5,), t0, h, tab.k)
+        glm.run_nonlinear(tab, f, jac, x0s, n, h, t0)
+        per_step.append(len(calls) / n)
+    assert max(per_step) - min(per_step) <= 0.05, per_step
 
 
 # -- frozen-coefficient stability gap -----------------------------------------

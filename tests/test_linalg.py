@@ -1,6 +1,9 @@
 """Dense kernel: QR sign convention, Kronecker, guarded solves, the LAPACK owner."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,10 +144,13 @@ def test_solve_singular():
 
 
 def test_only_linalg_imports_scipy():
-    # linalg owns LAPACK: every other module reaches scipy through it
-    importers = set()
+    # linalg owns LAPACK: every other module reaches scipy through it; the package
+    # __init__ imports nothing at all
+    importers, package_imports = set(), []
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            if path.name == "__init__.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                package_imports.append(ast.unparse(node))
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -154,3 +160,16 @@ def test_only_linalg_imports_scipy():
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 importers.add(path.name)
     assert importers == {"linalg.py"}
+    assert package_imports == []
+
+
+def test_bare_package_import_loads_nothing():
+    # the submodules are the one way in: `import glmstab` loads none of them, nor
+    # numpy or scipy
+    src = str(Path(linalg.__file__).parents[1])
+    code = ("import sys, glmstab; print(sorted(m for m in ('glmstab.glm', 'numpy', "
+            "'scipy') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

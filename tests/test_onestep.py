@@ -8,6 +8,7 @@ import pytest
 
 from glmstab import glm, onestep, problems
 from glmstab.errors import DegenerateFit, NotStrictlyStable
+from test_glm import leapfrog_tableau
 
 
 def _rotating(beta=2.0):
@@ -43,7 +44,7 @@ def test_split_be_oracle():
 
 def test_split_rejects_unstable():
     with pytest.raises(NotStrictlyStable):
-        onestep.spectral_split(np.array([[0.0, 1.0], [1.0, 0.0]]))   # leapfrog V, eigs +-1
+        onestep.spectral_split(leapfrog_tableau())      # V has eigenvalues +-1
 
 
 def test_split_unit_row_annihilates_contraction():

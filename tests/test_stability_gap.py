@@ -145,7 +145,7 @@ def _tableaus(draw):
     r = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return glm.GlmTableau(
-        name="drawn", k=k, r=r, order=1,
+        k=k, r=r, order=1,
         U=rng.standard_normal((r, k)), V=rng.standard_normal((k, k)),
         C=rng.standard_normal((r, r)) * draw(st.sampled_from([0.0, 0.3, 1.0])),
         D=rng.standard_normal((k, r)), xi=np.zeros(r),
