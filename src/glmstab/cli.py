@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import glm, onestep, problems, spectra
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, WindowOutOfRange
 
 FLOAT_FMT = "%.16e"    # 17 significant digits: exact float64 round-trip; nan, inf
 CSV_EOL = "\r\n"       # the line end of csv.writer
@@ -153,20 +153,6 @@ class ExperimentRow:
     running_mu: np.ndarray    # origin-anchored running average, length n_steps
 
 
-def _span_steps(h: float, t_final: float, t0: float) -> int:
-    """Steps of size h from t0 to t_final; ConfigError unless h and the span are
-    finite and positive and the span holds a finite number, at least one, of steps."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise ConfigError(f"h must be finite and positive, got {h}")
-    if not (math.isfinite(t_final - t0) and t_final > t0):
-        raise ConfigError(f"t_final {t_final} must exceed t0 {t0}, both finite")
-    steps = (t_final - t0) / h
-    if not (math.isfinite(steps) and round(steps) >= 1):
-        raise ConfigError(f"span [{t0}, {t_final}] must hold a finite number, at "
-                          f"least one, of steps of h = {h}")
-    return int(round(steps))
-
-
 def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: float,
                n_f: int, t0: float, x0, start: str, frame=False, lte=False):
     """Start the method and run it n_f steps from t0: (trajectory, frame trail,
@@ -176,7 +162,7 @@ def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: fl
     keeps feeds the trail and the defects (with that chunk's reference rows) and
     is dropped, so RankDeficient (trail) and QuadratureUnderResolved (reference)
     raise mid-run, the earlier step's first; both exit 3. n_f comes from
-    _span_steps, so a command can check its windows against it first. An
+    glm.span_steps, so a command can check its windows against it first. An
     unknown start ("rk4", "reference") is a ConfigError.
     """
     prob = problems.rotating_cosine_problem(params)
@@ -218,7 +204,7 @@ def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
     A window start n0 outside the requested steps, or an unknown lte_scale,
     denominator or sum_start, raises ConfigError up front.
     """
-    n_f = _span_steps(h, t_final, t0)
+    n_f = glm.span_steps(h, t_final, t0)
     if n0 is not None and not 0 <= n0 < n_f:
         raise ConfigError(f"window start n0={n0} must lie in [0, {n_f}) "
                           f"for a span of {n_f} steps")
@@ -377,7 +363,7 @@ def cmd_counterexample(args) -> int:
     a run the divergence guard cuts short is reported (stdout and JSON)."""
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
-    if not (0.0 < args.h < math.inf and math.isfinite(2.0 * math.pi / args.h)
+    if not (problems.is_resonant_step(args.h)
             and math.isfinite(args.D) and math.isfinite(args.L)):
         raise ConfigError(f"--h must be finite and positive, with 2 pi / h finite, and "
                           f"--D, --L finite, got h={args.h}, D={args.D}, L={args.L}")
@@ -427,17 +413,15 @@ def cmd_counterexample(args) -> int:
 
 def cmd_spectrum(args) -> int:
     tab, params, t0, x0 = _problem_and_method(args)
-    n_f = _span_steps(args.h, args.tfinal, t0)
+    n_f = glm.span_steps(args.h, args.tfinal, t0)
     H = args.H if args.H is not None else max(1.0, 10.0 * args.h)
-    # the window sacker_sell_window takes, checked against the requested steps
-    ratio = H / args.h
-    m_w = int(round(ratio)) if math.isfinite(ratio) else 0
-    if not 2 <= m_w <= n_f // 3:
-        raise ConfigError(f"window H={H} must span 2 steps of h={args.h} and fit "
-                          f"3 times in the span of {n_f} steps")
+    try:           # the window sacker_sell_window takes, against the requested steps
+        spectra.window_steps(H, args.h, n_f)
+    except WindowOutOfRange as exc:
+        raise ConfigError(str(exc)) from exc
     if args.oracle_h is not None:           # the oracle's own step check, up front
         try:
-            _span_steps(args.oracle_h, args.tfinal, t0)
+            glm.span_steps(args.oracle_h, args.tfinal, t0)
         except ConfigError as exc:
             raise ConfigError(f"--oracle-h: {exc}") from exc
     traj, trail, _ = _integrate(tab, params, args.h, n_f, t0, x0, "rk4",
@@ -489,7 +473,7 @@ def cmd_converge(args) -> int:
     t_final = args.tfinal if args.tfinal is not None else 2.0
     ge, le = [], []
     for h in hs:
-        traj, _, lte = _integrate(tab, params, h, _span_steps(h, t_final, 0.0), 0.0,
+        traj, _, lte = _integrate(tab, params, h, glm.span_steps(h, t_final, 0.0), 0.0,
                                   (1.0, 0.0), "reference", lte=True)
         end = problems.reference_batch(params, [h * (traj.n_steps + tab.k - 1)])
         ge.append(float(np.linalg.norm(traj.last_blocks()[-1] - end[0])))

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Two broad families: configuration problems (bad method names, malformed config
-files, out-of-range windows) and numerical failures detected at run time. The CLI
-maps ConfigError to exit code 2 and NumericalError to exit code 3.
+ConfigError (CLI exit code 2): bad method names, malformed config files, a window
+or step count that cannot fit the requested span, all checked up front.
+NumericalError (exit code 3): failures detected at run time, WindowOutOfRange among
+them when the trail came out too short for a window (say, a diverged run stopped).
 """
 
 

@@ -163,6 +163,20 @@ class Trajectory:
         return self.states[:, -self.d:]
 
 
+def span_steps(h: float, t_final: float, t0: float) -> int:
+    """Steps of size h from t0 to t_final; ConfigError unless h and the span are
+    finite and positive and the span holds a finite number, at least one, of steps."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ConfigError(f"h must be finite and positive, got {h}")
+    if not (math.isfinite(t_final - t0) and t_final > t0):
+        raise ConfigError(f"t_final {t_final} must exceed t0 {t0}, both finite")
+    steps = (t_final - t0) / h
+    if not (math.isfinite(steps) and round(steps) >= 1):
+        raise ConfigError(f"span [{t0}, {t_final}] must hold a finite number, at "
+                          f"least one, of steps of h = {h}")
+    return int(round(steps))
+
+
 def stage_times(tab: GlmTableau, n, h: float, t0: float = 0.0) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     return t0 + (n[..., np.newaxis] + tab.xi) * h
@@ -356,17 +370,16 @@ class NewtonConfig:
 
 
 def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps: int,
-                  h: float, t0: float = 0.0, cfg: NewtonConfig = NewtonConfig(),
-                  d: Optional[int] = None) -> Trajectory:
+                  h: float, t0: float = 0.0,
+                  cfg: NewtonConfig = NewtonConfig()) -> Trajectory:
     """Integrate the GLM on x' = f(x,t) for n_steps, stages by a Newton iteration
-    from an explicit-Euler predictor off the newest block. A cfg.max_iters below 1
-    raises ConfigError."""
+    from an explicit-Euler predictor off the newest block. The state dimension is
+    x0_super.size // tab.k. A cfg.max_iters below 1 raises ConfigError."""
     if cfg.max_iters < 1:
         raise ConfigError(f"Newton max_iters must be at least 1, got {cfg.max_iters}")
     x0_super = np.asarray(x0_super, dtype=float)
-    if d is None:
-        d = x0_super.size // tab.k
     k, r = tab.k, tab.r
+    d = x0_super.size // k
     u_big, c_big, v_big, d_big = (_kron_eye(m, d) for m in (tab.U, tab.C, tab.V, tab.D))
     eye_rd = np.eye(r * d)
     all_ts = stage_times(tab, np.arange(n_steps), h, t0)         # (n_steps, r)

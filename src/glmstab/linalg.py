@@ -1,9 +1,9 @@
 """Small dense linear-algebra kernel, and the one module that imports scipy's LAPACK.
 
 Thin wrappers over numpy/scipy with deterministic conventions and explicit failure
-modes: Householder QR and guarded LU solves on direct LAPACK calls, and the
-positive-diagonal form of the QR. The per-step loops of spectra call dgeqrf and
-dorgqr from here directly.
+modes: Householder QR and guarded LU solves on direct LAPACK calls, the
+positive-diagonal form of the QR, and the QR rank guard. The per-step loops of
+spectra call dgeqrf and dorgqr from here directly and apply the rank guard per block.
 Everything here operates on small dense float64 arrays (supervector dimensions are
 k*d with k,d <= a few dozen).
 """
@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dorgqr
 
 from .errors import NumericalError, RankDeficient, Singular
 
-RANK_TOL = 1e-14    # qr_positive's default: min|R_ii| must exceed this times max|m|
+RANK_TOL = 1e-14    # the rank guard: min|R_ii| must exceed this times max|m|
 
 
 @dataclass
@@ -42,24 +42,32 @@ def householder_qr(m):
     return packed, q
 
 
-def qr_positive(m, rank_tol=RANK_TOL):
+def rank_guard(ms: np.ndarray, diags: np.ndarray) -> int:
+    """Matrices of the stack ms before the first that fails the rank guard, or len(ms):
+    m (R diagonal in diags) passes if min|R_ii| > RANK_TOL * max|m|; NaN fails."""
+    ok = np.min(np.abs(diags), axis=-1) > RANK_TOL * np.max(np.abs(ms), axis=(-2, -1))
+    return len(ok) if ok.all() else int(np.argmin(ok))
+
+
+def rank_deficient(m: np.ndarray, diag: np.ndarray) -> RankDeficient:
+    """The RankDeficient error for a matrix m whose R diagonal diag fails the guard."""
+    return RankDeficient(f"QR diagonal {np.min(np.abs(diag)):.3e} below tolerance "
+                         f"{RANK_TOL:.1e} * {np.max(np.abs(m)):.3e}")
+
+
+def qr_positive(m):
     """Reduced QR factorization (m tall or square) with a nonnegative-diagonal R.
 
-    Columns of Q are flipped so every diagonal entry of R is >= 0; a diagonal entry
-    below rank_tol * max|m|, a zero m or a non-finite m raises RankDeficient. The
+    Columns of Q are flipped so every diagonal entry of R is >= 0; an m that fails
+    the rank guard (a zero or non-finite m among them) raises RankDeficient. The
     factorization is deterministic for a given input.
     """
     m = np.asarray(m, dtype=float)
     packed, q = householder_qr(m)
     diag = packed.diagonal()
+    if rank_guard(m[np.newaxis], diag[np.newaxis]) == 0:
+        raise rank_deficient(m, diag)
     sign = np.copysign(1.0, diag)
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    dmin = np.min(np.abs(diag))
-    # negated so that a NaN or inf scale (non-finite m) fails the guard as well
-    if not dmin > rank_tol * scale:
-        raise RankDeficient(
-            f"QR diagonal {dmin:.3e} below tolerance {rank_tol:.1e} * {scale:.3e}"
-        )
     return QrFactors(q=np.ascontiguousarray(q) * sign,
                      r=np.triu(packed[:diag.size]) * sign[:, np.newaxis])
 

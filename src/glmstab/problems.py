@@ -256,6 +256,11 @@ def tanh_reference(p: TanhForcedParams, t, x0=0.0, t0=0.0, quad_points=64):
     return math.exp(p.a * (t - t0)) * x0 + float(forced)
 
 
+def is_resonant_step(h: float) -> bool:
+    """Whether h is finite and positive with 2 pi / h finite (a subnormal h is not)."""
+    return 0.0 < h < math.inf and math.isfinite(2.0 * math.pi / h)
+
+
 ROTATING_KEYS = ("a1", "a2", "b1", "b2", "beta", "omega_rate", "resonant_h")
 
 
@@ -274,8 +279,7 @@ def rotating_config(cfg: dict):
         kwargs = {k: None if (k == "resonant_h" and cfg[k] is None) else float(cfg[k])
                   for k in ROTATING_KEYS if k in cfg}
         res_h = kwargs.get("resonant_h")
-        if res_h is not None and not (0.0 < res_h < math.inf
-                                      and math.isfinite(2.0 * math.pi / res_h)):
+        if res_h is not None and not is_resonant_step(res_h):
             raise ConfigError(f"resonant_h must be null or finite and positive, with "
                               f"2 pi / resonant_h finite, got {res_h}")
         params = RotatingCosineParams(**kwargs)

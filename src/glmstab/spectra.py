@@ -21,7 +21,8 @@ import numpy as np
 from . import linalg
 from .errors import (ConfigError, NumericalError, OrthogonalityLost, WindowOutOfRange,
                      ZeroVector)
-from .linalg import RANK_TOL, dgeqrf, dorgqr
+from .glm import span_steps
+from .linalg import dgeqrf, dorgqr
 from .problems import LinearProblem
 
 
@@ -58,30 +59,19 @@ def new_matrix_trail(dim: int, h: float, t0: float = 0.0,
 _QR_BLOCK = 1024
 
 
-def _rank_guard(ms: np.ndarray, diags: np.ndarray, fail: bool = True) -> int:
-    """Steps of ms before the first whose R diagonal fails qr_positive's rank guard
-    (NaN-safe, default rank_tol), or len(ms); with fail, that step raises instead."""
-    ok = np.min(np.abs(diags), axis=1) > RANK_TOL * np.max(np.abs(ms), axis=(1, 2))
-    good = len(ok) if ok.all() else int(np.argmin(ok))
-    if fail and good < len(ok):
-        linalg.qr_positive(ms[good])   # fails the same guard: raises RankDeficient
-        raise AssertionError("block rank guard disagrees with qr_positive")
-    return good
-
-
 def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     """Advance a matrix trail through phis in order, one discrete QR step per phi.
 
     The trail ends bit for bit where stepping qr_positive one phi at a time leaves
-    it; on a failing step it keeps every step before it and qr_positive raises
-    RankDeficient for that step.
+    it; on a step that fails the rank guard it keeps the steps before and raises
+    RankDeficient. A nonzero LAPACK info raises NumericalError, the trail unchanged.
 
     The steps chain LAPACK's raw Q (dgeqrf + dorgqr on phi @ Q), unflipped: for a
     +-1 diagonal S, Householder QR factors M S exactly as Q, R S, and phi (Q S) is
     exactly (phi Q) S, so the raw chain has the same Q, |R_ii| and guard decisions,
     and the positive-diagonal frame is the raw Q times the running product of the
-    signs of diag R, applied once at the end. The rank guard of qr_positive, the
-    logs and the signs are taken per block of steps, vectorized.
+    signs of diag R, applied once at the end. The rank guard (linalg.rank_guard),
+    the logs and the signs are taken per block of steps, vectorized.
     """
     phis = np.asarray(phis, dtype=float)
     d, k = trail.frame.shape
@@ -106,7 +96,7 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
                 packs.append(packed)
                 qs.append(q)
             diags = np.diagonal(np.stack(packs), axis1=1, axis2=2)
-            good = _rank_guard(ms[:n], diags, fail=False)
+            good = linalg.rank_guard(ms[:n], diags)
             np.log(np.abs(diags[:good]), out=logs[lo:lo + good])
             sign *= np.prod(np.copysign(1.0, diags[:good]), axis=0)
             q = qs[good]
@@ -116,7 +106,7 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     trail.frame = np.multiply(q, sign, out=np.empty((d, k)))
     trail.increments = np.concatenate([trail.increments, logs[:done]])
     if done < len(phis):
-        _rank_guard(ms[good:n], diags[good:])      # raises for the step that failed
+        raise linalg.rank_deficient(ms[good], diags[good])
     return trail
 
 
@@ -201,21 +191,23 @@ class SackerSellEstimate:
     m_steps: int
 
 
-def sacker_sell_window(trail: QrTrail, H: float) -> SackerSellEstimate:
-    """Windowed spectral-interval endpoints: extreme H-window averages per mode.
-
-    Needs H >= 2h and a trail at least 3 windows long; an H/h that is not finite
-    raises ConfigError.
-    """
-    ratio = H / trail.h
-    if not math.isfinite(ratio):
-        raise ConfigError(f"window H={H} at h={trail.h} must be finite")
-    m = int(round(ratio))
+def window_steps(H: float, h: float, n_steps: int) -> int:
+    """Steps m = round(H / h) of a window H on a trail of n_steps steps of size h.
+    h <= 0 or H / h not finite raises ConfigError; m < 2 or n_steps < 3 m,
+    WindowOutOfRange."""
+    if not (h > 0.0 and math.isfinite(H / h)):
+        raise ConfigError(f"window H={H} at h={h} needs h > 0 and H / h finite")
+    m = int(round(H / h))
     if m < 2:
-        raise WindowOutOfRange(f"window H={H} shorter than 2 steps at h={trail.h}")
-    n = trail.n_steps
-    if n < 3 * m:
-        raise WindowOutOfRange(f"trail of {n} steps shorter than 3 windows ({3 * m})")
+        raise WindowOutOfRange(f"window H={H} shorter than 2 steps at h={h}")
+    if n_steps < 3 * m:
+        raise WindowOutOfRange(f"{n_steps} steps hold fewer than 3 windows of {m} steps")
+    return m
+
+
+def sacker_sell_window(trail: QrTrail, H: float) -> SackerSellEstimate:
+    """Spectral-interval endpoints: extreme averages per mode over windows of H."""
+    m = window_steps(H, trail.h, trail.n_steps)
     cs = _cumlogs(trail)
     span = m * trail.h
     avgs = (cs[m:] - cs[:-m]) / span
@@ -310,9 +302,10 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     S is the skew projection of Q^T A Q (strictly lower part reflected), so the upper
     triangular factor's diagonal rates are B_ii = (Q^T A Q)_ii; those are recorded at
     every node. The frame is re-orthonormalized each step; drift beyond drift_tol, or a
-    non-finite frame, before re-orthonormalization raises OrthogonalityLost, and a
-    rank-deficient frame raises RankDeficient. A step h_fine that is not finite and
-    positive, or a span without one such step, raises ConfigError.
+    non-finite frame, before re-orthonormalization raises OrthogonalityLost, a frame
+    that fails the rank guard raises RankDeficient, and a nonzero LAPACK info raises
+    NumericalError at once. The step count is glm.span_steps(h_fine, t_final, t0); a
+    count too large to hold raises ConfigError.
 
     A(t) comes from three prob.batch calls up front (nodes, midpoints, step ends), and
     the rates from one batched product over the frames kept at the nodes. The steps
@@ -324,18 +317,15 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     q = eye if q0 is None else np.asarray(q0, dtype=float)
     if q.shape != (d, d):
         raise ConfigError(f"oracle frame q0 must be {d}x{d}, got shape {q.shape}")
-    if not (math.isfinite(h_fine) and h_fine > 0.0):
-        raise ConfigError(f"oracle step h_fine must be finite and positive, got {h_fine}")
-    steps = (t_final - t0) / h_fine
-    if not (math.isfinite(steps) and round(steps) >= 1):
-        raise ConfigError(f"oracle span [{t0}, {t_final}] must be finite and hold "
-                          f"at least one step of {h_fine}")
-    n = int(round(steps))
-    ts = t0 + h_fine * np.arange(n + 1)
+    n = span_steps(h_fine, t_final, t0)
+    try:
+        frames = np.empty((n + 1, d, d))     # the frame at every node, C-ordered
+        ts = t0 + h_fine * np.arange(n + 1)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot hold an oracle run of {n:.3g} steps: {exc}") from exc
     a_nodes = prob.batch(ts)
     a_mid = prob.batch(ts[:-1] + 0.5 * h_fine)
     a_end = prob.batch(ts[:-1] + h_fine)
-    frames = np.empty((n + 1, d, d))     # the frame at every node, C-ordered
     frames[0] = q
     q = frames[0]
     half, sixth = 0.5 * h_fine, h_fine / 6.0
@@ -360,23 +350,22 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
                 packed, tau, _, info = dgeqrf(pre)
                 if info == 0:
                     q_raw, _, info = dorgqr(packed, tau)
+                if info != 0:
+                    raise NumericalError(f"LAPACK QR returned info={info}")
                 pres.append(pre)
                 packs.append(packed)
-                if info != 0:
-                    break
                 q = frames[idx + 1]
                 q[...] = q_raw
             pres, diags = np.stack(pres), np.diagonal(np.stack(packs), axis1=1, axis2=2)
-            # a step checks its drift, then LAPACK's info, then the rank guard
+            # a step checks its drift, then the rank guard
             drift = np.abs(np.matmul(pres.transpose(0, 2, 1), pres) - eye).max(axis=(1, 2))
             bad = min(np.flatnonzero(~(drift <= drift_tol)).tolist(), default=len(pres))
-            factored = min(bad, len(pres) - (info != 0))
-            _rank_guard(pres[:factored], diags[:factored])
+            good = linalg.rank_guard(pres[:bad], diags[:bad])
+            if good < bad:
+                raise linalg.rank_deficient(pres[good], diags[good])
             if bad < len(pres):                # a NaN frame fails too
                 raise OrthogonalityLost(f"frame drift {drift[bad]:.3e} exceeds "
                                         f"{drift_tol:.1e} at t={ts[lo + bad + 1]:.6g}")
-            if info != 0:
-                raise NumericalError(f"LAPACK QR returned info={info}")
             frames[lo + 1: lo + len(pres) + 1] *= np.cumprod(    # q views the last
                 np.copysign(1.0, diags), axis=0)[:, np.newaxis]
     b_diag = np.matmul(np.matmul(frames.transpose(0, 2, 1), a_nodes), frames)

@@ -139,6 +139,15 @@ def test_oracle_step_checked_before_integrating(tmp_path, capsys, monkeypatch):
                                    for ln in lines)
 
 
+def test_oracle_step_count_too_large_to_hold(tmp_path, capsys):
+    # 2e301 oracle steps pass the span check but cannot be held: exit 2, no traceback
+    out = tmp_path / "o"
+    assert cli.main(["spectrum", "--h", "0.05", "--tfinal", "20", "--oracle-h", "1e-300",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot hold an oracle run")
+    assert not out.exists()
+
+
 def test_reference_start_samples_the_reference(capsys):
     # the start supervector equals per-time reference samples at t0, t0 + h, ...
     tab = glm.get_tableau("bdf2")

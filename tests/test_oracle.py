@@ -251,6 +251,14 @@ def test_oracle_rejects_bad_step_or_span(t_final, h_fine):
         spectra.continuous_qr_oracle(prob, t_final, h_fine)
 
 
+def test_oracle_step_count_too_large_to_hold():
+    # 2e301 fine steps pass the span check, but no array can index them; the count
+    # is past the index range, so nothing is allocated
+    prob = problems.constant_problem([[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ConfigError, match="cannot hold an oracle run"):
+        spectra.continuous_qr_oracle(prob, 20.0, 1e-300)
+
+
 def test_oracle_one_fine_step():
     prob = problems.constant_problem([[1.0, 0.0], [0.0, 2.0]])
     oracle = spectra.continuous_qr_oracle(prob, 0.1, 0.1)

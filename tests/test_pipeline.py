@@ -38,7 +38,7 @@ def reference_experiment_row(tab, params, h, t_final, t0=0.0, x0=(1.0, 0.0),
                              start="rk4", n0=None, denominator="t0",
                              sum_start="origin", lte_scale="per-h", with_frame=False):
     """experiment_row on the whole Phi series, the whole-run reference and LTE."""
-    n_f = cli._span_steps(h, t_final, t0)
+    n_f = glm.span_steps(h, t_final, t0)
     prob, traj, phis = reference_integrate(tab, params, h, n_f, t0, x0, start)
     m = traj.n_steps
     w = onestep.extract_w(traj, onestep.spectral_split(tab))
@@ -177,7 +177,7 @@ def test_converge_errors(tmp_path, capsys, method):
     tab = glm.get_tableau(method)
     ge, le = [], []
     for h in cli.CONVERGE_H[method]:
-        _, traj, phis = reference_integrate(tab, TABLE1, h, cli._span_steps(h, 2.0, 0.0),
+        _, traj, phis = reference_integrate(tab, TABLE1, h, glm.span_steps(h, 2.0, 0.0),
                                             0.0, (1.0, 0.0), "reference")
         m = traj.n_steps
         refs = problems.reference_batch(TABLE1, h * np.arange(m + tab.k))

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmstab import glm, problems, spectra
-from glmstab.errors import ConfigError, OrthogonalityLost, WindowOutOfRange, ZeroVector
+from glmstab.errors import (ConfigError, NumericalError, OrthogonalityLost,
+                            WindowOutOfRange, ZeroVector)
 
 
 def _exp_trail(rate, h, n, t0=0.0):
@@ -169,6 +170,12 @@ def test_sacker_sell_window_validation():
         spectra.sacker_sell_window(trail, 0.1)      # m = 1 < 2
     with pytest.raises(WindowOutOfRange):
         spectra.sacker_sell_window(trail, 0.8)      # 3m = 24 > 20
+    # the same width check that the spectrum command runs before integrating
+    assert spectra.window_steps(0.8, 0.1, 24) == 8
+    with pytest.raises(WindowOutOfRange):
+        spectra.window_steps(0.8, 0.1, 23)
+    with pytest.raises(ConfigError):      # was a ZeroDivisionError
+        spectra.window_steps(0.8, 0.0, 24)
 
 
 @pytest.mark.filterwarnings("error")
@@ -278,3 +285,30 @@ def test_oracle_orthogonality_guard():
     with pytest.raises(OrthogonalityLost):       # a NaN frame fails the drift test
         spectra.continuous_qr_oracle(
             problems.constant_problem([[math.nan, 0.0], [0.0, 1.0]]), 1.0, 0.1)
+
+
+@pytest.mark.parametrize("fail_at", [1, 5])
+def test_lapack_info_raises_at_once(monkeypatch, fail_at):
+    # both QR chains raise NumericalError at the step whose dgeqrf reports info != 0,
+    # and the matrix trail keeps the frame and increments it had before the call
+    real, calls = spectra.dgeqrf, []
+
+    def dgeqrf(m):
+        packed, tau, work, info = real(m)
+        calls.append(None)
+        return packed, tau, work, -1 if len(calls) >= fail_at else info
+
+    prob = problems.constant_problem([[0.3, 1.0], [-1.0, 0.2]])
+    phis = glm.transition_batch(glm.get_tableau("bdf2"), prob, 0, 20, 0.1)
+    trail = spectra.qr_advance_series(spectra.new_matrix_trail(4, 0.1), phis[:3])
+    frame, increments = trail.frame.copy(), trail.increments.copy()
+    monkeypatch.setattr(spectra, "dgeqrf", dgeqrf)
+    for chain in (lambda: spectra.qr_advance_series(trail, phis[3:]),
+                  lambda: spectra.continuous_qr_oracle(prob, 1.0, 0.05)):
+        calls.clear()
+        with pytest.raises(NumericalError) as exc:
+            chain()
+        assert type(exc.value) is NumericalError and str(exc.value).endswith("info=-1")
+        assert len(calls) == fail_at
+    assert np.array_equal(trail.frame, frame)
+    assert np.array_equal(trail.increments, increments)
