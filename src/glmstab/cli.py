@@ -24,6 +24,10 @@ from .errors import ConfigError, NumericalError, WindowOutOfRange
 
 FLOAT_FMT = "%.16e"    # 17 significant digits: exact float64 round-trip; nan, inf
 CSV_EOL = "\r\n"       # the line end of csv.writer
+_LINES_PER_BLOCK = 4096   # CSV lines formatted, joined and written at a time
+_DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48   # row k: k's digits
+_POW10 = np.array([10 ** k for k in range(23)], dtype=float)   # all exact
+_COMMA, _EOL = (np.frombuffer(s.encode(), np.uint8)[None] for s in (",", CSV_EOL))
 
 
 def _csv_line(*fields: str) -> str:
@@ -31,8 +35,71 @@ def _csv_line(*fields: str) -> str:
     return ",".join(fields) + CSV_EOL
 
 
-FIGURE_REST = _csv_line("%d", FLOAT_FMT, FLOAT_FMT, FLOAT_FMT)   # after the key field
-_LINES_PER_BLOCK = 4096   # CSV lines formatted, joined and written at a time
+def _digits(n: np.ndarray, width: int) -> np.ndarray:
+    """(len(n), width) uint8: the last width decimal digits of each n >= 0."""
+    out = np.empty((len(n), -(-width // 4) * 4), np.uint8)
+    for col in range(out.shape[1] - 4, -1, -4):
+        n, group = np.divmod(n, 10000)
+        out[:, col:col + 4] = np.take(_DIGITS4, group, axis=0)
+    return out[:, out.shape[1] - width:]
+
+
+def _int_field(n: np.ndarray) -> np.ndarray:
+    """(len(n), w) uint8: row i is "%d" % n[i] (n nonnegative int64), NUL-padded."""
+    out = _digits(n, len(str(n.max(initial=0))))
+    head = out[:, :-1]                  # all digits but the last: n = 0 keeps its 0
+    head[np.logical_and.accumulate(head == ord("0"), axis=1)] = 0
+    return out
+
+
+def _e16_field(values) -> np.ndarray:
+    """(n, 24) uint8: row i is FLOAT_FMT % values[i], NUL-padded.
+
+    Where E = floor(log10|x|) lies in [-6, 16], Dekker's two-product (Veltkamp
+    split; numpy never fuses a multiply-add) gives hi + lo = |x| * 10**(16 - E)
+    exactly, 10**(16 - E) being an exact double. If 1e16 <= hi + lo, decided from
+    the pair, the 17 digits are N = hi + rint(lo): hi is an even integer there, so
+    rint's ties to even are those of %. % formats every other value, and N = 1e17,
+    a carry into the exponent that no double of this range makes.
+    """
+    x = np.asarray(values, dtype=float)
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(np.abs(x)))
+    fast = (e >= -6) & (e <= 16)
+    a, e = np.where(fast, np.abs(x), 1.0), np.where(fast, e, 0.0).astype(np.int64)
+    p = _POW10[16 - e]
+    ca, cp = 134217729.0 * a, 134217729.0 * p       # Veltkamp split by 2**27 + 1
+    ah, ph = ca - (ca - a), cp - (cp - p)
+    al, pl = a - ah, p - ph
+    hi = a * p
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    fast &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))      # 1e16 <= hi + lo
+    n = (np.where(fast, hi, 1e16).astype(np.int64)
+         + np.where(fast, np.rint(lo), 0.0).astype(np.int64))
+    fast &= n < 10 ** 17
+    out = np.tile(np.frombuffer(b"-0.0000000000000000e+00\0", np.uint8), (len(x), 1))
+    out[x >= 0, 0] = 0
+    out[:, np.r_[1, 3:19]] = _digits(n, 17)         # the 17 digits, around the point
+    out[e < 0, 20] = ord("-")
+    out[:, 21:23] = _digits(np.abs(e), 2)
+    out[~fast] = np.array([FLOAT_FMT % v for v in x[~fast].tolist()],
+                          "S24")[:, None].view(np.uint8)
+    return out
+
+
+def _csv_blocks(prefix: str, start: int, *columns):
+    """CSV lines n = start, start + 1, ... of equal-length float columns (prefix, n,
+    each column's FLOAT_FMT value), one joined str per _LINES_PER_BLOCK lines."""
+    head = np.frombuffer(prefix.encode(), np.uint8)[None]
+    for lo in range(0, len(columns[0]), _LINES_PER_BLOCK):
+        hi = min(lo + _LINES_PER_BLOCK, len(columns[0]))
+        parts = [head, _int_field(np.arange(start + lo, start + hi))]
+        for column in columns:
+            parts += [_COMMA, _e16_field(column[lo:hi])]
+        buf = np.concatenate([np.broadcast_to(p, (hi - lo, p.shape[1]))
+                              for p in parts + [_EOL]], axis=1)
+        yield buf.tobytes().replace(b"\0", b"").decode("ascii")
+
 
 # Published experiment values (side-by-side columns, tolerance-checked only by
 # the test suite). Table 1: h -> (lte_mean, lte_max, mu). Table 2:
@@ -83,11 +150,10 @@ def _figure_lines(key: float, times, lte, norms):
     m = len(lte)
     prefix = FLOAT_FMT % key + ","
     for lo in range(0, m, _LINES_PER_BLOCK):
-        hi = min(lo + _LINES_PER_BLOCK, m)
-        lg_lte, lg_norm = ([math.log10(v) for v in np.maximum(x[lo:hi], 1e-300).tolist()]
-                           for x in (lte, norms))
-        yield "".join([prefix + FIGURE_REST % row for row in
-                       zip(range(lo, hi), times[lo:hi].tolist(), lg_lte, lg_norm)])
+        s = slice(lo, min(lo + _LINES_PER_BLOCK, m))
+        logs = (list(map(math.log10, np.maximum(x[s], 1e-300).tolist()))
+                for x in (lte, norms))
+        yield from _csv_blocks(prefix, lo, times[s], *logs)
 
 
 def _run_lines(times, norms, lte, running):
@@ -98,11 +164,7 @@ def _run_lines(times, norms, lte, running):
     """
     m = len(lte)
     yield _csv_line("0", *[FLOAT_FMT] * 3, "") % (times[0], norms[0], lte[0])
-    full = _csv_line("%d", *[FLOAT_FMT] * 4)
-    for lo in range(0, m - 1, _LINES_PER_BLOCK):       # lines n = lo + 1, ...
-        cols = [x[lo:lo + _LINES_PER_BLOCK].tolist()
-                for x in (times[1:m], norms[1:m], lte[1:], running)]
-        yield "".join([full % row for row in zip(range(lo + 1, m), *cols)])
+    yield from _csv_blocks("", 1, times[1:m], norms[1:m], lte[1:], running[:m - 1])
     yield _csv_line("%d", FLOAT_FMT, FLOAT_FMT, "", FLOAT_FMT) % (
         m, times[m], norms[m], running[m - 1])
 
@@ -385,11 +447,9 @@ def cmd_counterexample(args) -> int:
     growth = float(n_osc[-1] / n_osc[0])
     per_period = float(np.exp(np.log(growth) / m))  # coefficient period is h
     out = _ensure_out(args.out)
-    line = _csv_line("%d", *[FLOAT_FMT] * 4)
     _write_csv(os.path.join(out, "counterexample.csv"),
                ["n", "t", "x_oscillatory", "x_frozen", "x_exact"],
-               [line % row for row in zip(range(m + 1), times.tolist(), x_osc.tolist(),
-                                          x_frz.tolist(), exact.tolist())])
+               _csv_blocks("", 0, times, x_osc, x_frz, exact))
     report = {
         "method": args.method, "h": args.h, "D": args.D, "L": args.L,
         "stability_gap": delta, "steps": m, "growth_factor": growth,

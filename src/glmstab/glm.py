@@ -266,7 +266,7 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
     try:
         states = np.empty((n_steps + 1, kd))
     except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"cannot hold a run of {n_steps} steps: {exc}") from exc
+        raise ConfigError(f"cannot hold a run of {n_steps:.3g} steps: {exc}") from exc
     states[0] = x0_super
     guard = divergence_factor * max(1.0, float(np.linalg.norm(x0_super)))
     clear = guard * (1.0 - 1e-12)

@@ -148,6 +148,16 @@ def test_oracle_step_count_too_large_to_hold(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_step_count_too_large_to_hold(tmp_path, capsys):
+    # 1e300 steps pass the span check but cannot be held: a short message, exit 2
+    out = tmp_path / "o"
+    assert cli.main(["run", "--h", "1e-300", "--tfinal", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot hold a run of 1e+300 steps")
+    assert len(err) < 200
+    assert not out.exists()
+
+
 def test_reference_start_samples_the_reference(capsys):
     # the start supervector equals per-time reference samples at t0, t0 + h, ...
     tab = glm.get_tableau("bdf2")
@@ -460,3 +470,84 @@ def test_csv_lines_match_csv_writer(key, rows):
                 _old_write_csv(want, header, old)
                 cli._write_csv(got, header, iter(blocks))
                 assert Path(got).read_bytes() == Path(want).read_bytes()
+
+
+# -- the vectorized field formatters against % --------------------------------
+
+def _rows(field):
+    """The rows of a NUL-padded uint8 field as str."""
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in field]
+
+
+def _assert_e16_matches(values):
+    values = np.asarray(values, dtype=float)
+    got = _rows(cli._e16_field(values))
+    want = ["%.16e" % v for v in values.tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def _named_floats():
+    named = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+             2.2250738585072014e-308, 1e-6, np.nextafter(1e-6, 0.0), 1e-7,
+             1.7976931348623157e308, 1e100, -1e-100, 1e-300, -9.99e-301, 1e22, 1e23]
+    for k in range(-8, 19):
+        p = 10.0 ** k
+        named += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
+    # exact ties at 17 digits (1e15 + j/4, odd j: the 17th digit is followed by 5)
+    named += [1e15 + 0.25 * (2 * j + 1) for j in range(400)]
+    # just below 1e17, the top of the scaled range; 1e-14, a double below its power
+    # of ten whose 17 digits carry into the exponent
+    named += [1e17 - 16.0 * j for j in range(1, 8)] + [np.nextafter(1e17, 0.0), 1e-14]
+    named += [9.9999999999999995e-1, 9.99999999999999999e15, 99999999999999984.0]
+    return np.array(named + [-v for v in named])
+
+
+def test_e16_field_named_values():
+    _assert_e16_matches(_named_floats())
+
+
+def test_e16_field_drawn_values():
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
+    _assert_e16_matches(bits)                        # every exponent, nan and inf
+    scale = 10.0 ** rng.integers(-9, 19, size=100_000)
+    _assert_e16_matches(rng.uniform(-10.0, 10.0, size=100_000) * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+def test_e16_field_bit_patterns(patterns):
+    _assert_e16_matches(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def test_int_field_matches_percent():
+    values = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 10001, 123456789,
+              10 ** 16, 2 ** 63 - 1]
+    for n in (values, range(20_001), [7], [0, 0, 0]):
+        assert _rows(cli._int_field(np.array(n, dtype=np.int64))) == ["%d" % k for k in n]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4096, 5000])
+def test_csv_blocks_match_percent_lines(rows):
+    rng = np.random.default_rng(rows)
+    pool = np.concatenate([_named_floats(), rng.normal(size=rows)])
+    cols = [rng.choice(pool, size=rows) for _ in range(3)]
+    for prefix, start in (("", 0), ("7.5000000000000000e-01,", 9998)):
+        blocks = list(cli._csv_blocks(prefix, start, *cols))
+        assert [b.count("\r\n") for b in blocks] == [min(rows - lo, 4096)
+                                                     for lo in range(0, rows, 4096)]
+        want = "".join(prefix + "%d,%.16e,%.16e,%.16e\r\n" % (start + i, *row)
+                       for i, row in enumerate(zip(*(c.tolist() for c in cols))))
+        assert "".join(blocks) == want
+
+
+def test_counterexample_csv_same_at_any_block_size(tmp_path, capsys):
+    argv = ["counterexample", "--steps", "7"]
+    assert cli.main(argv + ["--out", str(tmp_path / "default")]) == 0
+    want = (tmp_path / "default" / "counterexample.csv").read_bytes()
+    for block in (1, 3):
+        with mock.patch.object(cli, "_LINES_PER_BLOCK", block):
+            assert cli.main(argv + ["--out", str(tmp_path / str(block))]) == 0
+        assert (tmp_path / str(block) / "counterexample.csv").read_bytes() == want
+    capsys.readouterr()
