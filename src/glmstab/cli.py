@@ -63,7 +63,8 @@ def _e16_field(values) -> np.ndarray:
     a carry into the exponent that no double of this range makes.
     """
     x = np.asarray(values, dtype=float)
-    with np.errstate(divide="ignore"):
+    # log10(±0) divides; numpy's AVX2 log10 flags a signaling NaN as invalid
+    with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(np.abs(x)))
     fast = (e >= -6) & (e <= 16)
     a, e = np.where(fast, np.abs(x), 1.0), np.where(fast, e, 0.0).astype(np.int64)
@@ -479,11 +480,13 @@ def cmd_spectrum(args) -> int:
         spectra.window_steps(H, args.h, n_f)
     except WindowOutOfRange as exc:
         raise ConfigError(str(exc)) from exc
-    if args.oracle_h is not None:           # the oracle's own step check, up front
+    if args.oracle_h is not None:           # the oracle's own step checks, up front
         try:
-            glm.span_steps(args.oracle_h, args.tfinal, t0)
+            n_o = glm.span_steps(args.oracle_h, args.tfinal, t0)
         except ConfigError as exc:
             raise ConfigError(f"--oracle-h: {exc}") from exc
+        if (n_o + 1) * 4 * 8 > np.iinfo(np.intp).max:     # the (n + 1, 2, 2) float frames
+            raise ConfigError(f"cannot hold an oracle run of {n_o:.3g} steps: too large")
     traj, trail, _ = _integrate(tab, params, args.h, n_f, t0, x0, "rk4",
                                 frame=args.mode == "frame")
     m = traj.n_steps

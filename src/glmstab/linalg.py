@@ -6,16 +6,42 @@ positive-diagonal form of the QR, and the QR rank guard. The per-step loops of
 spectra call dgeqrf and dorgqr from here directly and apply the rank guard per block.
 Everything here operates on small dense float64 arrays (supervector dimensions are
 k*d with k,d <= a few dozen).
+
+The LAPACK routines are bound at import from scipy's compiled scipy/linalg/_flapack,
+loaded from its file, so the scipy.linalg package's __init__ (numpy.f2py, the array-API
+layer: most of start-up) does not run; without that file, from scipy.linalg.lapack,
+which re-exports the same routine objects.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dorgqr
 
 from .errors import NumericalError, RankDeficient, Singular
+
+
+def _flapack():
+    """scipy's compiled LAPACK module, without running the scipy.linalg package."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy_dir, "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+_LAPACK = _flapack()
+dgeqrf, dgetrf, dgetrs, dorgqr = (_LAPACK.dgeqrf, _LAPACK.dgetrf, _LAPACK.dgetrs,
+                                  _LAPACK.dorgqr)
 
 RANK_TOL = 1e-14    # the rank guard: min|R_ii| must exceed this times max|m|
 

@@ -122,29 +122,36 @@ def rotating_cosine_problem(p: RotatingCosineParams) -> LinearProblem:
     return LinearProblem(d=2, batch=lambda ts: rotating_cosine_A(p, ts))
 
 
-def _panel_quadrature(f, lo, hi, panels):
+def _panel_quadrature(f, lo, hi, panels, scratch=None):
     """Composite fixed-order Gauss-Legendre integral of a vectorized integrand.
 
-    lo/hi may be arrays (broadcast against each other); f is evaluated on the full
-    (targets, panels*nodes) grid at once. Returns an array shaped like lo/hi.
+    lo/hi may be arrays (broadcast against each other). f(s, out) writes the integrand
+    on the full (targets, panels, nodes) grid s into out, and may overwrite s. Both
+    grids are views of scratch, a flat float array of at least twice the grid's size
+    that a caller may reuse, or else of a new one. Returns an array shaped like lo/hi.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     edges = np.linspace(0.0, 1.0, panels + 1)
     width = (hi - lo)[..., np.newaxis] * (edges[1:] - edges[:-1])  # (..., panels)
     mid_lo = lo[..., np.newaxis] + (hi - lo)[..., np.newaxis] * edges[:-1]
+    half, size = 0.5 * width[..., np.newaxis], 2 * width.size * _GL_NODES.size
+    s, vals = (np.empty(size) if scratch is None else scratch[:size]).reshape(
+        (2,) + width.shape + _GL_NODES.shape)
     # nodes mapped into each panel: (..., panels, q)
-    s = mid_lo[..., np.newaxis] + 0.5 * width[..., np.newaxis] * (_GL_NODES + 1.0)
-    vals = f(s)
-    return np.sum(vals * (0.5 * width[..., np.newaxis] * _GL_WEIGHTS), axis=(-2, -1))
+    np.add(mid_lo[..., np.newaxis], np.multiply(half, _GL_NODES + 1.0, out=s), out=s)
+    f(s, vals)
+    vals *= np.multiply(half, _GL_WEIGHTS, out=s)
+    return np.sum(vals, axis=(-2, -1))
 
 
-def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points=8):
+def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points=8,
+                    scratch=None):
     """Exact flow of the rotating-cosine system from (t_from, x_from) over dt.
 
     Vectorized over leading axes of t_from/x_from (x_from[..., 2]). quad_points is
     the number of quadrature panels for the variation-of-constants integral; it only
-    matters when the second rotated component is nonzero.
+    matters when the second rotated component is nonzero. scratch: _panel_quadrature's.
     """
     t_from = np.asarray(t_from, dtype=float)
     x_from = np.asarray(x_from, dtype=float)
@@ -159,14 +166,15 @@ def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points=8):
     y2_to = y2 * np.exp(m2)
 
     if np.any(y2 != 0.0) and p.beta != 0.0:
-        def integrand(s):
+        def integrand(s, out):
             # exp(-m1(s)) * y2(s) up to the constant y2(t_from), broadcast over panels
-            rel = (p.a2 - p.a1) * (np.sin(s) - sin_from[..., np.newaxis, np.newaxis]) + (
-                p.b2 - p.b1
-            ) * (s - t_from[..., np.newaxis, np.newaxis])
-            return np.exp(rel)
+            np.subtract(np.sin(s, out=out), sin_from[..., np.newaxis, np.newaxis], out=out)
+            np.multiply(p.a2 - p.a1, out, out=out)
+            np.subtract(s, t_from[..., np.newaxis, np.newaxis], out=s)
+            np.multiply(p.b2 - p.b1, s, out=s)
+            np.exp(np.add(out, s, out=out), out=out)
 
-        integral = _panel_quadrature(integrand, t_from, t_to, quad_points)
+        integral = _panel_quadrature(integrand, t_from, t_to, quad_points, scratch)
         y1_to = np.exp(m1) * (y1 + p.beta * y2 * integral)
     else:
         y1_to = np.exp(m1) * y1
@@ -193,11 +201,13 @@ def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0, quad_poi
     if y2_0 == 0.0 or p.beta == 0.0:
         return propagate_exact(p, np.full(ts.shape, t0), np.broadcast_to(x0, ts.shape + (2,)), ts - t0)
     out = np.empty(ts.shape + (2,))
+    # the two grids of a chunk's fine call, reused by every chunk and both calls
+    scratch = np.empty(2 * _REF_CHUNK * 2 * quad_points * _GL_NODES.size)
     for base in range(0, len(ts), _REF_CHUNK):
         t = ts[base: base + _REF_CHUNK]
         t_from, x_from = np.full(t.shape, t0), np.broadcast_to(x0, t.shape + (2,))
-        coarse = propagate_exact(p, t_from, x_from, t - t0, quad_points=quad_points)
-        fine = propagate_exact(p, t_from, x_from, t - t0, quad_points=2 * quad_points)
+        coarse = propagate_exact(p, t_from, x_from, t - t0, quad_points, scratch)
+        fine = propagate_exact(p, t_from, x_from, t - t0, 2 * quad_points, scratch)
         with np.errstate(over="ignore", invalid="ignore"):
             moved = np.linalg.norm(fine - coarse, axis=-1)
             scale = np.maximum(np.linalg.norm(fine, axis=-1), 1.0)
@@ -249,8 +259,8 @@ def tanh_jac(p: TanhForcedParams, x, t):
 
 def tanh_reference(p: TanhForcedParams, t, x0=0.0, t0=0.0, quad_points=64):
     """Variation-of-constants solution of the tanh-forced equation."""
-    def integrand(s):
-        return np.exp(p.a * (t - s)) * np.tanh(s * s)
+    def integrand(s, out):
+        out[...] = np.exp(p.a * (t - s)) * np.tanh(s * s)
 
     forced = _panel_quadrature(integrand, np.asarray(t0, dtype=float), np.asarray(t, dtype=float), quad_points)
     return math.exp(p.a * (t - t0)) * x0 + float(forced)

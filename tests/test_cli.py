@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -139,12 +141,18 @@ def test_oracle_step_checked_before_integrating(tmp_path, capsys, monkeypatch):
                                    for ln in lines)
 
 
-def test_oracle_step_count_too_large_to_hold(tmp_path, capsys):
-    # 2e301 oracle steps pass the span check but cannot be held: exit 2, no traceback
+def test_oracle_step_count_too_large_to_hold(tmp_path, capsys, monkeypatch):
+    # 2e302 oracle steps pass the span check but no array can hold them: exit 2, no
+    # traceback, found before the 1e5-step main run is integrated
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking the oracle's step count")
+
+    monkeypatch.setattr(glm, "run_linear", never)
     out = tmp_path / "o"
-    assert cli.main(["spectrum", "--h", "0.05", "--tfinal", "20", "--oracle-h", "1e-300",
+    assert cli.main(["spectrum", "--h", "0.002", "--tfinal", "200", "--oracle-h", "1e-300",
                      "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: cannot hold an oracle run")
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot hold an oracle run of 2e+302 steps")
     assert not out.exists()
 
 
@@ -513,6 +521,22 @@ def test_e16_field_drawn_values():
     _assert_e16_matches(bits)                        # every exponent, nan and inf
     scale = 10.0 ** rng.integers(-9, 19, size=100_000)
     _assert_e16_matches(rng.uniform(-10.0, 10.0, size=100_000) * scale)
+
+
+def test_e16_field_signaling_nan_under_avx2_kernels():
+    # numpy's AVX2-level log10 flags a signaling NaN as invalid, the AVX512 one
+    # does not; the setting acts only on the child process that reads it. Warnings
+    # are errors from after the imports on, as under -W error, so that a host where
+    # numpy warns that it cannot disable those features still runs the check
+    code = ("import warnings, numpy as np; from glmstab import cli; "
+            "warnings.simplefilter('error'); "
+            "snan = np.array([0x7ff0000000000001], np.uint64).view(float); "
+            "print(bytes(cli._e16_field(snan)[0]).rstrip(b'\\0').decode())")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert (out.returncode, out.stdout) == (0, "nan\n"), out.stderr
 
 
 @settings(max_examples=200, deadline=None)

@@ -173,3 +173,50 @@ def test_bare_package_import_loads_nothing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_run_leaves_scipy_linalg_unimported(tmp_path):
+    # linalg loads scipy's compiled LAPACK module from its file: a whole CLI run
+    # imports neither the scipy.linalg package nor numpy.f2py, which it pulls in
+    src = str(Path(linalg.__file__).parents[1])
+    code = ("import sys; from glmstab import cli; "
+            f"assert cli.main(['counterexample', '--out', {str(tmp_path)!r}]) == 0; "
+            "print(sorted(m for m in ('scipy.linalg', 'numpy.f2py') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_lapack_routines_match_scipy_linalg_lapack():
+    # the four routines give scipy.linalg.lapack's bytes, on square and tall inputs
+    rng = np.random.default_rng(21)
+    for shape in [(1, 1), (2, 2), (4, 4), (7, 3), (12, 12)] * 4:
+        m = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9)
+        for ours, theirs in ((linalg.dgeqrf, scipy.linalg.lapack.dgeqrf),
+                             (linalg.dgetrf, scipy.linalg.lapack.dgetrf)):
+            got, want = ours(m), theirs(m)
+            assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes()
+                                                            for w in want]
+        packed, tau, _, _ = linalg.dgeqrf(m)
+        assert (linalg.dorgqr(packed, tau)[0].tobytes()
+                == scipy.linalg.lapack.dorgqr(packed, tau)[0].tobytes())
+        if shape[0] == shape[1]:
+            lu, piv, _ = linalg.dgetrf(m)
+            rhs = rng.standard_normal(shape[0])
+            assert (linalg.dgetrs(lu, piv, rhs)[0].tobytes()
+                    == scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0].tobytes())
+
+
+def test_lapack_falls_back_to_scipy_linalg_lapack():
+    # with no compiled _flapack file found, the routines come from scipy.linalg.lapack
+    src = str(Path(linalg.__file__).parents[1])
+    code = ("import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES.clear(); "
+            "from glmstab import linalg; import scipy.linalg.lapack as lapack; "
+            "print(linalg._LAPACK.__name__, all(getattr(linalg, n) is getattr(lapack, n) "
+            "for n in ('dgeqrf', 'dorgqr', 'dgetrf', 'dgetrs')), "
+            "linalg.solve([[2.0]], [4.0]))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["scipy.linalg.lapack", "True", "[2.]"]

@@ -1,6 +1,7 @@
 """Problem definitions and their closed-form/quadrature reference solutions."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -169,6 +170,92 @@ def test_reference_batch_matches_scalar_path_random():
         ts = t0 + np.sort(rng.uniform(0.0, 20.0, int(rng.integers(1, 60))))
         assert np.array_equal(problems.reference_batch(p, ts, x0=x0, t0=t0),
                               _per_time(p, ts, x0=x0, t0=t0))
+
+
+def _quadrature_formula(f, lo, hi, panels):
+    """The composite Gauss-Legendre rule with a fresh array per operation: the
+    reference for problems._panel_quadrature, which works in place."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    width = (hi - lo)[..., np.newaxis] * (edges[1:] - edges[:-1])
+    mid_lo = lo[..., np.newaxis] + (hi - lo)[..., np.newaxis] * edges[:-1]
+    s = mid_lo[..., np.newaxis] + 0.5 * width[..., np.newaxis] * (problems._GL_NODES + 1.0)
+    return np.sum(f(s) * (0.5 * width[..., np.newaxis] * problems._GL_WEIGHTS),
+                  axis=(-2, -1))
+
+
+def _propagate_formula(p, t_from, x_from, dt, quad_points):
+    """propagate_exact off the axis, its integrand and quadrature one fresh array per
+    operation: the reference for the in-place quadrature."""
+    t_from, x_from = np.asarray(t_from, dtype=float), np.asarray(x_from, dtype=float)
+    t_to = t_from + dt
+    w = p.omega_dot
+    y_from = np.einsum("...ji,...j->...i", problems.rotation(w * t_from), x_from)
+    y1, y2 = y_from[..., 0], y_from[..., 1]
+    sin_from, sin_to = np.sin(t_from), np.sin(t_to)
+    m1 = p.a1 * (sin_to - sin_from) + p.b1 * (t_to - t_from)
+    m2 = p.a2 * (sin_to - sin_from) + p.b2 * (t_to - t_from)
+
+    def integrand(s):
+        rel = (p.a2 - p.a1) * (np.sin(s) - sin_from[..., np.newaxis, np.newaxis]) + (
+            p.b2 - p.b1) * (s - t_from[..., np.newaxis, np.newaxis])
+        return np.exp(rel)
+
+    integral = _quadrature_formula(integrand, t_from, t_to, quad_points)
+    y_to = np.stack([np.exp(m1) * (y1 + p.beta * y2 * integral), y2 * np.exp(m2)], axis=-1)
+    return np.einsum("...ij,...j->...i", problems.rotation(w * t_to), y_to)
+
+
+def test_in_place_quadrature_matches_formula():
+    # same operations in the same order, into reused buffers: the same bytes, with
+    # a1 = a2 and a1 != a2, off-axis x0, t0 != 0, and one scratch across sizes
+    rng = np.random.default_rng(21)
+    scratch = np.full(2 * 40 * 2 * 64 * problems._GL_NODES.size, np.nan)
+    for i in range(200):
+        a = rng.uniform(0.3, 2.5)
+        p = _params(a1=a, a2=a if i % 2 else a + rng.uniform(-0.5, 0.5),
+                    b1=rng.uniform(-0.3, -0.05), b2=rng.uniform(-0.6, -0.35),
+                    beta=rng.choice([1.0, 10.0, -3.0]), omega_rate=rng.uniform(0.2, 3.0))
+        theta, t0 = rng.uniform(0.0, 2.0 * math.pi), rng.choice([0.0, rng.uniform(-3, 3)])
+        x0 = (math.cos(theta), math.sin(theta))
+        ts = t0 + np.sort(rng.uniform(0.0, 30.0, int(rng.integers(1, 40))))
+        qp = int(rng.integers(1, 129))
+        x = np.broadcast_to(x0, ts.shape + (2,))
+        want = _propagate_formula(p, ts, x, 0.7, qp).tobytes()
+        assert problems.propagate_exact(p, ts, x, 0.7, qp).tobytes() == want
+        assert problems.propagate_exact(p, ts, x, 0.7, qp, scratch).tobytes() == want
+        try:
+            got = problems.reference_batch(p, ts, x0=x0, t0=t0)
+        except QuadratureUnderResolved:
+            continue
+        fine = [_propagate_formula(p, t0, x0, t - t0, 128) for t in ts]
+        assert got.tobytes() == np.stack(fine).tobytes()
+
+
+def test_tanh_reference_matches_formula():
+    for a, t, t0, x0 in ((-0.7, 1.3, 0.0, 0.0), (0.4, 3.1, 0.5, 0.3),
+                         (-2.0, 0.01, 0.0, 1.0)):
+        p = problems.TanhForcedParams(a=a)
+        forced = _quadrature_formula(lambda s: np.exp(a * (t - s)) * np.tanh(s * s),
+                                     t0, t, 64)
+        assert problems.tanh_reference(p, t, x0=x0, t0=t0) == (
+            math.exp(a * (t - t0)) * x0 + float(forced))
+
+
+def test_reference_batch_heap_peak():
+    # the quadrature grids of one chunk are reused across the chunks: a 402-sample
+    # off-axis call peaks below two chunk scratches (701 KB with fresh arrays)
+    p = _params()
+    ts = np.linspace(0.0, 40.0, 402)
+    chunk_scratch = 2 * problems._REF_CHUNK * 128 * problems._GL_NODES.size * 8
+    problems.reference_batch(p, ts[:20], x0=(0.6, -0.8), t0=0.3)
+    tracemalloc.start()
+    try:
+        problems.reference_batch(p, ts, x0=(0.6, -0.8), t0=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * chunk_scratch, f"reference_batch heap peak {peak} B"
 
 
 def test_propagate_exact_semigroup():
