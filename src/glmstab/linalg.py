@@ -1,11 +1,9 @@
-"""Small dense linear-algebra kernel, and the one module that imports scipy's LAPACK.
+"""Small dense linear-algebra kernel, and the one module that binds or calls LAPACK.
 
-Thin wrappers over numpy/scipy with deterministic conventions and explicit failure
-modes: Householder QR and guarded LU solves on direct LAPACK calls, the
-positive-diagonal form of the QR, and the QR rank guard. The per-step loops of
-spectra call dgeqrf and dorgqr from here directly and apply the rank guard per block.
-Everything here operates on small dense float64 arrays (supervector dimensions are
-k*d with k,d <= a few dozen).
+Direct LAPACK calls with deterministic conventions and explicit failure modes, on
+small dense float64 arrays: Householder QR, its positive-diagonal form and rank
+guard, guarded LU solves, and qr_chain, the blocked raw-Q loop of spectra's frame
+trail and continuous-QR oracle.
 
 The LAPACK routines are bound at import from scipy's compiled scipy/linalg/_flapack,
 loaded from its file, so the scipy.linalg package's __init__ (numpy.f2py, the array-API
@@ -55,10 +53,9 @@ class QrFactors:
 def householder_qr(m):
     """Reduced Householder QR of a tall or square float64 m by LAPACK dgeqrf + dorgqr.
 
-    Returns (packed, q): packed is dgeqrf's output, R in its upper triangle; q is the
-    orthonormal factor with LAPACK's column signs. These are the same calls, and so
-    the same bits, as np.linalg.qr, without its per-call wrapper cost. A nonzero
-    LAPACK info raises NumericalError.
+    Returns (packed, q): dgeqrf's output, R in its upper triangle, and the orthonormal
+    factor with LAPACK's column signs, the bits of np.linalg.qr without its wrapper
+    cost. A nonzero LAPACK info raises NumericalError. qr_chain inlines these calls.
     """
     packed, tau, _, info = dgeqrf(m)
     if info == 0:
@@ -66,6 +63,31 @@ def householder_qr(m):
     if info != 0:
         raise NumericalError(f"LAPACK QR returned info={info}")
     return packed, q
+
+
+def qr_chain(q, step, args, pres):
+    """Chain LAPACK's raw Q from q through one step per arg, len(pres) steps a block.
+
+    Per step, step(arg, q, out) writes the frame before its QR into the next row out of
+    the buffer pres, whose dgeqrf + dorgqr give the next q, unflipped; a nonzero LAPACK
+    info raises NumericalError at once. Per block it yields the R diagonals and the list
+    qs of raw frames (qs[0] the block's first; emptied on the next request). Where step
+    commutes exactly with +-1 column signs S, the raw chain is the positive-diagonal one
+    times the running product of diag R's signs: Householder QR factors M S as Q, R S.
+    """
+    for lo in range(0, len(args), max(len(pres), 1)):
+        packs, qs = [], [q]
+        for arg, pre in zip(args[lo:lo + len(pres)], pres):
+            step(arg, q, pre)
+            packed, tau, _, info = dgeqrf(pre)
+            if info == 0:
+                q, _, info = dorgqr(packed, tau)
+            if info != 0:
+                raise NumericalError(f"LAPACK QR returned info={info}")
+            packs.append(packed)
+            qs.append(q)
+        yield np.diagonal(np.stack(packs), axis1=1, axis2=2), qs
+        qs.clear()
 
 
 def rank_guard(ms: np.ndarray, diags: np.ndarray) -> int:

@@ -278,6 +278,7 @@ def rotating_config(cfg: dict):
     """Parse a problem config dict into (params, t0, x0).
 
     Recognized keys: a1, a2, b1, b2, beta (required), omega_rate, resonant_h, t0, x0.
+    Missing or unknown keys and non-finite values (null resonant_h is fine): ConfigError.
     """
     missing = [k for k in ("a1", "a2", "b1", "b2", "beta") if k not in cfg]
     if missing:
@@ -292,11 +293,14 @@ def rotating_config(cfg: dict):
         if res_h is not None and not is_resonant_step(res_h):
             raise ConfigError(f"resonant_h must be null or finite and positive, with "
                               f"2 pi / resonant_h finite, got {res_h}")
-        params = RotatingCosineParams(**kwargs)
         t0 = float(cfg.get("t0", 0.0))
         x0 = np.asarray(cfg.get("x0", (1.0, 0.0)), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem parameter: {exc}") from exc
     if x0.shape != (2,):
         raise ConfigError(f"x0 must have two components, got shape {x0.shape}")
-    return params, t0, x0
+    nonfinite = [k for k, v in [*kwargs.items(), ("t0", t0), ("x0", x0)]
+                 if k != "resonant_h" and not np.isfinite(v).all()]    # checked above
+    if nonfinite:
+        raise ConfigError(f"problem parameters {nonfinite} must be finite")
+    return RotatingCosineParams(**kwargs), t0, x0

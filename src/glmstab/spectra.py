@@ -7,7 +7,7 @@ exponent estimators consume the accumulated log-increments; windows are expresse
 in step counts (N0 burn-in, N window length).
 
 QrTrail is single-owner mutable state: advance functions mutate in place and return
-the trail for chaining.
+it for chaining. Matrix trails and the continuous-QR oracle step by linalg.qr_chain.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import (ConfigError, NumericalError, OrthogonalityLost, WindowOutOfRange,
-                     ZeroVector)
+from .errors import ConfigError, OrthogonalityLost, WindowOutOfRange, ZeroVector
 from .glm import span_steps
-from .linalg import dgeqrf, dorgqr
 from .problems import LinearProblem
 
 
@@ -54,8 +52,7 @@ def new_matrix_trail(dim: int, h: float, t0: float = 0.0,
     return QrTrail(h=h, t0=t0, frame=frame, increments=np.empty((0, frame.shape[1])))
 
 
-# Steps per block of qr_advance_series and continuous_qr_oracle: bounds their scratch
-# buffers and the work done past a failing step.
+# Steps per block of the two QR chains: bounds their buffers and the work past a failure.
 _QR_BLOCK = 1024
 
 
@@ -65,47 +62,25 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     The trail ends bit for bit where stepping qr_positive one phi at a time leaves
     it; on a step that fails the rank guard it keeps the steps before and raises
     RankDeficient. A nonzero LAPACK info raises NumericalError, the trail unchanged.
-
-    The steps chain LAPACK's raw Q (dgeqrf + dorgqr on phi @ Q), unflipped: for a
-    +-1 diagonal S, Householder QR factors M S exactly as Q, R S, and phi (Q S) is
-    exactly (phi Q) S, so the raw chain has the same Q, |R_ii| and guard decisions,
-    and the positive-diagonal frame is the raw Q times the running product of the
-    signs of diag R, applied once at the end. The rank guard (linalg.rank_guard),
-    the logs and the signs are taken per block of steps, vectorized.
+    The steps run through linalg.qr_chain, np.dot itself the step; the rank guard
+    (linalg.rank_guard), the logs and the signs are taken per block, vectorized.
     """
     phis = np.asarray(phis, dtype=float)
-    d, k = trail.frame.shape
-    ms = np.empty((min(len(phis), _QR_BLOCK), d, k))   # products phi @ Q_n, for the guard
-    logs = np.empty((len(phis), k))    # this call's log increments
-    q = trail.frame                    # the raw frame; trail.frame is q * sign
-    sign = np.ones(k)
-    done = 0
+    # the raw frame (trail.frame is q * sign), the running signs, the logs per block
+    q, sign, logs = trail.frame, np.ones(trail.n_modes), [trail.increments]
+    ms = np.empty((min(len(phis), _QR_BLOCK),) + q.shape)   # phi @ Q_n, for the guard
     # a non-finite phi makes the product warn; the guard below turns it into RankDeficient
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, len(phis), _QR_BLOCK):
-            block = phis[lo:lo + _QR_BLOCK]
-            n = len(block)
-            packs, qs = [], [q]        # the block's packed factors and raw frames
-            for phi, m in zip(block, ms):
-                np.dot(phi, q, m)
-                packed, tau, _, info = dgeqrf(m)
-                if info == 0:
-                    q, _, info = dorgqr(packed, tau)
-                if info != 0:
-                    raise NumericalError(f"LAPACK QR returned info={info}")
-                packs.append(packed)
-                qs.append(q)
-            diags = np.diagonal(np.stack(packs), axis1=1, axis2=2)
-            good = linalg.rank_guard(ms[:n], diags)
-            np.log(np.abs(diags[:good]), out=logs[lo:lo + good])
+        for diags, qs in linalg.qr_chain(q, np.dot, phis, ms):
+            good = linalg.rank_guard(ms[:len(diags)], diags)
+            logs.append(np.log(np.abs(diags[:good])))
             sign *= np.prod(np.copysign(1.0, diags[:good]), axis=0)
             q = qs[good]
-            done = lo + good
-            if good < n:
+            if good < len(diags):
                 break
-    trail.frame = np.multiply(q, sign, out=np.empty((d, k)))
-    trail.increments = np.concatenate([trail.increments, logs[:done]])
-    if done < len(phis):
+    trail.frame = np.multiply(q, sign, out=np.empty(q.shape))
+    trail.increments = np.concatenate(logs)
+    if sum(map(len, logs[1:])) < len(phis):
         raise linalg.rank_deficient(ms[good], diags[good])
     return trail
 
@@ -300,17 +275,16 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     """Continuous QR reduction oracle: integrate Q' = Q S(Q, A) by RK4 on a fine grid.
 
     S is the skew projection of Q^T A Q (strictly lower part reflected), so the upper
-    triangular factor's diagonal rates are B_ii = (Q^T A Q)_ii; those are recorded at
-    every node. The frame is re-orthonormalized each step; drift beyond drift_tol, or a
-    non-finite frame, before re-orthonormalization raises OrthogonalityLost, a frame
-    that fails the rank guard raises RankDeficient, and a nonzero LAPACK info raises
-    NumericalError at once. The step count is glm.span_steps(h_fine, t_final, t0); a
-    count too large to hold raises ConfigError.
+    triangular factor's diagonal rates are B_ii = (Q^T A Q)_ii, recorded at every node.
+    The frame is re-orthonormalized each step. A drift beyond drift_tol, or a
+    non-finite frame, before it raises OrthogonalityLost, a frame that fails the rank
+    guard RankDeficient, a nonzero LAPACK info NumericalError at once, and a step
+    count (glm.span_steps(h_fine, t_final, t0)) too large to hold ConfigError.
 
-    A(t) comes from three prob.batch calls up front (nodes, midpoints, step ends), and
-    the rates from one batched product over the frames kept at the nodes. The steps
-    chain LAPACK's raw Q as qr_advance_series does (RK4 commutes with column signs);
-    the checks run vectorized per block, raising as a per-step check would.
+    A(t) comes from three prob.batch calls up front (nodes, midpoints, step ends). The
+    steps run through linalg.qr_chain, checked per block, vectorized, raising as a
+    per-step check would. The rates come from one batched product over the raw frames
+    kept at the nodes: diag(F^T A F) does not depend on F's column signs.
     """
     d = prob.d
     eye = np.eye(d)
@@ -319,15 +293,13 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
         raise ConfigError(f"oracle frame q0 must be {d}x{d}, got shape {q.shape}")
     n = span_steps(h_fine, t_final, t0)
     try:
-        frames = np.empty((n + 1, d, d))     # the frame at every node, C-ordered
+        frames = np.empty((n + 1, d, d))     # the raw frame at every node, C-ordered
         ts = t0 + h_fine * np.arange(n + 1)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"cannot hold an oracle run of {n:.3g} steps: {exc}") from exc
     a_nodes = prob.batch(ts)
     a_mid = prob.batch(ts[:-1] + 0.5 * h_fine)
     a_end = prob.batch(ts[:-1] + h_fine)
-    frames[0] = q
-    q = frames[0]
     half, sixth = 0.5 * h_fine, h_fine / 6.0
     lower = np.tri(d, k=-1, dtype=bool)
     low = np.zeros((d, d))               # strictly lower part of w; the rest stays zero
@@ -337,26 +309,25 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
         np.copyto(low, w, where=lower)
         return np.dot(qm, low - low.T)   # Q times the skew projection of w
 
+    def rk4(idx: int, qm: np.ndarray, out: np.ndarray) -> None:
+        frames[idx] = qm     # the node's raw frame; numpy sums a C copy with the rates
+        qm = frames[idx]     # faster than LAPACK's Fortran-ordered Q
+        k1 = rate(qm, a_nodes[idx])
+        k2 = rate(qm + half * k1, a_mid[idx])
+        k3 = rate(qm + half * k2, a_mid[idx])
+        k4 = rate(qm + h_fine * k3, a_end[idx])
+        # qm + sixth * (k1 + 2 k2 + 2 k3 + k4), operation by operation in that order
+        np.add(k1, np.multiply(2.0, k2, out), out)
+        np.add(out, np.multiply(2.0, k3, k3), out)
+        np.add(out, k4, out)
+        np.add(qm, np.multiply(sixth, out, out), out)
+
+    buf = np.empty((min(n, _QR_BLOCK), d, d))     # the block's frames before the QR
+    lo, sign = 0, np.ones(d)             # the block's first step; the running signs
     # steps past a failing one may overflow; the checks below discard them
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, n, _QR_BLOCK):
-            pres, packs = [], []         # the block's frames before the QR, and its R
-            for idx in range(lo, min(lo + _QR_BLOCK, n)):
-                k1 = rate(q, a_nodes[idx])
-                k2 = rate(q + half * k1, a_mid[idx])
-                k3 = rate(q + half * k2, a_mid[idx])
-                k4 = rate(q + h_fine * k3, a_end[idx])
-                pre = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                packed, tau, _, info = dgeqrf(pre)
-                if info == 0:
-                    q_raw, _, info = dorgqr(packed, tau)
-                if info != 0:
-                    raise NumericalError(f"LAPACK QR returned info={info}")
-                pres.append(pre)
-                packs.append(packed)
-                q = frames[idx + 1]
-                q[...] = q_raw
-            pres, diags = np.stack(pres), np.diagonal(np.stack(packs), axis1=1, axis2=2)
+        for diags, qs in linalg.qr_chain(q, rk4, range(n), buf):
+            pres = buf[:len(diags)]
             # a step checks its drift, then the rank guard
             drift = np.abs(np.matmul(pres.transpose(0, 2, 1), pres) - eye).max(axis=(1, 2))
             bad = min(np.flatnonzero(~(drift <= drift_tol)).tolist(), default=len(pres))
@@ -366,11 +337,13 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
             if bad < len(pres):                # a NaN frame fails too
                 raise OrthogonalityLost(f"frame drift {drift[bad]:.3e} exceeds "
                                         f"{drift_tol:.1e} at t={ts[lo + bad + 1]:.6g}")
-            frames[lo + 1: lo + len(pres) + 1] *= np.cumprod(    # q views the last
-                np.copysign(1.0, diags), axis=0)[:, np.newaxis]
+            sign *= np.prod(np.copysign(1.0, diags), axis=0)
+            lo, q = lo + len(pres), qs[-1]
+    frames[n] = q
     b_diag = np.matmul(np.matmul(frames.transpose(0, 2, 1), a_nodes), frames)
     return OracleTrail(ts=ts, b_diag=b_diag.diagonal(axis1=1, axis2=2).copy(),
-                       q_final=q.copy(), h_fine=h_fine)
+                       q_final=np.multiply(q, sign, out=np.empty((d, d))),
+                       h_fine=h_fine)
 
 
 def integrate_diag(oracle: OracleTrail, t_a: float, t_b: float) -> np.ndarray:

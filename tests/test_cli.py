@@ -68,13 +68,18 @@ def test_exit_code_config_errors(tmp_path, capsys):
     for bad in ({"a1": "x"}, {"a1": None}, {"t0": "x"}, {"x0": "ab"}):
         assert cli.main(["run", "--h", "0.1", "--tfinal", "1", "--out", out,
                          "--config", json.dumps({**base, **bad})]) == 2
+    # config values that are not finite (JSON's NaN and Infinity tokens)
+    for bad in ({"a1": math.nan}, {"beta": math.inf}, {"omega_rate": math.nan},
+                {"x0": [math.nan, 0.0]}):
+        assert cli.main(["run", "--h", "0.1", "--tfinal", "4", "--out", out,
+                         "--config", json.dumps({**base, **bad})]) == 2, bad
     # a counterexample run of no steps
     assert cli.main(["counterexample", "--steps", "0", "--out", out]) == 2
     assert cli.main(["counterexample", "--steps", "-1", "--out", out]) == 2
     # a subnormal step, positive but with an infinite frequency 2 pi / h
     assert cli.main(["counterexample", "--h", "1e-320", "--out", out]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 24 and all(ln.startswith("config error:") for ln in lines)
+    assert len(lines) == 28 and all(ln.startswith("config error:") for ln in lines)
     # a resonant step that is zero, negative, infinite (omega_dot = 0) or so small
     # that omega_dot = 2 pi / resonant_h is infinite
     for res_h in (0.0, -0.5, math.inf, 1e-320):

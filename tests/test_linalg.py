@@ -144,13 +144,17 @@ def test_solve_singular():
 
 
 def test_only_linalg_imports_scipy():
-    # linalg owns LAPACK: every other module reaches scipy through it; the package
-    # __init__ imports nothing at all
-    importers, package_imports = set(), []
+    # linalg owns LAPACK: every other module reaches scipy through it and neither
+    # imports, names nor calls a LAPACK routine; the package __init__ imports nothing
+    routines = {"dgeqrf", "dorgqr", "dgetrf", "dgetrs"}
+    importers, package_imports, binders = set(), [], set()
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if path.name == "__init__.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
                 package_imports.append(ast.unparse(node))
+            if ({getattr(node, attr, None) for attr in ("name", "asname", "id", "attr")}
+                    & routines):
+                binders.add(path.name)
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -161,6 +165,7 @@ def test_only_linalg_imports_scipy():
                 importers.add(path.name)
     assert importers == {"linalg.py"}
     assert package_imports == []
+    assert binders == {"linalg.py"}
 
 
 def test_bare_package_import_loads_nothing():

@@ -88,6 +88,10 @@ CASES = {
                          0.25, None),
     # the first step's R has a negative diagonal, so its frame is flipped
     "negated-q0": (problems.rotating_cosine_problem(UNEQUAL), 3.0, 0.01, 0.0, -np.eye(2)),
+    # a q0 with mixed column signs, over two blocks: q_final carries the running sign
+    # product of the raw chain, and the rates are the same for raw and flipped frames
+    "mixed-sign-q0": (problems.rotating_cosine_problem(UNEQUAL), 12.0, 0.01, 0.0,
+                      problems.rotation(0.7) @ np.diag([1.0, -1.0])),
     # 3600 steps: three full blocks of spectra._QR_BLOCK and a partial fourth
     "four-blocks": (problems.rotating_cosine_problem(UNEQUAL), 36.0, 0.01, 0.0,
                     problems.rotation(2.0)),
@@ -187,7 +191,12 @@ def _oracle_rk4_step(q, a_node, a_mid, a_end, h):
     k2 = rate(q + half * k1, a_mid)
     k3 = rate(q + half * k2, a_mid)
     k4 = rate(q + h * k3, a_end)
-    return k1, k2, k3, k4, q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    pre = np.empty_like(q)
+    np.add(k1, np.multiply(2.0, k2, pre), pre)
+    np.add(pre, np.multiply(2.0, k3), pre)
+    np.add(pre, k4, pre)
+    np.add(q, np.multiply(sixth, pre, pre), pre)
+    return k1, k2, k3, k4, pre
 
 
 @settings(max_examples=100, deadline=None)

@@ -371,3 +371,11 @@ def test_rotating_config_errors():
     with pytest.raises(ConfigError):
         problems.rotating_config({"a1": 1.0, "a2": 1.0, "b1": -0.2, "b2": -0.3,
                                   "beta": 2.0, "x0": [1.0, 0.0, 0.0]})
+    # non-finite values, rejected before they reach the run
+    base = {"a1": 1.0, "a2": 1.0, "b1": -0.2, "b2": -0.3, "beta": 2.0}
+    for bad in ({"a1": math.nan}, {"beta": math.inf}, {"b2": -math.inf},
+                {"omega_rate": math.nan}, {"t0": math.inf}, {"x0": [math.nan, 0.0]},
+                {"x0": [0.0, -math.inf]}):
+        with pytest.raises(ConfigError, match=f"parameters \\['{next(iter(bad))}'\\] "
+                                              "must be finite"):
+            problems.rotating_config({**base, **bad})

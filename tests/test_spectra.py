@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmstab import glm, problems, spectra
+from glmstab import glm, linalg, problems, spectra
 from glmstab.errors import (ConfigError, NumericalError, OrthogonalityLost,
                             WindowOutOfRange, ZeroVector)
 
@@ -289,9 +289,10 @@ def test_oracle_orthogonality_guard():
 
 @pytest.mark.parametrize("fail_at", [1, 5])
 def test_lapack_info_raises_at_once(monkeypatch, fail_at):
-    # both QR chains raise NumericalError at the step whose dgeqrf reports info != 0,
-    # and the matrix trail keeps the frame and increments it had before the call
-    real, calls = spectra.dgeqrf, []
+    # both QR chains (linalg.qr_chain under the trail and the oracle) raise
+    # NumericalError at the step whose dgeqrf reports info != 0, and the matrix trail
+    # keeps the frame and increments it had before the call
+    real, calls = linalg.dgeqrf, []
 
     def dgeqrf(m):
         packed, tau, work, info = real(m)
@@ -302,7 +303,7 @@ def test_lapack_info_raises_at_once(monkeypatch, fail_at):
     phis = glm.transition_batch(glm.get_tableau("bdf2"), prob, 0, 20, 0.1)
     trail = spectra.qr_advance_series(spectra.new_matrix_trail(4, 0.1), phis[:3])
     frame, increments = trail.frame.copy(), trail.increments.copy()
-    monkeypatch.setattr(spectra, "dgeqrf", dgeqrf)
+    monkeypatch.setattr(linalg, "dgeqrf", dgeqrf)
     for chain in (lambda: spectra.qr_advance_series(trail, phis[3:]),
                   lambda: spectra.continuous_qr_oracle(prob, 1.0, 0.05)):
         calls.clear()
