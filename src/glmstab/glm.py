@@ -199,6 +199,18 @@ def _sum_of_products(lhs: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
+def _stage_singular(s: np.ndarray, u_big: np.ndarray, n0: int) -> StageSingular:
+    """The StageSingular error for the stack s of stage matrices of steps n0, n0 + 1,
+    ... whose batched solve failed: solved one at a time, it names the first singular
+    step. Only the failure path pays for this."""
+    for i, s_n in enumerate(s):
+        try:
+            np.linalg.solve(s_n, u_big)
+        except np.linalg.LinAlgError as exc:
+            return StageSingular(f"stage system singular in step {n0 + i}: {exc}")
+    return StageSingular(f"stage system singular in steps {n0} to {n0 + len(s) - 1}")
+
+
 def transition_batch(tab: GlmTableau, prob: LinearProblem, n0: int, count: int,
                      h: float, t0: float = 0.0) -> np.ndarray:
     """Transition matrices Phi(n;h) for n = n0 .. n0+count-1, shape (count, kd, kd).
@@ -224,11 +236,11 @@ def transition_batch(tab: GlmTableau, prob: LinearProblem, n0: int, count: int,
             else:
                 block[...] = ident
     u_big = _kron_eye(tab.U, d)                                  # (rd, kd)
+    s = s.reshape(count, r * d, r * d)
     try:
-        t_sol = np.linalg.solve(s.reshape(count, r * d, r * d),
-                                np.broadcast_to(u_big, (count,) + u_big.shape))
+        t_sol = np.linalg.solve(s, np.broadcast_to(u_big, (count,) + u_big.shape))
     except np.linalg.LinAlgError as exc:
-        raise StageSingular(f"stage system singular near step {n0}: {exc}") from exc
+        raise _stage_singular(s, u_big, n0) from exc
     # (M T)[i, x, m] = sum over e of A_i[x, e] T_i[e, m], as (r, d, kd, count)
     t_sol = t_sol.reshape(count, r, d, k * d).transpose(2, 1, 3, 0)
     mt = _sum_of_products(a_all.transpose(3, 1, 2, 0)[:, :, :, np.newaxis],
@@ -281,7 +293,7 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
         # steps past a divergence may overflow; they are cut off below
         with np.errstate(over="ignore", invalid="ignore"):
             for phi, x, out in zip(block, states[base: base + cnt], new):
-                np.dot(phi, x, out)
+                phi.dot(x, out)         # np.dot's C method, without its dispatcher
             norms = np.sqrt(np.einsum("ij,ij->i", new, new))
             for i in np.flatnonzero(~(norms <= clear)).tolist():
                 norm = float(np.linalg.norm(new[i]))
@@ -374,7 +386,11 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
                   cfg: NewtonConfig = NewtonConfig()) -> Trajectory:
     """Integrate the GLM on x' = f(x,t) for n_steps, stages by a Newton iteration
     from an explicit-Euler predictor off the newest block. The state dimension is
-    x0_super.size // tab.k. A cfg.max_iters below 1 raises ConfigError."""
+    x0_super.size // tab.k. A cfg.max_iters below 1 raises ConfigError.
+
+    f and jac write into a stage vector and a block-diagonal Jacobian allocated once;
+    a 2-norm is sqrt(v . v), np.linalg.norm's formula for a real vector, without its
+    Python wrapper."""
     if cfg.max_iters < 1:
         raise ConfigError(f"Newton max_iters must be at least 1, got {cfg.max_iters}")
     x0_super = np.asarray(x0_super, dtype=float)
@@ -385,30 +401,33 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
     all_ts = stage_times(tab, np.arange(n_steps), h, t0)         # (n_steps, r)
     states = np.empty((n_steps + 1, k * d))
     states[0] = x0_super.reshape(k * d)
+    stages = [slice(i * d, (i + 1) * d) for i in range(r)]
+    fg = np.empty(r * d)                 # f at the stages
+    jblk = np.zeros((r * d, r * d))      # the stage Jacobians; off their blocks zero
     for n, ts in enumerate(all_ts):
         x_cur = states[n]
         base = u_big @ x_cur
 
         x_last = x_cur[-d:]
-        f_last = np.atleast_1d(f(x_last, t0 + (n + k - 1) * h))
-        g = np.concatenate([x_last + (tab.xi[i] - (k - 1)) * h * f_last for i in range(r)])
+        f_last = f(x_last, t0 + (n + k - 1) * h)
+        g = np.empty(r * d)
+        for i, st in enumerate(stages):
+            g[st] = x_last + (tab.xi[i] - (k - 1)) * h * f_last
 
-        scale = max(1.0, float(np.linalg.norm(base)))
+        scale = max(1.0, math.sqrt(base.dot(base)))
         for _ in range(cfg.max_iters):
-            fg = np.concatenate([np.atleast_1d(f(g[i * d:(i + 1) * d], ts[i]))
-                                 for i in range(r)])
+            for i, st in enumerate(stages):
+                fg[st] = f(g[st], ts[i])
             resid = g - base - h * (c_big @ fg)
-            if float(np.linalg.norm(resid)) <= cfg.tol * scale:
+            if math.sqrt(resid.dot(resid)) <= cfg.tol * scale:
                 break                   # fg is f at the converged stages
-            jblk = np.zeros((r * d, r * d))
-            for i in range(r):
-                jblk[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.atleast_2d(
-                    jac(g[i * d:(i + 1) * d], ts[i]))
+            for i, st in enumerate(stages):
+                jblk[st, st] = jac(g[st], ts[i])
             g = g - linalg.solve(eye_rd - h * (c_big @ jblk), resid)
         else:
             raise NewtonDiverged(
                 f"stage Newton exceeded {cfg.max_iters} iterations at step {n} "
-                f"(residual {float(np.linalg.norm(resid)):.3e})"
+                f"(residual {math.sqrt(resid.dot(resid)):.3e})"
             )
 
         states[n + 1] = v_big @ x_cur + h * (d_big @ fg)

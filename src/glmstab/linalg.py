@@ -65,16 +65,18 @@ def householder_qr(m):
     return packed, q
 
 
-def qr_chain(q, step, args, pres):
+def qr_chain(q, step, args, pres, n0=0):
     """Chain LAPACK's raw Q from q through one step per arg, len(pres) steps a block.
 
     Per step, step(arg, q, out) writes the frame before its QR into the next row out of
     the buffer pres, whose dgeqrf + dorgqr give the next q, unflipped; a nonzero LAPACK
-    info raises NumericalError at once. Per block it yields the R diagonals and the list
-    qs of raw frames (qs[0] the block's first; emptied on the next request). Where step
-    commutes exactly with +-1 column signs S, the raw chain is the positive-diagonal one
-    times the running product of diag R's signs: Householder QR factors M S as Q, R S.
+    info raises NumericalError at once, naming the step (args[0] is step n0). Per block
+    it yields the R diagonals and the list qs of raw frames (qs[0] the block's first;
+    emptied on the next request). Where step commutes exactly with +-1 column signs S,
+    the raw chain is the positive-diagonal one times the running product of diag R's
+    signs: Householder QR factors M S as Q, R S.
     """
+    rows, cols = pres.shape[1:]
     for lo in range(0, len(args), max(len(pres), 1)):
         packs, qs = [], [q]
         for arg, pre in zip(args[lo:lo + len(pres)], pres):
@@ -83,10 +85,14 @@ def qr_chain(q, step, args, pres):
             if info == 0:
                 q, _, info = dorgqr(packed, tau)
             if info != 0:
-                raise NumericalError(f"LAPACK QR returned info={info}")
+                n = n0 + lo + len(packs)
+                raise NumericalError(f"LAPACK QR failed in step {n}: info={info}")
             packs.append(packed)
             qs.append(q)
-        yield np.diagonal(np.stack(packs), axis1=1, axis2=2), qs
+        # the Fortran-ordered packed factors side by side in one C copy, no Python
+        # restack per step; the diagonals come out strided as a C-ordered stack's
+        block = np.concatenate(packs, axis=1).reshape(rows, len(packs), cols)
+        yield block.diagonal(0, 0, 2), qs
         qs.clear()
 
 
@@ -97,10 +103,11 @@ def rank_guard(ms: np.ndarray, diags: np.ndarray) -> int:
     return len(ok) if ok.all() else int(np.argmin(ok))
 
 
-def rank_deficient(m: np.ndarray, diag: np.ndarray) -> RankDeficient:
-    """The RankDeficient error for a matrix m whose R diagonal diag fails the guard."""
+def rank_deficient(m: np.ndarray, diag: np.ndarray, where: str = "") -> RankDeficient:
+    """The RankDeficient error for a matrix m whose R diagonal diag fails the guard;
+    where, if given, ends the message (" in step 12", say)."""
     return RankDeficient(f"QR diagonal {np.min(np.abs(diag)):.3e} below tolerance "
-                         f"{RANK_TOL:.1e} * {np.max(np.abs(m)):.3e}")
+                         f"{RANK_TOL:.1e} * {np.max(np.abs(m)):.3e}{where}")
 
 
 def qr_positive(m):
@@ -133,8 +140,8 @@ def solve(a, rhs):
     lu, piv, info = dgetrf(a)
     if info < 0:
         raise NumericalError(f"LAPACK dgetrf returned info={info}")
-    scale = np.max(np.abs(a))
-    pivot = np.min(np.abs(lu.diagonal()))
+    scale = np.abs(a).max()
+    pivot = np.abs(lu.diagonal()).min()
     # negated so that a NaN scale fails the guard as well
     if not (0.0 < scale < np.inf and pivot >= 1e-14 * scale):
         raise Singular(f"pivot {pivot:.3e} below 1e-14 * {scale:.3e}")

@@ -61,9 +61,11 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
 
     The trail ends bit for bit where stepping qr_positive one phi at a time leaves
     it; on a step that fails the rank guard it keeps the steps before and raises
-    RankDeficient. A nonzero LAPACK info raises NumericalError, the trail unchanged.
-    The steps run through linalg.qr_chain, np.dot itself the step; the rank guard
-    (linalg.rank_guard), the logs and the signs are taken per block, vectorized.
+    RankDeficient, and a nonzero LAPACK info NumericalError, the trail unchanged; both
+    name the failing step n, the trail's step from Q_n to Q_{n+1}. The steps run
+    through linalg.qr_chain, ndarray.dot itself the step, a C call with no numpy
+    dispatcher; the rank guard (linalg.rank_guard), the logs and the signs are taken
+    per block, vectorized.
     """
     phis = np.asarray(phis, dtype=float)
     # the raw frame (trail.frame is q * sign), the running signs, the logs per block
@@ -71,7 +73,7 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     ms = np.empty((min(len(phis), _QR_BLOCK),) + q.shape)   # phi @ Q_n, for the guard
     # a non-finite phi makes the product warn; the guard below turns it into RankDeficient
     with np.errstate(invalid="ignore", over="ignore"):
-        for diags, qs in linalg.qr_chain(q, np.dot, phis, ms):
+        for diags, qs in linalg.qr_chain(q, np.ndarray.dot, phis, ms, trail.n_steps):
             good = linalg.rank_guard(ms[:len(diags)], diags)
             logs.append(np.log(np.abs(diags[:good])))
             sign *= np.prod(np.copysign(1.0, diags[:good]), axis=0)
@@ -80,8 +82,8 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
                 break
     trail.frame = np.multiply(q, sign, out=np.empty(q.shape))
     trail.increments = np.concatenate(logs)
-    if sum(map(len, logs[1:])) < len(phis):
-        raise linalg.rank_deficient(ms[good], diags[good])
+    if sum(map(len, logs[1:])) < len(phis):       # the failing step is the next one
+        raise linalg.rank_deficient(ms[good], diags[good], f" in step {trail.n_steps}")
     return trail
 
 
@@ -278,13 +280,16 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     triangular factor's diagonal rates are B_ii = (Q^T A Q)_ii, recorded at every node.
     The frame is re-orthonormalized each step. A drift beyond drift_tol, or a
     non-finite frame, before it raises OrthogonalityLost, a frame that fails the rank
-    guard RankDeficient, a nonzero LAPACK info NumericalError at once, and a step
-    count (glm.span_steps(h_fine, t_final, t0)) too large to hold ConfigError.
+    guard RankDeficient (naming the step n, from t_n to t_{n+1}), a nonzero LAPACK
+    info NumericalError at once, and a step count (glm.span_steps(h_fine, t_final,
+    t0)) too large to hold ConfigError.
 
     A(t) comes from three prob.batch calls up front (nodes, midpoints, step ends). The
     steps run through linalg.qr_chain, checked per block, vectorized, raising as a
-    per-step check would. The rates come from one batched product over the raw frames
-    kept at the nodes: diag(F^T A F) does not depend on F's column signs.
+    per-step check would. An RK4 step writes its products and sums with out= into
+    buffers allocated once, through ndarray.dot and ufuncs, which no numpy dispatcher
+    wraps. The rates come from one batched product over the raw frames kept at the
+    nodes: diag(F^T A F) does not depend on F's column signs.
     """
     d = prob.d
     eye = np.eye(d)
@@ -303,19 +308,20 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     half, sixth = 0.5 * h_fine, h_fine / 6.0
     lower = np.tri(d, k=-1, dtype=bool)
     low = np.zeros((d, d))               # strictly lower part of w; the rest stays zero
+    qta, w, skew, stage, k1, k2, k3, k4 = np.empty((8, d, d))     # one step's work
 
-    def rate(qm: np.ndarray, a: np.ndarray) -> np.ndarray:
-        w = np.dot(np.dot(qm.T, a), qm)
+    def rate(qm: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
+        qm.T.dot(a, qta).dot(qm, w)
         np.copyto(low, w, where=lower)
-        return np.dot(qm, low - low.T)   # Q times the skew projection of w
+        qm.dot(np.subtract(low, low.T, skew), out)   # Q times the skew projection of w
 
     def rk4(idx: int, qm: np.ndarray, out: np.ndarray) -> None:
         frames[idx] = qm     # the node's raw frame; numpy sums a C copy with the rates
         qm = frames[idx]     # faster than LAPACK's Fortran-ordered Q
-        k1 = rate(qm, a_nodes[idx])
-        k2 = rate(qm + half * k1, a_mid[idx])
-        k3 = rate(qm + half * k2, a_mid[idx])
-        k4 = rate(qm + h_fine * k3, a_end[idx])
+        rate(qm, a_nodes[idx], k1)
+        rate(np.add(qm, np.multiply(half, k1, stage), stage), a_mid[idx], k2)
+        rate(np.add(qm, np.multiply(half, k2, stage), stage), a_mid[idx], k3)
+        rate(np.add(qm, np.multiply(h_fine, k3, stage), stage), a_end[idx], k4)
         # qm + sixth * (k1 + 2 k2 + 2 k3 + k4), operation by operation in that order
         np.add(k1, np.multiply(2.0, k2, out), out)
         np.add(out, np.multiply(2.0, k3, k3), out)
@@ -333,7 +339,9 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
             bad = min(np.flatnonzero(~(drift <= drift_tol)).tolist(), default=len(pres))
             good = linalg.rank_guard(pres[:bad], diags[:bad])
             if good < bad:
-                raise linalg.rank_deficient(pres[good], diags[good])
+                step = lo + good
+                raise linalg.rank_deficient(pres[good], diags[good],
+                                            f" in step {step} from t={ts[step]:.6g}")
             if bad < len(pres):                # a NaN frame fails too
                 raise OrthogonalityLost(f"frame drift {drift[bad]:.3e} exceeds "
                                         f"{drift_tol:.1e} at t={ts[lo + bad + 1]:.6g}")

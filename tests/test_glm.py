@@ -15,6 +15,7 @@ from glmstab.errors import (
     NewtonDiverged,
     NotStrictlyStable,
     ParameterOutsideGap,
+    Singular,
     StageSingular,
 )
 
@@ -317,8 +318,20 @@ def test_kron_eye_matches_kron():
 def test_transition_batch_singular_stage():
     # backward Euler with h a = 1: the stage matrix 1 - h a is exactly zero
     prob = problems.constant_problem(2.0)
-    with pytest.raises(StageSingular, match="near step 3"):
+    with pytest.raises(StageSingular, match="in step 3:"):
         glm.transition_batch(glm.get_tableau("be"), prob, 3, 4, 0.5)
+
+
+def test_singular_stage_named_mid_chunk():
+    # a = 2 only at t = 3, the stage time of step 5 at h = 0.5: the error names that
+    # step, not the first step of its chunk
+    prob = problems.LinearProblem(
+        d=1, batch=lambda ts: np.where(ts == 3.0, 2.0, -1.0)[:, np.newaxis, np.newaxis])
+    tab = glm.get_tableau("be")
+    with pytest.raises(StageSingular, match="in step 5:"):
+        glm.transition_batch(tab, prob, 2, 6, 0.5)
+    with pytest.raises(StageSingular, match="in step 5:"):
+        glm.run_linear(tab, prob, np.ones(1), 10, 0.5)
 
 
 def test_ab2_matches_textbook_recursion():
@@ -475,6 +488,83 @@ def test_tau_series_oracle():
 
 
 # -- nonlinear stepping --------------------------------------------------------
+
+
+def reference_solve(a, rhs):
+    """linalg.solve as first written, its guard through np.max and np.min."""
+    a = np.asarray(a, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    lu, piv, info = linalg.dgetrf(a)
+    assert info >= 0
+    scale = np.max(np.abs(a))
+    pivot = np.min(np.abs(lu.diagonal()))
+    if not (0.0 < scale < np.inf and pivot >= 1e-14 * scale):
+        raise Singular(f"pivot {pivot:.3e} below 1e-14 * {scale:.3e}")
+    x, info = linalg.dgetrs(lu, piv, rhs)
+    assert info == 0
+    return x
+
+
+def reference_run_nonlinear(tab, f, jac, x0_super, n_steps, h, t0=0.0,
+                            cfg=glm.NewtonConfig()):
+    """glm.run_nonlinear as first written: stages built by np.concatenate and
+    np.atleast_*, a fresh Jacobian per iteration, norms by np.linalg.norm. The
+    reference for the states of glm.run_nonlinear, bit for bit."""
+    x0_super = np.asarray(x0_super, dtype=float)
+    k, r = tab.k, tab.r
+    d = x0_super.size // k
+    u_big, c_big, v_big, d_big = (np.kron(m, np.eye(d))
+                                  for m in (tab.U, tab.C, tab.V, tab.D))
+    eye_rd = np.eye(r * d)
+    all_ts = glm.stage_times(tab, np.arange(n_steps), h, t0)
+    states = np.empty((n_steps + 1, k * d))
+    states[0] = x0_super.reshape(k * d)
+    for n, ts in enumerate(all_ts):
+        x_cur = states[n]
+        base = u_big @ x_cur
+        x_last = x_cur[-d:]
+        f_last = np.atleast_1d(f(x_last, t0 + (n + k - 1) * h))
+        g = np.concatenate([x_last + (tab.xi[i] - (k - 1)) * h * f_last for i in range(r)])
+        scale = max(1.0, float(np.linalg.norm(base)))
+        for _ in range(cfg.max_iters):
+            fg = np.concatenate([np.atleast_1d(f(g[i * d:(i + 1) * d], ts[i]))
+                                 for i in range(r)])
+            resid = g - base - h * (c_big @ fg)
+            if float(np.linalg.norm(resid)) <= cfg.tol * scale:
+                break
+            jblk = np.zeros((r * d, r * d))
+            for i in range(r):
+                jblk[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.atleast_2d(
+                    jac(g[i * d:(i + 1) * d], ts[i]))
+            g = g - reference_solve(eye_rd - h * (c_big @ jblk), resid)
+        else:
+            raise NewtonDiverged(f"step {n}")
+        states[n + 1] = v_big @ x_cur + h * (d_big @ fg)
+    return states
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["bdf2", "ab2", "be"])
+def test_nonlinear_states_match_reference_bits(name):
+    # the same states as the first-written loop, bit for bit: the norms, the guard's
+    # reductions and the stage vectors are the same operations without numpy's wrappers
+    tab = glm.get_tableau(name)
+    for a, h, n, x0 in ((-1.5, 0.05, 60, 0.3), (-0.7, 0.02, 80, -1.1),
+                        (-8.0, 0.1, 40, 2.0), (0.4, 0.013, 70, 0.05)):
+        p = problems.TanhForcedParams(a=a)
+        f = lambda x, t, p=p: problems.tanh_rhs(p, x, t)
+        jac = lambda x, t, p=p: problems.tanh_jac(p, x, t)
+        x0s = glm.start_rk4(f, (x0,), 0.4, h, tab.k)
+        got = glm.run_nonlinear(tab, f, jac, x0s, n, h, 0.4)
+        want = reference_run_nonlinear(tab, f, jac, x0s, n, h, 0.4)
+        assert np.array_equal(got.states, want)
+    # a 2-D linear problem passed as f and jac, x and the Jacobian as full arrays
+    _, prob = _rotating(beta=2.0)
+    f = lambda x, t: _at(prob, t) @ x
+    jac = lambda x, t: _at(prob, t)
+    x0s = glm.start_rk4(prob, (1.0, -0.5), 0.0, 0.05, tab.k)
+    got = glm.run_nonlinear(tab, f, jac, x0s, 50, 0.05)
+    assert np.array_equal(got.states, reference_run_nonlinear(tab, f, jac, x0s, 50, 0.05))
 
 
 def test_nonlinear_matches_linear_on_linear_problem():

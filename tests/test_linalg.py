@@ -98,8 +98,9 @@ def test_solve_matches_scipy_lu_bits(seed, n, nrhs, shift):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), data=st.data(),
        grade=st.floats(0.0, 20.0))
 def test_dot_matches_matmul_bits(seed, n, data, grade):
-    # the serial loops step through np.dot, which dispatches faster than np.matmul;
-    # on the shapes and memory orders they use, both must make the same BLAS call
+    # the serial loops step through ndarray.dot(b, out), a C method that no numpy
+    # dispatcher wraps; on the shapes and memory orders they use, it must make the same
+    # BLAS call as np.dot and np.matmul
     k = data.draw(st.integers(1, n))
     rng = np.random.default_rng(seed)
 
@@ -107,22 +108,47 @@ def test_dot_matches_matmul_bits(seed, n, data, grade):
         return rng.standard_normal(shape) * np.exp(rng.uniform(-grade, grade, shape[-1]))
 
     phi = graded(n, n)
-    # run_linear: a kd x kd transition times the state, into the next state's row
-    x = graded(n)
-    got, want = np.empty(n), np.empty(n)
-    np.dot(phi, x, got)
-    np.matmul(phi, x, out=want)
-    assert np.array_equal(got, want)
+    # run_linear: a C-ordered kd x kd transition times a state row, into the next row
+    states = np.stack([graded(n), np.zeros(n)])
+    want = np.matmul(phi, states[0])
+    phi.dot(states[0], states[1])
+    assert np.array_equal(states[1], want)
+    assert np.array_equal(np.dot(phi, states[0]), want)
     # qr_advance_series: a transition times the frame, F-ordered as dorgqr returns it
+    # (C-ordered at a trail's start), into a row of the block buffer
     _, q = linalg.householder_qr(graded(n, k))
+    ms = np.zeros((2, n, k))
     for frame in (q, np.ascontiguousarray(q)):
-        got = np.empty((n, k))
-        np.dot(phi, frame, got)
-        assert np.array_equal(got, np.matmul(phi, frame))
-    # continuous_qr_oracle's rate: a transposed view times a matrix, and C times C
+        want = np.matmul(phi, frame)
+        np.ndarray.dot(phi, frame, ms[1])
+        assert np.array_equal(ms[1], want)
+        assert np.array_equal(np.dot(phi, frame), want)
+    # a transposed view times a matrix, and C times C
     a = graded(n, n)
     assert np.array_equal(np.dot(phi.T, a), np.matmul(phi.T, a))
     assert np.array_equal(np.dot(phi, a), np.matmul(phi, a))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_oracle_rate_products_match_matmul_bits(d):
+    # continuous_qr_oracle's rate: its frame, a C copy of LAPACK's Q in a row of the
+    # node stack or the stage buffer, through its transpose view, into C-ordered rows
+    # of the work buffer
+    rng = np.random.default_rng(d)
+    frames = np.empty((2, d, d))
+    qta, w, skew, out = np.empty((4, d, d))
+    for _ in range(200):
+        m = rng.standard_normal((d, d)) * np.exp(rng.uniform(-20.0, 20.0, d))
+        _, frames[1] = linalg.householder_qr(m)
+        qm = frames[1]
+        a = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        want = np.matmul(np.matmul(qm.T, a), qm)
+        assert np.array_equal(qm.T.dot(a, qta).dot(qm, w), want)
+        assert np.array_equal(w, np.dot(np.dot(qm.T, a), qm))
+        np.subtract(np.tril(w, -1), np.tril(w, -1).T, skew)
+        qm.dot(skew, out)
+        assert np.array_equal(out, np.matmul(qm, skew))
+        assert np.array_equal(out, np.dot(qm, skew))
 
 
 @pytest.mark.filterwarnings("error")

@@ -58,7 +58,10 @@ def reference_oracle(prob, t_final, h_fine, t0=0.0, q0=None, drift_tol=1e-6,
         if not drift <= drift_tol:
             raise OrthogonalityLost(
                 f"frame drift {drift:.3e} exceeds {drift_tol:.1e} at t={ts[idx + 1]:.6g}")
-        q = linalg.qr_positive(q).q
+        try:
+            q = linalg.qr_positive(q).q
+        except RankDeficient as exc:
+            raise RankDeficient(f"{exc} in step {idx} from t={t:.6g}") from None
         b_diag[idx + 1] = np.diag(q.T @ _at(prob, ts[idx + 1]) @ q)
     return ts, b_diag, q
 

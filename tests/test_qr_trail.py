@@ -22,7 +22,8 @@ def reference_trail(frame, phis, rank_tol=1e-14):
     """Per-step reference: (logs, frame, error message or None).
 
     On a failing step the logs and frame are those before it, as the trail keeps
-    them, and the message is the RankDeficient text.
+    them, and the message is the RankDeficient text, naming the step (phis[0] is
+    step 0).
     """
     rows = []
     for phi in phis:
@@ -36,7 +37,8 @@ def reference_trail(frame, phis, rank_tol=1e-14):
         dmin = np.min(np.abs(np.diag(r)))
         if not dmin > rank_tol * scale:
             return (np.reshape(rows, (-1, frame.shape[1])), frame,
-                    f"QR diagonal {dmin:.3e} below tolerance {rank_tol:.1e} * {scale:.3e}")
+                    f"QR diagonal {dmin:.3e} below tolerance {rank_tol:.1e} * {scale:.3e}"
+                    f" in step {len(rows)}")
         frame = q
         rows.append(np.log(np.diag(r)))
     return np.reshape(rows, (-1, frame.shape[1])), frame, None

@@ -290,8 +290,8 @@ def test_oracle_orthogonality_guard():
 @pytest.mark.parametrize("fail_at", [1, 5])
 def test_lapack_info_raises_at_once(monkeypatch, fail_at):
     # both QR chains (linalg.qr_chain under the trail and the oracle) raise
-    # NumericalError at the step whose dgeqrf reports info != 0, and the matrix trail
-    # keeps the frame and increments it had before the call
+    # NumericalError at the step whose dgeqrf reports info != 0, naming it, and the
+    # matrix trail keeps the frame and increments it had before the call
     real, calls = linalg.dgeqrf, []
 
     def dgeqrf(m):
@@ -304,12 +304,13 @@ def test_lapack_info_raises_at_once(monkeypatch, fail_at):
     trail = spectra.qr_advance_series(spectra.new_matrix_trail(4, 0.1), phis[:3])
     frame, increments = trail.frame.copy(), trail.increments.copy()
     monkeypatch.setattr(linalg, "dgeqrf", dgeqrf)
-    for chain in (lambda: spectra.qr_advance_series(trail, phis[3:]),
-                  lambda: spectra.continuous_qr_oracle(prob, 1.0, 0.05)):
+    for chain, step in ((lambda: spectra.qr_advance_series(trail, phis[3:]), 3),
+                        (lambda: spectra.continuous_qr_oracle(prob, 1.0, 0.05), 0)):
         calls.clear()
         with pytest.raises(NumericalError) as exc:
             chain()
-        assert type(exc.value) is NumericalError and str(exc.value).endswith("info=-1")
+        assert type(exc.value) is NumericalError
+        assert str(exc.value).endswith(f"in step {step + fail_at - 1}: info=-1")
         assert len(calls) == fail_at
     assert np.array_equal(trail.frame, frame)
     assert np.array_equal(trail.increments, increments)
