@@ -25,6 +25,8 @@ from .errors import ConfigError, NumericalError, WindowOutOfRange
 FLOAT_FMT = "%.16e"    # 17 significant digits: exact float64 round-trip; nan, inf
 CSV_EOL = "\r\n"       # the line end of csv.writer
 _LINES_PER_BLOCK = 4096   # CSV lines formatted, joined and written at a time
+_STARTS = ("rk4", "reference")      # the start procedures of _integrate
+_LTE_SCALES = ("per-h", "defect")   # the restart defect over h, or as it is
 _DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48   # row k: k's digits
 _POW10 = np.array([10 ** k for k in range(23)], dtype=float)   # all exact
 _COMMA, _EOL = (np.frombuffer(s.encode(), np.uint8)[None] for s in (",", CSV_EOL))
@@ -225,17 +227,15 @@ def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: fl
     keeps feeds the trail and the defects (with that chunk's reference rows) and
     is dropped, so RankDeficient (trail) and QuadratureUnderResolved (reference)
     raise mid-run, the earlier step's first; both exit 3. n_f comes from
-    glm.span_steps, so a command can check its windows against it first. An
-    unknown start ("rk4", "reference") is a ConfigError.
+    glm.span_steps, so a command can check its windows against it first. start is
+    one of _STARTS, which experiment_row checks.
     """
     prob = problems.rotating_cosine_problem(params)
     if start == "rk4":
         x0s = glm.start_rk4(prob, x0, t0, h, tab.k)
-    elif start == "reference":
+    else:
         x0s = problems.reference_batch(params, t0 + h * np.arange(tab.k), x0=x0,
                                        t0=t0).ravel()
-    else:
-        raise ConfigError(f"unknown start procedure {start!r}")
     trail = spectra.new_matrix_trail(tab.k * prob.d, h, t0) if frame else None
     defects = [np.empty(0)]
 
@@ -264,16 +264,17 @@ def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
                    lte_scale: str = "per-h", with_frame: bool = False) -> ExperimentRow:
     """Integrate one parameter set and compute the diagnostic row.
 
-    A window start n0 outside the requested steps, or an unknown lte_scale,
+    A window start n0 outside the requested steps, or an unknown start, lte_scale,
     denominator or sum_start, raises ConfigError up front.
     """
     n_f = glm.span_steps(h, t_final, t0)
     if n0 is not None and not 0 <= n0 < n_f:
         raise ConfigError(f"window start n0={n0} must lie in [0, {n_f}) "
                           f"for a span of {n_f} steps")
-    for name, value, known in (("lte scale", lte_scale, ("per-h", "defect")),
-                               ("denominator mode", denominator, ("t0", "N0")),
-                               ("sum_start mode", sum_start, ("origin", "window"))):
+    for name, value, known in (
+            ("start procedure", start, _STARTS), ("lte scale", lte_scale, _LTE_SCALES),
+            ("denominator mode", denominator, spectra.DENOMINATOR_MODES),
+            ("sum_start mode", sum_start, spectra.SUM_START_MODES)):
         if value not in known:
             raise ConfigError(f"unknown {name} {value!r}")
     traj, ftrail, lte = _integrate(tab, params, h, n_f, t0, x0, start,
@@ -569,9 +570,9 @@ def _add_common(p, with_method=True):
 
 def _add_estimator(p):
     """The exponent-estimator flags, for the commands that estimate one."""
-    p.add_argument("--denominator", choices=("t0", "N0"), default="t0",
+    p.add_argument("--denominator", choices=spectra.DENOMINATOR_MODES, default="t0",
                    help="time reference in the exponent denominator")
-    p.add_argument("--sum-start", choices=("origin", "window"), default="origin",
+    p.add_argument("--sum-start", choices=spectra.SUM_START_MODES, default="origin",
                    help="where the exponent log-sum starts")
 
 
@@ -586,10 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="problem JSON (inline or a file path)")
     p.add_argument("--h", type=float)
     p.add_argument("--tfinal", type=float)
-    p.add_argument("--start", choices=("rk4", "reference"), default="rk4")
+    p.add_argument("--start", choices=_STARTS, default="rk4")
     p.add_argument("--n0", type=int, default=None,
                    help="estimator window start (default: half the run)")
-    p.add_argument("--lte-scale", choices=("per-h", "defect"), default="per-h")
+    p.add_argument("--lte-scale", choices=_LTE_SCALES, default="per-h")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("table1", help="step-size sweep experiment table")

@@ -36,6 +36,12 @@ from .problems import LinearProblem
 
 UNIT_EIG_TOL = 1e-8     # |eig - 1| below this counts as the unit eigenvalue
 STABLE_MARGIN = 1e-6    # all other eigenvalues need modulus <= 1 - STABLE_MARGIN
+DIVERGENCE_FACTOR = 1e12    # run_linear's guard: ||X_n|| <= this * max(1, ||X_0||)
+_RUN_CHUNK = 4096       # steps per transition_batch call in run_linear
+NEWTON_TOL = 1e-12      # run_nonlinear's stage residual bound, times max(1, |U X_n|)
+NEWTON_MAX_ITERS = 25   # Newton iterations per step before NewtonDiverged
+GAP_Z_CAP = 100.0       # stability_gap's scan: z up to GAP_Z_CAP, on the grid of
+GAP_SCAN_STEP = 0.01    # running sums of GAP_SCAN_STEP
 _GAP_CHUNK = 1024       # grid points per batched solve and eigvals in stability_gap
 
 
@@ -58,27 +64,26 @@ class GlmTableau:
         self.xi = np.asarray(self.xi, dtype=float).reshape(self.r)
 
 
-def check_strictly_stable(v: np.ndarray, unit_tol: float = UNIT_EIG_TOL,
-                          margin: float = STABLE_MARGIN) -> np.ndarray:
+def check_strictly_stable(v: np.ndarray) -> np.ndarray:
     """Validate strict stability of an update matrix V; returns its eigenvalues.
 
-    Exactly one eigenvalue within unit_tol of 1, all others with modulus at most
-    1 - margin; anything else, a NaN or inf entry included, raises NotStrictlyStable.
+    Exactly one eigenvalue within UNIT_EIG_TOL of 1, all others of modulus at most
+    1 - STABLE_MARGIN; anything else, a NaN or inf entry included, NotStrictlyStable.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise NotStrictlyStable(f"V has a non-finite entry: {v.tolist()}")
     eigs = np.linalg.eigvals(v)
-    unit = np.abs(eigs - 1.0) < unit_tol
+    unit = np.abs(eigs - 1.0) < UNIT_EIG_TOL
     if int(np.sum(unit)) != 1:
         raise NotStrictlyStable(
             f"need exactly one unit eigenvalue, found {int(np.sum(unit))} in {eigs}"
         )
     rest = np.abs(eigs[~unit])
-    if rest.size and float(np.max(rest)) > 1.0 - margin:
+    if rest.size and float(np.max(rest)) > 1.0 - STABLE_MARGIN:
         raise NotStrictlyStable(
             f"non-unit eigenvalue modulus {float(np.max(rest)):.12f} exceeds "
-            f"{1.0 - margin:.6f} in {eigs}"
+            f"{1.0 - STABLE_MARGIN:.6f} in {eigs}"
         )
     return eigs
 
@@ -257,17 +262,16 @@ def transition_batch(tab: GlmTableau, prob: LinearProblem, n0: int, count: int,
 
 def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
                n_steps: int, h: float, t0: float = 0.0,
-               divergence_factor: float = 1e12, chunk: int = 4096,
                keep_transitions: bool = False,
                on_chunk: Optional[Callable[[int, np.ndarray], None]] = None):
     """Propagate the supervector recursion for n_steps.
 
     The trajectory is frozen (diverged flag + truncation) as soon as the norm exceeds
-    divergence_factor * max(1, ||X_0||) or becomes non-finite; everything computed up
+    DIVERGENCE_FACTOR * max(1, ||X_0||) or becomes non-finite; everything computed up
     to that point stays available. Returns the Trajectory, or (Trajectory, Phi-array)
     when keep_transitions is set. A step count too large to hold raises ConfigError.
 
-    Each chunk of steps is propagated first and guarded after: a step whose
+    Each chunk of _RUN_CHUNK steps is propagated first and guarded after: a step whose
     vectorized norm is not clearly below the guard is re-checked with
     np.linalg.norm, in order, so the first failing step and the states are the
     same as with a per-step check. Then on_chunk(base, phis) gets the Phi of the
@@ -280,14 +284,14 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"cannot hold a run of {n_steps:.3g} steps: {exc}") from exc
     states[0] = x0_super
-    guard = divergence_factor * max(1.0, float(np.linalg.norm(x0_super)))
+    guard = DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(x0_super)))
     clear = guard * (1.0 - 1e-12)
     phis = np.empty((n_steps, kd, kd)) if keep_transitions else None
 
     diverged_at = None
     n_done = 0
-    for base in range(0, n_steps, chunk):
-        cnt = min(chunk, n_steps - base)
+    for base in range(0, n_steps, _RUN_CHUNK):
+        cnt = min(_RUN_CHUNK, n_steps - base)
         block = transition_batch(tab, prob, base, cnt, h, t0)
         new = states[base + 1: base + cnt + 1]
         # steps past a divergence may overflow; they are cut off below
@@ -375,24 +379,15 @@ def tau_series(lte_values: np.ndarray):
     return taus, tau_max
 
 
-@dataclass
-class NewtonConfig:
-    tol: float = 1e-12
-    max_iters: int = 25
-
-
 def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps: int,
-                  h: float, t0: float = 0.0,
-                  cfg: NewtonConfig = NewtonConfig()) -> Trajectory:
-    """Integrate the GLM on x' = f(x,t) for n_steps, stages by a Newton iteration
-    from an explicit-Euler predictor off the newest block. The state dimension is
-    x0_super.size // tab.k. A cfg.max_iters below 1 raises ConfigError.
+                  h: float, t0: float = 0.0) -> Trajectory:
+    """Integrate the GLM on x' = f(x,t) for n_steps, stages by at most NEWTON_MAX_ITERS
+    Newton iterations to a relative residual of NEWTON_TOL, from an explicit-Euler
+    predictor off the newest block. The state dimension is x0_super.size // tab.k.
 
     f and jac write into a stage vector and a block-diagonal Jacobian allocated once;
     a 2-norm is sqrt(v . v), np.linalg.norm's formula for a real vector, without its
     Python wrapper."""
-    if cfg.max_iters < 1:
-        raise ConfigError(f"Newton max_iters must be at least 1, got {cfg.max_iters}")
     x0_super = np.asarray(x0_super, dtype=float)
     k, r = tab.k, tab.r
     d = x0_super.size // k
@@ -415,18 +410,18 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
             g[st] = x_last + (tab.xi[i] - (k - 1)) * h * f_last
 
         scale = max(1.0, math.sqrt(base.dot(base)))
-        for _ in range(cfg.max_iters):
+        for _ in range(NEWTON_MAX_ITERS):
             for i, st in enumerate(stages):
                 fg[st] = f(g[st], ts[i])
             resid = g - base - h * (c_big @ fg)
-            if math.sqrt(resid.dot(resid)) <= cfg.tol * scale:
+            if math.sqrt(resid.dot(resid)) <= NEWTON_TOL * scale:
                 break                   # fg is f at the converged stages
             for i, st in enumerate(stages):
                 jblk[st, st] = jac(g[st], ts[i])
             g = g - linalg.solve(eye_rd - h * (c_big @ jblk), resid)
         else:
             raise NewtonDiverged(
-                f"stage Newton exceeded {cfg.max_iters} iterations at step {n} "
+                f"stage Newton exceeded {NEWTON_MAX_ITERS} iterations at step {n} "
                 f"(residual {math.sqrt(resid.dot(resid)):.3e})"
             )
 
@@ -459,21 +454,18 @@ def spectral_radii(tab: GlmTableau, z) -> np.ndarray:
         return np.array([spectral_radii(tab, zi) for zi in z])
 
 
-def stability_gap(tab: GlmTableau, z_cap: float = 100.0, scan_step: float = 0.01) -> float:
+def stability_gap(tab: GlmTableau) -> float:
     """Length of the instability gap (0, delta) of the frozen scalar recursion.
 
     Scans the spectral radius of the scalar-test transition for z > 0 and returns the
     first z where it re-enters the closed unit disk (to ~1e-10 by bisection), or
-    infinity (capped search) if the recursion never restabilizes below z_cap. The
-    grid is the running sum of scan_step (np.cumsum, in order), scanned _GAP_CHUNK
-    points per batch; the 80-step bisection stops once a step leaves it unchanged.
-    A z_cap or scan_step that is not finite and positive raises ConfigError.
+    infinity (capped search) if the recursion never restabilizes below GAP_Z_CAP.
+    The grid is the running sum of GAP_SCAN_STEP (np.cumsum, in order), scanned
+    _GAP_CHUNK points per batch; the 80-step bisection stops once a step leaves it
+    unchanged.
     """
-    if not all(math.isfinite(v) and v > 0.0 for v in (z_cap, scan_step)):
-        raise ConfigError(f"z_cap and scan_step must be finite and positive, "
-                          f"got z_cap={z_cap}, scan_step={scan_step}")
-    cap = z_cap + 1e-12
-    grid = np.cumsum(np.full(max(int(cap / scan_step) + 2, 0), scan_step))
+    cap = GAP_Z_CAP + 1e-12
+    grid = np.cumsum(np.full(int(cap / GAP_SCAN_STEP) + 2, GAP_SCAN_STEP))
     grid = grid[:np.searchsorted(grid, cap, side="right")]
     for base in range(0, len(grid), _GAP_CHUNK):
         rho = spectral_radii(tab, grid[base: base + _GAP_CHUNK])

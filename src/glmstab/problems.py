@@ -30,6 +30,7 @@ J = np.array([[0.0, -1.0], [1.0, 0.0]])
 # Fixed-order Gauss-Legendre rule used inside each quadrature panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _REF_CHUNK = 16         # times per propagate_exact call in reference_batch
+QUAD_PANELS = 64        # panels of tanh_reference and reference_batch (and doubled)
 
 
 @dataclass
@@ -183,13 +184,13 @@ def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points=8,
     return np.einsum("...ij,...j->...i", rotation(w * t_to), y_to)
 
 
-def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0, quad_points=64):
+def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0):
     """Reference solution x(t) of the rotating-cosine system at a vector of times; (n,2).
 
     Uses the triangular closed form in the rotated frame. When the second rotated
     component of x0 and beta are nonzero, the variation-of-constants integral is
-    checked by panel doubling, _REF_CHUNK times per propagate_exact call: the first
-    time whose doubled-panel result moves by more than 1e-10 relative raises
+    checked by doubling QUAD_PANELS, _REF_CHUNK times per propagate_exact call: the
+    first time whose doubled-panel result moves by more than 1e-10 relative raises
     QuadratureUnderResolved, and the doubled-panel results are returned. A
     vectorized norm clears the times clearly inside the bound; any other time is
     re-checked with np.linalg.norm, in order, so the values and the error are
@@ -202,12 +203,12 @@ def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0, quad_poi
         return propagate_exact(p, np.full(ts.shape, t0), np.broadcast_to(x0, ts.shape + (2,)), ts - t0)
     out = np.empty(ts.shape + (2,))
     # the two grids of a chunk's fine call, reused by every chunk and both calls
-    scratch = np.empty(2 * _REF_CHUNK * 2 * quad_points * _GL_NODES.size)
+    scratch = np.empty(2 * _REF_CHUNK * 2 * QUAD_PANELS * _GL_NODES.size)
     for base in range(0, len(ts), _REF_CHUNK):
         t = ts[base: base + _REF_CHUNK]
         t_from, x_from = np.full(t.shape, t0), np.broadcast_to(x0, t.shape + (2,))
-        coarse = propagate_exact(p, t_from, x_from, t - t0, quad_points, scratch)
-        fine = propagate_exact(p, t_from, x_from, t - t0, 2 * quad_points, scratch)
+        coarse = propagate_exact(p, t_from, x_from, t - t0, QUAD_PANELS, scratch)
+        fine = propagate_exact(p, t_from, x_from, t - t0, 2 * QUAD_PANELS, scratch)
         with np.errstate(over="ignore", invalid="ignore"):
             moved = np.linalg.norm(fine - coarse, axis=-1)
             scale = np.maximum(np.linalg.norm(fine, axis=-1), 1.0)
@@ -257,12 +258,12 @@ def tanh_jac(p: TanhForcedParams, x, t):
     return np.array([[p.a]])
 
 
-def tanh_reference(p: TanhForcedParams, t, x0=0.0, t0=0.0, quad_points=64):
-    """Variation-of-constants solution of the tanh-forced equation."""
+def tanh_reference(p: TanhForcedParams, t, x0=0.0, t0=0.0):
+    """Variation-of-constants solution of the tanh-forced equation, on QUAD_PANELS."""
     def integrand(s, out):
         out[...] = np.exp(p.a * (t - s)) * np.tanh(s * s)
 
-    forced = _panel_quadrature(integrand, np.asarray(t0, dtype=float), np.asarray(t, dtype=float), quad_points)
+    forced = _panel_quadrature(integrand, np.asarray(t0, dtype=float), np.asarray(t, dtype=float), QUAD_PANELS)
     return math.exp(p.a * (t - t0)) * x0 + float(forced)
 
 

@@ -114,7 +114,7 @@ def _resonant_growth(beta, n_max=2000):
     prob = problems.rotating_cosine_problem(p)
     h = 0.5
     x0s = glm.start_rk4(prob, (1.0, 0.0), 0.0, h, BDF2.k)
-    traj = glm.run_linear(BDF2, prob, x0s, n_max, h, divergence_factor=1e12)
+    traj = glm.run_linear(BDF2, prob, x0s, n_max, h)
     norms = np.linalg.norm(traj.states, axis=1)
     growth = float(np.max(norms) / norms[0])
     hit = np.nonzero(norms > 1e3 * norms[0])[0]

@@ -234,6 +234,16 @@ def test_run_config_file_and_inline_match(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_file_not_an_object(tmp_path, capsys):
+    # a file holding a JSON array is read, then rejected; written inline, "[1, 2]"
+    # would be taken for a path
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["run", "--h", "0.1", "--tfinal", "1", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
 def test_run_deterministic(tmp_path, capsys):
     for sub in ("x", "y"):
         cli.main(["run", "--h", "0.05", "--tfinal", "3", "--out",
@@ -279,8 +289,8 @@ def test_counterexample_runs_cut_at_different_steps(tmp_path, capsys, monkeypatc
 
     def guarded(*args, **kwargs):
         calls.append(None)
-        return run_linear(*args, divergence_factor=1e12 if len(calls) == 1 else 1e6,
-                          **kwargs)
+        with mock.patch.object(glm, "DIVERGENCE_FACTOR", 1e12 if len(calls) == 1 else 1e6):
+            return run_linear(*args, **kwargs)
 
     monkeypatch.setattr(glm, "run_linear", guarded)
     out = tmp_path / "cx"

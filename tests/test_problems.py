@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,7 +277,8 @@ def _raised(fn, *args, **kwargs):
 def test_quadrature_underresolved_raises():
     # one panel over a long window with a large-amplitude integrand cannot hold 1e-10
     p = _params(a1=3.0, a2=1.0, beta=5.0)
-    got = _raised(problems.reference_batch, p, [30.0], x0=(1.0, 1.0), quad_points=1)
+    with mock.patch.object(problems, "QUAD_PANELS", 1):
+        got = _raised(problems.reference_batch, p, [30.0], x0=(1.0, 1.0))
     assert got == _raised(reference_solution, p, np.float64(30.0), x0=(1.0, 1.0),
                           quad_points=1)
 
@@ -287,13 +289,14 @@ def test_quadrature_underresolved_first_failing_time(quad_points, first):
     # than a factor 2) at index `first`, past the first chunk of 16 times
     p = _params(a1=3.0, a2=1.0, b1=-0.1, b2=-0.2, beta=5.0)
     ts = np.linspace(0.0, 30.0, 301)
-    got = _raised(problems.reference_batch, p, ts, x0=(1.0, 1.0), quad_points=quad_points)
+    with mock.patch.object(problems, "QUAD_PANELS", quad_points):
+        got = _raised(problems.reference_batch, p, ts, x0=(1.0, 1.0))
+        head = problems.reference_batch(p, ts[:first], x0=(1.0, 1.0))
     assert got == _raised(_per_time, p, ts, x0=(1.0, 1.0), quad_points=quad_points)
     assert got.endswith(f"at t={ts[first]}")
     assert 1e-10 < float(got.split()[6]) < 2e-10
-    assert np.array_equal(
-        problems.reference_batch(p, ts[:first], x0=(1.0, 1.0), quad_points=quad_points),
-        _per_time(p, ts[:first], x0=(1.0, 1.0), quad_points=quad_points))
+    assert np.array_equal(head, _per_time(p, ts[:first], x0=(1.0, 1.0),
+                                          quad_points=quad_points))
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,6 +330,17 @@ def test_scalar_cosine_reference_derivative():
            problems.scalar_cosine_reference(p, t - eps)) / (2.0 * eps)
     lam = float(problems.scalar_cosine_lambda(p, t))
     assert num == pytest.approx(lam * problems.scalar_cosine_reference(p, t), rel=1e-8)
+
+
+@pytest.mark.parametrize("t, t0", [(2.5, 0.0), (-1.0, 0.7), (np.linspace(0.0, 3.0, 7), 0.4)])
+def test_scalar_cosine_reference_at_omega_zero(t, t0):
+    # omega = 0 freezes the coefficient at D + L, and the general formula's limit agrees
+    p = problems.ScalarCosineParams(D=0.3, L=-0.1, omega=0.0)
+    got = problems.scalar_cosine_reference(p, t, x0=1.5, t0=t0)
+    assert np.array_equal(got, 1.5 * np.exp((p.D + p.L) * (np.asarray(t) - t0)))
+    near = problems.ScalarCosineParams(D=0.3, L=-0.1, omega=1e-6)
+    assert np.allclose(problems.scalar_cosine_reference(near, t, x0=1.5, t0=t0), got,
+                       rtol=1e-10, atol=0.0)
 
 
 def test_constant_problem():

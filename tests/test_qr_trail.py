@@ -45,8 +45,11 @@ def reference_trail(frame, phis, rank_tol=1e-14):
 
 
 def _blocked(frame, phis, slices=None):
-    """The library trail over phis (in consecutive slices): (logs, frame, message)."""
-    trail = spectra.new_matrix_trail(frame.shape[0], 0.1, frame=frame)
+    """The library trail from frame over phis (in consecutive slices): (logs, frame,
+    message)."""
+    frame = np.array(frame, dtype=float)
+    trail = spectra.QrTrail(h=0.1, t0=0.0, frame=frame,
+                            increments=np.empty((0, frame.shape[1])))
     bounds = np.cumsum([0] + list(slices or [len(phis)]))
     message = None
     try:

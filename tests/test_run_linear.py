@@ -7,6 +7,7 @@ states, transitions, diverged flag and diverged_at, bit for bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,23 +53,33 @@ def reference_run_linear(tab, prob, x0_super, n_steps, h, t0=0.0,
     return states[: n_done + 1], phis[: n_done], diverged, diverged_at
 
 
-def assert_same_run(tab, prob, x0s, n_steps, h, t0=0.0, **kw):
+def _guard_and_chunk(divergence_factor, chunk):
+    """run_linear's guard factor and chunk size set to these, within the block."""
+    return mock.patch.multiple(glm, DIVERGENCE_FACTOR=divergence_factor,
+                               _RUN_CHUNK=chunk)
+
+
+def assert_same_run(tab, prob, x0s, n_steps, h, t0=0.0, divergence_factor=1e12,
+                    chunk=4096):
+    """run_linear, with its guard factor and chunk size patched to these, against
+    the reference: kept transitions, a bare run and the per-chunk hand-off."""
     want_states, want_phis, want_div, want_at = reference_run_linear(
-        tab, prob, x0s, n_steps, h, t0, **kw)
-    traj, phis = glm.run_linear(tab, prob, x0s, n_steps, h, t0, keep_transitions=True,
-                                **kw)
+        tab, prob, x0s, n_steps, h, t0, divergence_factor, chunk)
+    calls = []
+    with _guard_and_chunk(divergence_factor, chunk):
+        traj, phis = glm.run_linear(tab, prob, x0s, n_steps, h, t0,
+                                    keep_transitions=True)
+        bare = glm.run_linear(tab, prob, x0s, n_steps, h, t0)
+        handed = glm.run_linear(
+            tab, prob, x0s, n_steps, h, t0,
+            on_chunk=lambda base, phis: calls.append((base, phis.copy())))
     assert np.array_equal(traj.states, want_states)
     assert np.array_equal(phis, want_phis)
     assert traj.diverged == want_div
     assert traj.diverged_at == want_at
-    bare = glm.run_linear(tab, prob, x0s, n_steps, h, t0, **kw)
     assert np.array_equal(bare.states, want_states)
     assert (bare.diverged, bare.diverged_at) == (want_div, want_at)
     # the per-chunk hand-off: consecutive, never empty, and all of the kept Phi
-    calls = []
-    handed = glm.run_linear(tab, prob, x0s, n_steps, h, t0,
-                            on_chunk=lambda base, phis: calls.append((base, phis.copy())),
-                            **kw)
     assert np.array_equal(handed.states, want_states)
     lengths = [len(phis) for _, phis in calls]
     assert all(lengths)
@@ -199,8 +210,9 @@ def test_on_chunk_cuts_the_diverging_chunk(served):
         phis[at - 1] *= 1e13
         prob = served(phis)
         calls = []
-        traj = glm.run_linear(BDF2, prob, np.ones(4), 20, 0.1, chunk=7,
-                              on_chunk=lambda base, p: calls.append((base, len(p))))
+        with _guard_and_chunk(1e12, 7):
+            traj = glm.run_linear(BDF2, prob, np.ones(4), 20, 0.1,
+                                  on_chunk=lambda base, p: calls.append((base, len(p))))
         assert traj.diverged_at == at and calls == want
 
 

@@ -134,8 +134,8 @@ def test_lyapunov_endpoints_constant_rate():
     assert ends.eta[0] == pytest.approx(0.42, abs=1e-12)
     assert ends.mu[0] == pytest.approx(0.42, abs=1e-12)
     assert ends.burn_in == 15
-    with pytest.raises(WindowOutOfRange):
-        spectra.lyapunov_endpoints(trail, burn_in=30)
+    with pytest.raises(WindowOutOfRange):               # no steps leave no tail
+        spectra.lyapunov_endpoints(spectra.new_matrix_trail(2, 0.2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -250,6 +250,17 @@ def test_oracle_constant_triangular_is_exact():
     assert np.allclose(spectra.integrate_diag(oracle, 0.0, 0.51), [1.02, 0.51], atol=1e-13)
     with pytest.raises(WindowOutOfRange):
         spectra.integrate_diag(oracle, 0.0, 2.0)
+
+
+def test_integrate_diag_one_interval_is_a_trapezoid():
+    # a single grid interval has no Simpson pair: the trapezoid of its two nodes
+    h = 0.1
+    b_diag = np.array([[1.0, -2.0], [3.0, 0.5], [7.0, 4.0]])
+    oracle = spectra.OracleTrail(ts=0.2 + h * np.arange(3), b_diag=b_diag,
+                                 q_final=np.eye(2), h_fine=h)
+    for i in (0, 1):
+        got = spectra.integrate_diag(oracle, oracle.ts[i], oracle.ts[i + 1])
+        assert np.array_equal(got, 0.5 * h * (b_diag[i] + b_diag[i + 1]))
 
 
 @pytest.mark.filterwarnings("error")

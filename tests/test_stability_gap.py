@@ -8,6 +8,7 @@ give the same delta bit for bit, and `glm.spectral_radii` the same radii as
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmstab import glm
-from glmstab.errors import ConfigError
 
 
 def reference_transition(tab, z):
@@ -58,6 +58,12 @@ def reference_stability_gap(tab, z_cap=100.0, scan_step=0.01):
     return math.inf
 
 
+def gap_on_grid(tab, z_cap, scan_step):
+    """glm.stability_gap with its scan cap and step patched to these."""
+    with mock.patch.multiple(glm, GAP_Z_CAP=z_cap, GAP_SCAN_STEP=scan_step):
+        return glm.stability_gap(tab)
+
+
 def _same_delta(got, want):
     return got == want or (math.isinf(got) and math.isinf(want))
 
@@ -86,7 +92,7 @@ def test_other_grids_match_reference(name, z_cap, scan_step):
     grid = reference_grid(z_cap, scan_step)
     assert np.array_equal(np.cumsum(np.full(len(grid), scan_step)), grid)
     tab = glm.get_tableau(name)
-    got = glm.stability_gap(tab, z_cap=z_cap, scan_step=scan_step)
+    got = gap_on_grid(tab, z_cap, scan_step)
     assert _same_delta(got, reference_stability_gap(tab, z_cap=z_cap, scan_step=scan_step))
 
 
@@ -101,7 +107,7 @@ def test_singular_grid_point_falls_back(scan_step):
     radii = glm.spectral_radii(tab, np.array(grid))
     assert math.isinf(radii[grid.index(1.0)])
     _assert_same_radii(tab, grid)
-    got = glm.stability_gap(tab, scan_step=scan_step)
+    got = gap_on_grid(tab, 100.0, scan_step)
     assert got == reference_stability_gap(tab, scan_step=scan_step)
     assert got == pytest.approx(2.0, abs=1e-6)
 
@@ -113,20 +119,8 @@ def test_first_stable_point_opens_a_chunk():
     grid = reference_grid(z_cap=3.0, scan_step=0.001952)
     first = next(i for i, z in enumerate(grid) if reference_rho(tab, z) <= 1.0 + 1e-12)
     assert first == glm._GAP_CHUNK
-    got = glm.stability_gap(tab, z_cap=3.0, scan_step=0.001952)
+    got = gap_on_grid(tab, 3.0, 0.001952)
     assert got == reference_stability_gap(tab, z_cap=3.0, scan_step=0.001952)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("kw", [
-    {"z_cap": math.inf}, {"z_cap": math.nan}, {"z_cap": 0.0}, {"z_cap": -3.0},
-    {"scan_step": 0.0}, {"scan_step": math.nan}, {"scan_step": -0.01},
-    {"scan_step": math.inf},
-])
-def test_stability_gap_rejects_bad_grid(kw):
-    # each once escaped as OverflowError, ZeroDivisionError, ValueError or a silent inf
-    with pytest.raises(ConfigError, match="finite and positive"):
-        glm.stability_gap(glm.get_tableau("bdf2"), **kw)
 
 
 def test_scalar_transition_batch_matches_single():
@@ -157,5 +151,5 @@ def _tableaus(draw):
 def test_drawn_tableaus_match_reference(tab, scan_step):
     grid = reference_grid(z_cap=5.0, scan_step=scan_step)
     _assert_same_radii(tab, grid)
-    got = glm.stability_gap(tab, z_cap=5.0, scan_step=scan_step)
+    got = gap_on_grid(tab, 5.0, scan_step)
     assert _same_delta(got, reference_stability_gap(tab, z_cap=5.0, scan_step=scan_step))
