@@ -444,10 +444,11 @@ def cmd_counterexample(args) -> int:
     times = t_osc.times()[:m + 1]
     x_osc, x_frz = s_osc[:, -1], s_frz[:, -1]       # the scalar x of the last block
     n_osc = np.abs(x_osc)
-    exact = np.array([problems.scalar_cosine_reference(sp, t) for t in times])
+    exact = problems.scalar_cosine_reference(sp, times)
     deviation = float(np.max(np.abs(s_osc - s_frz)))
     growth = float(n_osc[-1] / n_osc[0])
-    per_period = float(np.exp(np.log(growth) / m))  # coefficient period is h
+    # coefficient period is h; a run cut at its first step has no per-period rate
+    per_period = float(np.exp(np.log(growth) / m)) if m else None
     out = _ensure_out(args.out)
     _write_csv(os.path.join(out, "counterexample.csv"),
                ["n", "t", "x_oscillatory", "x_frozen", "x_exact"],

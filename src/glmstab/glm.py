@@ -43,6 +43,7 @@ NEWTON_MAX_ITERS = 25   # Newton iterations per step before NewtonDiverged
 GAP_Z_CAP = 100.0       # stability_gap's scan: z up to GAP_Z_CAP, on the grid of
 GAP_SCAN_STEP = 0.01    # running sums of GAP_SCAN_STEP
 _GAP_CHUNK = 1024       # grid points per batched solve and eigvals in stability_gap
+_TRACE_MARGIN = 1e-8    # _scan_stable's trace bound must clear 1 + 1e-12 by this * max|M|
 
 
 @dataclass
@@ -454,6 +455,40 @@ def spectral_radii(tab: GlmTableau, z) -> np.ndarray:
         return np.array([spectral_radii(tab, zi) for zi in z])
 
 
+def _scan_stable(tab: GlmTableau, z: np.ndarray) -> np.ndarray:
+    """spectral_radii(tab, z) <= 1 + 1e-12 on a 1-D grid, with eigvals run only where
+    the trace bound cannot decide.
+
+    Each eigenvalue has modulus at most rho(M), so rho(M) >= |tr M| / k. A z where
+    that bound exceeds 1 + 1e-12 + _TRACE_MARGIN * max|M| is unstable without an
+    eigensolve, and LAPACK would say so too: np.linalg.eigvals is dgeev, whose
+    eigenvalues are exact for M + E with ||E||_2 <= p(k) eps ||M||_2 and p(k) a
+    modest polynomial (LAPACK Users' Guide, 3rd ed., section 4.8). Its balancing is
+    a permutation and a power-of-two diagonal similarity, which keep tr M exactly,
+    and the Schur form is an orthogonal similarity, so the computed eigenvalues sum
+    to tr M within about p(k) k^2 eps max|M|, far below 1e-8 max|M| for any small k.
+    The bound exceeds 1 only where max|M| > 1 (|tr M| / k <= max|M|), so the margin
+    also covers rounding the trace and the moduli; the largest computed modulus is
+    then above 1 + 1e-12, the verdict spectral_radii gives. Every other point (a
+    non-finite M or bound, a bound inside the margin) goes to eigvals, and a chunk
+    whose solve or eigvals raises is redone by spectral_radii, so every point's
+    verdict is spectral_radii's.
+    """
+    try:
+        m = scalar_transition(tab, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.abs(np.trace(m, axis1=-2, axis2=-1)) / tab.k
+            margin = 1.0 + 1e-12 + _TRACE_MARGIN * np.max(np.abs(m), axis=(-2, -1))
+        undecided = np.flatnonzero(~((bound > margin) & (bound < math.inf)))
+        stable = np.zeros(len(z), dtype=bool)
+        if undecided.size:
+            rho = np.max(np.abs(np.linalg.eigvals(m[undecided])), axis=-1)
+            stable[undecided] = rho <= 1.0 + 1e-12
+        return stable
+    except np.linalg.LinAlgError:
+        return spectral_radii(tab, z) <= 1.0 + 1e-12
+
+
 def stability_gap(tab: GlmTableau) -> float:
     """Length of the instability gap (0, delta) of the frozen scalar recursion.
 
@@ -461,15 +496,18 @@ def stability_gap(tab: GlmTableau) -> float:
     first z where it re-enters the closed unit disk (to ~1e-10 by bisection), or
     infinity (capped search) if the recursion never restabilizes below GAP_Z_CAP.
     The grid is the running sum of GAP_SCAN_STEP (np.cumsum, in order), scanned
-    _GAP_CHUNK points per batch; the 80-step bisection stops once a step leaves it
-    unchanged.
+    _GAP_CHUNK points per batch by _scan_stable: a point whose trace bound
+    |tr M| / k clears 1 by the margin is unstable without an eigensolve, and
+    np.linalg.eigvals decides the rest (ab2's points below z = 2/3, most of bdf2's
+    and be's first chunk, where |tr M| / k <= 1). The 80-step bisection
+    compares spectral_radii with 1 + 1e-12 at each midpoint and stops once a step
+    leaves the bracket unchanged.
     """
     cap = GAP_Z_CAP + 1e-12
     grid = np.cumsum(np.full(int(cap / GAP_SCAN_STEP) + 2, GAP_SCAN_STEP))
     grid = grid[:np.searchsorted(grid, cap, side="right")]
     for base in range(0, len(grid), _GAP_CHUNK):
-        rho = spectral_radii(tab, grid[base: base + _GAP_CHUNK])
-        stable = np.flatnonzero(rho <= 1.0 + 1e-12)
+        stable = np.flatnonzero(_scan_stable(tab, grid[base: base + _GAP_CHUNK]))
         if stable.size:
             i = base + int(stable[0])
             lo, hi = (float(grid[i - 1]) if i else 1e-9), float(grid[i])

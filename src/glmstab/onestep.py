@@ -16,7 +16,6 @@ trailing columns to unit norm with positive leading sign).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -103,40 +102,3 @@ def extract_w(traj: glm.Trajectory, split: SpectralSplit) -> WSequence:
     blocks = traj.blocks()                      # (n, k, d)
     values = np.einsum("j,njd->nd", split.unit_row, blocks)
     return WSequence(values=values)
-
-
-@dataclass
-class DecayFit:
-    gamma: float            # fitted per-step contraction factor
-    prefactor: float
-    n_used: int
-    exact_match: bool = False
-
-
-def initialization_decay(traj_a: glm.Trajectory, traj_b: glm.Trajectory,
-                         split: SpectralSplit, min_samples: int = 10,
-                         max_samples: Optional[int] = None) -> DecayFit:
-    """Least-squares decay fit of the transformed difference of two trajectories.
-
-    Transforms X_n^A - X_n^B by (P^{-1} (x) I_d) and fits log-norms against step
-    index. Two identical starts are reported as an exact match; fewer than
-    min_samples nonzero norms (underflow) raises DegenerateFit.
-    """
-    n = min(traj_a.states.shape[0], traj_b.states.shape[0])
-    d = traj_a.d
-    diff = (traj_a.states[:n] - traj_b.states[:n]).reshape(n, split.P.shape[0], d)
-    trans = np.einsum("ij,njd->nid", split.Pinv, diff).reshape(n, -1)
-    norms = np.linalg.norm(trans, axis=1)
-    if float(np.max(norms)) == 0.0:
-        return DecayFit(gamma=0.0, prefactor=0.0, n_used=n, exact_match=True)
-    # underflow truncates the usable prefix; fit on the run before the first zero
-    zero_idx = np.nonzero(norms == 0.0)[0]
-    stop = int(zero_idx[0]) if zero_idx.size else n
-    if max_samples is not None:
-        stop = min(stop, max_samples)
-    if stop < min_samples:
-        raise DegenerateFit(f"only {stop} usable samples before underflow, need {min_samples}")
-    idx = np.arange(stop)
-    slope, intercept = np.polyfit(idx, np.log(norms[:stop]), 1)
-    return DecayFit(gamma=float(np.exp(slope)), prefactor=float(np.exp(intercept)),
-                    n_used=stop)

@@ -146,7 +146,7 @@ def _panel_quadrature(f, lo, hi, panels, scratch=None):
     return np.sum(vals, axis=(-2, -1))
 
 
-def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points=8,
+def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points,
                     scratch=None):
     """Exact flow of the rotating-cosine system from (t_from, x_from) over dt.
 
@@ -200,7 +200,8 @@ def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0):
     x0 = np.asarray(x0, dtype=float)
     y2_0 = float(np.einsum("ji,j->i", rotation(p.omega_dot * t0), x0)[1])
     if y2_0 == 0.0 or p.beta == 0.0:
-        return propagate_exact(p, np.full(ts.shape, t0), np.broadcast_to(x0, ts.shape + (2,)), ts - t0)
+        return propagate_exact(p, np.full(ts.shape, t0), np.broadcast_to(x0, ts.shape + (2,)),
+                               ts - t0, QUAD_PANELS)
     out = np.empty(ts.shape + (2,))
     # the two grids of a chunk's fine call, reused by every chunk and both calls
     scratch = np.empty(2 * _REF_CHUNK * 2 * QUAD_PANELS * _GL_NODES.size)

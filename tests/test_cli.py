@@ -304,6 +304,19 @@ def test_counterexample_runs_cut_at_different_steps(tmp_path, capsys, monkeypatc
     assert len(_read_csv(out / "counterexample.csv")[1]) == frozen_at
 
 
+def test_counterexample_cut_at_first_step(tmp_path, capsys):
+    # both runs blow past the guard in their first step: no common step, so no
+    # per-period rate, and no 0 / 0 (the suite turns RuntimeWarnings into errors)
+    out = tmp_path / "cx"
+    argv = ["counterexample", "--method", "ab2", "--D", "1e14", "--L", "0", "--h", "0.5"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    report = _strict_json(out / "counterexample_report.json")
+    assert report["steps"] == 0 and report["diverged"] is True
+    assert report["growth_per_period"] is None and report["growth_factor"] == 1.0
+    assert len(_read_csv(out / "counterexample.csv")[1]) == 1
+    assert "stopped the oscillatory run at step 1 of 200" in capsys.readouterr().out
+
+
 def test_spectrum_bundle_schema(tmp_path, capsys):
     out = tmp_path / "sp"
     rc = cli.main(["spectrum", "--h", "0.1", "--tfinal", "10", "--mode", "w",

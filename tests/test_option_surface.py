@@ -23,11 +23,10 @@ PINNED = {
     "spectra.mu_appr": {"denominator": "t0", "sum_start": "origin"},
     "spectra.integral_separation_logs": {"a0": 0.05, "T0": 1.0},
     "spectra.continuous_qr_oracle": {"t0": 0.0},
-    "problems.propagate_exact": {"quad_points": 8, "scratch": None},
+    "problems.propagate_exact": {"scratch": None},
     "problems.reference_batch": {"x0": (1.0, 0.0), "t0": 0.0},
     "problems.scalar_cosine_reference": {"x0": 1.0, "t0": 0.0},
     "problems.tanh_reference": {"x0": 0.0, "t0": 0.0},
-    "onestep.initialization_decay": {"min_samples": 10, "max_samples": None},
     "linalg.qr_chain": {"n0": 0},
     "linalg.rank_deficient": {"where": ""},
 }
@@ -53,4 +52,4 @@ def defaulted_parameters():
 
 def test_defaulted_parameters_are_pinned():
     assert defaulted_parameters() == PINNED
-    assert sum(map(len, PINNED.values())) == 25
+    assert sum(map(len, PINNED.values())) == 22

@@ -303,8 +303,9 @@ def test_quadrature_underresolved_first_failing_time(quad_points, first):
 @given(t=st.floats(-10.0, 10.0), omega=st.floats(0.1, 20.0))
 def test_norm_identity_triangular_start(t, omega):
     # x0 = (1,0) zeroes the second rotated component, so ||x(t)|| = exp(m1(t)) exactly
+    # and the panel count is never read
     p = _params(omega_rate=omega)
-    x = problems.propagate_exact(p, 0.0, np.array([1.0, 0.0]), t)
+    x = problems.propagate_exact(p, 0.0, np.array([1.0, 0.0]), t, 1)
     want = math.exp(p.a1 * math.sin(t) + p.b1 * t)
     assert np.isclose(np.linalg.norm(x), want, rtol=1e-12, atol=1e-300)
 

@@ -4,7 +4,9 @@
 additions, one scalar transition, one np.linalg.eigvals call and one comparison
 per grid point, then all 80 bisection steps. The batched `glm.stability_gap` must
 give the same delta bit for bit, and `glm.spectral_radii` the same radii as
-`reference_rho` at every grid point.
+`reference_rho` at every grid point. The scan's per-point verdicts, most of them
+settled by a trace bound without an eigensolve, must equal
+`reference_rho(tab, z) <= 1 + 1e-12`.
 """
 
 import math
@@ -68,6 +70,24 @@ def _same_delta(got, want):
     return got == want or (math.isinf(got) and math.isinf(want))
 
 
+def _assert_same_verdicts(tab, grid):
+    want = np.array([reference_rho(tab, z) <= 1.0 + 1e-12 for z in grid])
+    got = np.concatenate([glm._scan_stable(tab, np.array(grid[base: base + glm._GAP_CHUNK]))
+                          for base in range(0, len(grid), glm._GAP_CHUNK)])
+    assert np.array_equal(got, want)
+
+
+def _eigvals_inputs():
+    """A patch of np.linalg.eigvals that records every matrix it is given."""
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        seen.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]).copy())
+        return eigvals(a)
+    return seen, mock.patch.object(np.linalg, "eigvals", recording)
+
+
 def _assert_same_radii(tab, grid):
     want = np.array([reference_rho(tab, z) for z in grid])
     assert np.array_equal(glm.spectral_radii(tab, np.array(grid)), want)
@@ -82,6 +102,55 @@ def test_default_grid_matches_reference(name):
     assert np.array_equal(np.cumsum(np.full(len(grid), 0.01)), grid)
     _assert_same_radii(tab, grid)
     assert _same_delta(glm.stability_gap(tab), reference_stability_gap(tab))
+
+
+@pytest.mark.parametrize("name", ["bdf2", "ab2", "be"])
+def test_default_grid_verdicts_match_reference(name):
+    _assert_same_verdicts(glm.get_tableau(name), reference_grid())
+
+
+def test_ab2_scan_is_mostly_certified():
+    # ab2's |tr M| / 2 = (1 + 1.5 z) / 2 clears the margin for every grid z above
+    # 2/3, so only the 66 points below it need an eigensolve
+    seen, patch = _eigvals_inputs()
+    with patch:
+        assert math.isinf(glm.stability_gap(glm.get_tableau("ab2")))
+    assert 0 < len(seen) <= 100
+
+
+def _scalar_tableau(d):
+    # k = r = 1, U = 1, V = 0, C = 0: the transition at z is M = d z
+    return glm.GlmTableau(k=1, r=1, order=1, U=[[1.0]], V=[[0.0]], C=[[0.0]],
+                          D=[[d]], xi=[0.0])
+
+
+def test_bound_inside_margin_reaches_eigvals():
+    # the margin at M = z is 1e-12 + 1e-8 z: 1 + 5e-9 lies inside it, 1 + 3e-8 and
+    # 2 clear it, 1 and 0.5 are bounded by 1
+    tab = _scalar_tableau(1.0)
+    z = np.array([0.5, 1.0, 1.0 + 5e-9, 1.0 + 3e-8, 2.0])
+    seen, patch = _eigvals_inputs()
+    with patch:
+        got = glm._scan_stable(tab, z)
+    assert [float(m[0, 0]) for m in seen] == [0.5, 1.0, 1.0 + 5e-9]
+    assert got.tolist() == [True, True, False, False, False]
+    _assert_same_verdicts(tab, z.tolist())
+
+
+def test_non_finite_transition_falls_back_to_spectral_radii():
+    # M = 1e308 z overflows to inf above z = 1.8: eigvals rejects the chunk and
+    # spectral_radii redoes it one z at a time, giving inf radii there
+    tab = _scalar_tableau(1e308)
+    z = np.array([0.5, 1.0, 2.0, 3.0])
+    with np.errstate(over="ignore"):
+        assert glm._scan_stable(tab, z).tolist() == [False] * 4
+        assert np.isinf(glm.spectral_radii(tab, z)[2:]).all()
+        _assert_same_verdicts(tab, z.tolist())
+
+
+@pytest.mark.parametrize("scan_step", [0.5, 0.25])
+def test_singular_grid_point_verdicts_match_reference(scan_step):
+    _assert_same_verdicts(glm.get_tableau("be"), reference_grid(scan_step=scan_step))
 
 
 @pytest.mark.parametrize("name", ["bdf2", "ab2", "be"])
@@ -151,5 +220,6 @@ def _tableaus(draw):
 def test_drawn_tableaus_match_reference(tab, scan_step):
     grid = reference_grid(z_cap=5.0, scan_step=scan_step)
     _assert_same_radii(tab, grid)
+    _assert_same_verdicts(tab, grid)
     got = gap_on_grid(tab, 5.0, scan_step)
     assert _same_delta(got, reference_stability_gap(tab, z_cap=5.0, scan_step=scan_step))
