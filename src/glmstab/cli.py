@@ -10,6 +10,7 @@ columns side by side with the published values they are compared against.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .errors import ConfigError, NumericalError, WindowOutOfRange
 FLOAT_FMT = "%.16e"    # 17 significant digits: exact float64 round-trip; nan, inf
 CSV_EOL = "\r\n"       # the line end of csv.writer
 _LINES_PER_BLOCK = 4096   # CSV lines formatted, joined and written at a time
-_STARTS = ("rk4", "reference")      # the start procedures of _integrate
+_STARTS = ("rk4", "reference")      # the start procedures of experiment_row
 _LTE_SCALES = ("per-h", "defect")   # the restart defect over h, or as it is
 _DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48   # row k: k's digits
 _POW10 = np.array([10 ** k for k in range(23)], dtype=float)   # all exact
@@ -218,37 +219,31 @@ class ExperimentRow:
     running_mu: np.ndarray    # origin-anchored running average, length n_steps
 
 
-def _integrate(tab: glm.GlmTableau, params: problems.RotatingCosineParams, h: float,
-               n_f: int, t0: float, x0, start: str, frame=False, lte=False):
-    """Start the method and run it n_f steps from t0: (trajectory, frame trail,
-    unscaled restart defects), the last two None unless frame and lte ask for them.
+def _integrate(tab: glm.GlmTableau, prob: problems.LinearProblem, x0s, n_f: int,
+               h: float, t0: float, frame=False, reference=None):
+    """Run n_f steps of the method on prob from t0 and the start supervector x0s:
+    (trajectory, frame trail if frame, unscaled restart defects if reference(ts) ->
+    (len(ts), d) samples the exact solution; else None).
 
-    The one integration path of the commands. Each chunk of Phi that run_linear
-    keeps feeds the trail and the defects (with that chunk's reference rows) and
-    is dropped, so RankDeficient (trail) and QuadratureUnderResolved (reference)
-    raise mid-run, the earlier step's first; both exit 3. n_f comes from
-    glm.span_steps, so a command can check its windows against it first. start is
-    one of _STARTS, which experiment_row checks.
+    The one integration path of the commands; a start that is not finite raises
+    NumericalError. Each chunk of Phi that run_linear keeps feeds the trail and the
+    defects and is dropped, so RankDeficient and QuadratureUnderResolved raise
+    mid-run, the earlier step's first. A command checks its windows against n_f.
     """
-    prob = problems.rotating_cosine_problem(params)
-    if start == "rk4":
-        x0s = glm.start_rk4(prob, x0, t0, h, tab.k)
-    else:
-        x0s = problems.reference_batch(params, t0 + h * np.arange(tab.k), x0=x0,
-                                       t0=t0).ravel()
+    if not np.isfinite(x0s).all():
+        raise NumericalError(f"the start supervector is not finite: {x0s.tolist()}")
     trail = spectra.new_matrix_trail(tab.k * prob.d, h, t0) if frame else None
     defects = [np.empty(0)]
 
     def consume(base, phis):
         if frame:
             spectra.qr_advance_series(trail, phis)
-        if lte:
+        if reference is not None:
             ts = t0 + h * np.arange(base, base + len(phis) + tab.k)
-            defects.append(glm.lte_series(
-                tab, phis, problems.reference_batch(params, ts, x0=x0, t0=t0)))
+            defects.append(glm.lte_series(tab, phis, reference(ts)))
 
     traj = glm.run_linear(tab, prob, x0s, n_f, h, t0, on_chunk=consume)
-    return traj, trail, np.concatenate(defects) if lte else None
+    return traj, trail, None if reference is None else np.concatenate(defects)
 
 
 def _w_trail(tab: glm.GlmTableau, traj: glm.Trajectory) -> spectra.QrTrail:
@@ -277,8 +272,11 @@ def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
             ("sum_start mode", sum_start, spectra.SUM_START_MODES)):
         if value not in known:
             raise ConfigError(f"unknown {name} {value!r}")
-    traj, ftrail, lte = _integrate(tab, params, h, n_f, t0, x0, start,
-                                   frame=with_frame, lte=True)
+    prob = problems.rotating_cosine_problem(params)
+    reference = functools.partial(problems.reference_batch, params, x0=x0, t0=t0)
+    x0s = (glm.start_rk4(prob, x0, t0, h, tab.k) if start == "rk4"
+           else reference(t0 + h * np.arange(tab.k)).ravel())
+    traj, ftrail, lte = _integrate(tab, prob, x0s, n_f, h, t0, with_frame, reference)
     m = traj.n_steps
 
     trail = _w_trail(tab, traj)
@@ -435,10 +433,9 @@ def cmd_counterexample(args) -> int:
     delta = glm.require_inside_gap(tab, args.D, args.L, args.h)
     sp = problems.ScalarCosineParams(D=args.D, L=args.L, omega=2.0 * math.pi / args.h)
     osc = problems.scalar_cosine_problem(sp)
-    frozen = problems.constant_problem(args.D + args.L)
-    x0s = glm.start_rk4(osc, (1.0,), 0.0, args.h, tab.k)
-    t_osc = glm.run_linear(tab, osc, x0s, args.steps, args.h)
-    t_frz = glm.run_linear(tab, frozen, x0s, args.steps, args.h)
+    x0s = glm.start_rk4(osc, (1.0,), 0.0, args.h, tab.k)     # the start of both runs
+    t_osc, t_frz = (_integrate(tab, p, x0s, args.steps, args.h, 0.0)[0]
+                    for p in (osc, problems.constant_problem(args.D + args.L)))
     m = min(t_osc.n_steps, t_frz.n_steps)
     s_osc, s_frz = t_osc.states[:m + 1], t_frz.states[:m + 1]
     times = t_osc.times()[:m + 1]
@@ -489,8 +486,9 @@ def cmd_spectrum(args) -> int:
             raise ConfigError(f"--oracle-h: {exc}") from exc
         if (n_o + 1) * 4 * 8 > np.iinfo(np.intp).max:     # the (n + 1, 2, 2) float frames
             raise ConfigError(f"cannot hold an oracle run of {n_o:.3g} steps: too large")
-    traj, trail, _ = _integrate(tab, params, args.h, n_f, t0, x0, "rk4",
-                                frame=args.mode == "frame")
+    prob = problems.rotating_cosine_problem(params)
+    traj, trail, _ = _integrate(tab, prob, glm.start_rk4(prob, x0, t0, args.h, tab.k),
+                                n_f, args.h, t0, frame=args.mode == "frame")
     m = traj.n_steps
     if args.mode == "w":
         trail = _w_trail(tab, traj)
@@ -512,8 +510,7 @@ def cmd_spectrum(args) -> int:
         "diverged": traj.diverged,
     }
     if args.oracle_h is not None:
-        oracle = spectra.continuous_qr_oracle(problems.rotating_cosine_problem(params),
-                                              args.tfinal, args.oracle_h, t0=t0)
+        oracle = spectra.continuous_qr_oracle(prob, args.tfinal, args.oracle_h, t0=t0)
         span = oracle.ts[-1] - oracle.ts[0]
         bundle["oracle_mean_rates"] = [
             float(v / span) for v in spectra.integrate_diag(oracle, oracle.ts[0],
@@ -534,13 +531,16 @@ CONVERGE_H = {
 def cmd_converge(args) -> int:
     tab = glm.get_tableau(args.method)
     params = problems.RotatingCosineParams(**TABLE1_PROBLEM)
+    prob = problems.rotating_cosine_problem(params)
+    reference = functools.partial(problems.reference_batch, params)
     hs = CONVERGE_H[args.method]
     t_final = args.tfinal if args.tfinal is not None else 2.0
     ge, le = [], []
     for h in hs:
-        traj, _, lte = _integrate(tab, params, h, glm.span_steps(h, t_final, 0.0), 0.0,
-                                  (1.0, 0.0), "reference", lte=True)
-        end = problems.reference_batch(params, [h * (traj.n_steps + tab.k - 1)])
+        traj, _, lte = _integrate(tab, prob, reference(h * np.arange(tab.k)).ravel(),
+                                  glm.span_steps(h, t_final, 0.0), h, 0.0,
+                                  reference=reference)
+        end = reference([h * (traj.n_steps + tab.k - 1)])
         ge.append(float(np.linalg.norm(traj.last_blocks()[-1] - end[0])))
         le.append(float(lte.max()))
     lh = np.log(np.asarray(hs))

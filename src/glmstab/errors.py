@@ -41,7 +41,7 @@ class NotStrictlyStable(NumericalError):
 
 
 class DegenerateFit(NumericalError):
-    """Too few usable samples for a least-squares decay fit (e.g. underflow)."""
+    """onestep.spectral_split's split of V leaves a residual above its tolerance."""
 
 
 class WindowOutOfRange(NumericalError):

@@ -164,7 +164,7 @@ def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points,
     sin_from, sin_to = np.sin(t_from), np.sin(t_to)
     m1 = p.a1 * (sin_to - sin_from) + p.b1 * (t_to - t_from)
     m2 = p.a2 * (sin_to - sin_from) + p.b2 * (t_to - t_from)
-    y2_to = y2 * np.exp(m2)
+    y2_to = y2 * np.exp(np.where(y2 == 0.0, 0.0, m2))   # no 0 * inf
 
     if np.any(y2 != 0.0) and p.beta != 0.0:
         def integrand(s, out):
@@ -190,11 +190,11 @@ def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0):
     Uses the triangular closed form in the rotated frame. When the second rotated
     component of x0 and beta are nonzero, the variation-of-constants integral is
     checked by doubling QUAD_PANELS, _REF_CHUNK times per propagate_exact call: the
-    first time whose doubled-panel result moves by more than 1e-10 relative raises
-    QuadratureUnderResolved, and the doubled-panel results are returned. A
-    vectorized norm clears the times clearly inside the bound; any other time is
-    re-checked with np.linalg.norm, in order, so the values and the error are
-    those of one check per time.
+    first time whose doubled-panel result moves by more than 1e-10 relative, or by
+    NaN, raises QuadratureUnderResolved, and the doubled-panel results are
+    returned. A vectorized norm clears the times clearly inside the bound; any
+    other time is re-checked with np.linalg.norm, in order, so the values and the
+    error are those of one check per time.
     """
     ts = np.asarray(ts, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -217,7 +217,7 @@ def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0):
         for i in unclear:
             scale_i = max(float(np.linalg.norm(fine[i])), 1.0)
             moved_i = float(np.linalg.norm(fine[i] - coarse[i]))
-            if moved_i > 1e-10 * scale_i:
+            if not moved_i <= 1e-10 * scale_i:
                 raise QuadratureUnderResolved(
                     f"panel doubling moved the result by {moved_i / scale_i:.3e} (rel) "
                     f"at t={t[i]}"

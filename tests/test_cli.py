@@ -171,15 +171,56 @@ def test_run_step_count_too_large_to_hold(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_reference_start_samples_the_reference(capsys):
+def test_reference_start_samples_the_reference(monkeypatch):
     # the start supervector equals per-time reference samples at t0, t0 + h, ...
     tab = glm.get_tableau("bdf2")
     params = problems.RotatingCosineParams(**cli.TABLE1_PROBLEM)
     h, t0, x0 = 0.05, 0.7, (0.6, -0.8)
-    traj, _, _ = cli._integrate(tab, params, h, 3, t0, x0, "reference")
+    starts, run_linear = [], glm.run_linear
+
+    def spy(tab, prob, x0s, *args, **kwargs):
+        starts.append(x0s.copy())
+        return run_linear(tab, prob, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(glm, "run_linear", spy)
+    cli.experiment_row(tab, params, h, t0 + 10 * h, t0=t0, x0=x0, start="reference")
     want = np.concatenate([problems.reference_batch(params, [t0 + i * h], x0=x0, t0=t0)[0]
                            for i in range(tab.k)])
-    assert np.array_equal(traj.states[0], want)
+    assert len(starts) == 1 and np.array_equal(starts[0], want)
+
+
+def test_every_command_integrates_through_one_path(tmp_path, capsys, monkeypatch):
+    # every glm.run_linear call of every command is made by cli._integrate, so a
+    # check or a stage timer there covers them all
+    callers, run_linear = [], glm.run_linear
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return run_linear(*args, **kwargs)
+
+    monkeypatch.setattr(glm, "run_linear", spy)
+    short = ["--h", "0.1", "--tfinal", "6"]
+    for argv in (["run", *short], ["spectrum", *short, "--mode", "w"],
+                 ["spectrum", *short, "--mode", "frame", "--oracle-h", "0.05"],
+                 *(["counterexample", "--method", m, "--steps", "5"]
+                   for m in ("bdf2", "ab2", "be")),
+                 ["converge", "--tfinal", "0.2"]):
+        callers.clear()
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0, argv
+        assert callers and all(c is cli._integrate.__code__ for c in callers), argv
+    capsys.readouterr()
+
+
+def test_non_finite_start_exits_3(tmp_path, capsys):
+    # D = 1e300 overflows ab2's RK4 start to [1, nan]: exit 3 before either run,
+    # naming the start (start_rk4's overflow warning comes first)
+    out = tmp_path / "cx"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["counterexample", "--method", "ab2", "--D", "1e300", "--L",
+                         "-0.91", "--h", "0.1", "--steps", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: NumericalError: the start "
+                                       "supervector is not finite: [1.0, nan]\n")
+    assert not out.exists()
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):

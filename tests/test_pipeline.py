@@ -1,11 +1,12 @@
 """The streamed diagnostic pipeline against the keep-everything path it replaced.
 
-cli._integrate hands each chunk of Phi that run_linear keeps to the frame QR trail
-and to the restart defects (with that chunk's reference rows), and drops it. The
-reference below is experiment_row as it was before: the whole Phi series kept,
-one whole-run reference_batch and one whole-run lte_series. Every field of every
-row, the spectrum frame trail and the converge errors must be the same, bit for
-bit.
+cli._integrate runs a problem from the start supervector its caller built, hands
+each chunk of Phi that run_linear keeps to the frame QR trail and to the restart
+defects (with that chunk's rows from the caller's reference sampler), and drops
+it. The reference below is experiment_row as it was before: the start built
+beside the run, the whole Phi series kept, one whole-run reference_batch and one
+whole-run lte_series. Every field of every row, the spectrum frame trail and the
+converge errors must be the same, bit for bit.
 """
 
 import dataclasses
@@ -165,8 +166,9 @@ def test_spectrum_frame_trail(n_steps):
     h, t0 = 0.02, 0.3
     _, _, phis = reference_integrate(BDF2, TABLE1, h, n_steps, t0, (1.0, 0.0), "rk4")
     want = spectra.qr_advance_series(spectra.new_matrix_trail(4, h, t0), phis)
-    _, trail, lte = cli._integrate(BDF2, TABLE1, h, n_steps, t0, (1.0, 0.0), "rk4",
-                                   frame=True)
+    prob = problems.rotating_cosine_problem(TABLE1)
+    _, trail, lte = cli._integrate(BDF2, prob, glm.start_rk4(prob, (1.0, 0.0), t0, h, 2),
+                                   n_steps, h, t0, frame=True)
     assert lte is None
     assert np.array_equal(trail.logs(), want.logs())
     assert np.array_equal(trail.frame, want.frame)

@@ -299,6 +299,27 @@ def test_quadrature_underresolved_first_failing_time(quad_points, first):
                                           quad_points=quad_points))
 
 
+def test_quadrature_nan_raises():
+    # b2 = 800 overflows the integrand by t = 1: the result there is [nan, inf], and
+    # a NaN doubling change fails the check instead of passing it
+    p = _params(b2=800.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _raised(problems.reference_batch, p, [0.5, 1.0], x0=(0.6, 0.8))
+    assert got == "panel doubling moved the result by nan (rel) at t=1.0"
+
+
+def test_propagate_exact_zero_component_does_not_overflow():
+    # y2 = 0 with exp(m2) past the double range (m2 ~ 727 at t = 2): the zero
+    # component stays zero, with no 0 * inf (the suite turns RuntimeWarnings into
+    # errors), and x(t) = exp(m1(t)) (cos t, sin t) in closed form
+    p = _params(a2=800.0)
+    ts = np.array([0.5, 2.0])
+    got = problems.reference_batch(p, ts)
+    m1 = 1.2 * np.sin(ts) - 0.14 * ts
+    want = np.exp(m1)[:, None] * np.stack([np.cos(ts), np.sin(ts)], axis=1)
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(t=st.floats(-10.0, 10.0), omega=st.floats(0.1, 20.0))
 def test_norm_identity_triangular_start(t, omega):
