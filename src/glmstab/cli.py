@@ -225,13 +225,11 @@ def _integrate(tab: glm.GlmTableau, prob: problems.LinearProblem, x0s, n_f: int,
     (trajectory, frame trail if frame, unscaled restart defects if reference(ts) ->
     (len(ts), d) samples the exact solution; else None).
 
-    The one integration path of the commands; a start that is not finite raises
-    NumericalError. Each chunk of Phi that run_linear keeps feeds the trail and the
-    defects and is dropped, so RankDeficient and QuadratureUnderResolved raise
-    mid-run, the earlier step's first. A command checks its windows against n_f.
+    The one integration path of the commands. Each chunk of Phi that run_linear
+    keeps feeds the trail and the defects and is dropped, so RankDeficient and
+    QuadratureUnderResolved raise mid-run, the earlier step's first. A command
+    checks its windows against n_f.
     """
-    if not np.isfinite(x0s).all():
-        raise NumericalError(f"the start supervector is not finite: {x0s.tolist()}")
     trail = spectra.new_matrix_trail(tab.k * prob.d, h, t0) if frame else None
     defects = [np.empty(0)]
 
@@ -479,14 +477,15 @@ def cmd_spectrum(args) -> int:
         spectra.window_steps(H, args.h, n_f)
     except WindowOutOfRange as exc:
         raise ConfigError(str(exc)) from exc
-    if args.oracle_h is not None:           # the oracle's own step checks, up front
+    prob = problems.rotating_cosine_problem(params)
+    if args.oracle_h is not None:           # before the discrete run: its checks first
         try:
-            n_o = glm.span_steps(args.oracle_h, args.tfinal, t0)
+            oracle = spectra.continuous_qr_oracle(prob, args.tfinal, args.oracle_h, t0)
         except ConfigError as exc:
             raise ConfigError(f"--oracle-h: {exc}") from exc
-        if (n_o + 1) * 4 * 8 > np.iinfo(np.intp).max:     # the (n + 1, 2, 2) float frames
-            raise ConfigError(f"cannot hold an oracle run of {n_o:.3g} steps: too large")
-    prob = problems.rotating_cosine_problem(params)
+        span = oracle.ts[-1] - oracle.ts[0]
+        oracle_rates = [float(v / span) for v in
+                        spectra.integrate_diag(oracle, oracle.ts[0], oracle.ts[-1])]
     traj, trail, _ = _integrate(tab, prob, glm.start_rk4(prob, x0, t0, args.h, tab.k),
                                 n_f, args.h, t0, frame=args.mode == "frame")
     m = traj.n_steps
@@ -510,11 +509,7 @@ def cmd_spectrum(args) -> int:
         "diverged": traj.diverged,
     }
     if args.oracle_h is not None:
-        oracle = spectra.continuous_qr_oracle(prob, args.tfinal, args.oracle_h, t0=t0)
-        span = oracle.ts[-1] - oracle.ts[0]
-        bundle["oracle_mean_rates"] = [
-            float(v / span) for v in spectra.integrate_diag(oracle, oracle.ts[0],
-                                                            oracle.ts[-1])]
+        bundle["oracle_mean_rates"] = oracle_rates
     out = _ensure_out(args.out)
     _write_json(os.path.join(out, "spectrum.json"), bundle)
     print(f"spectrum ({args.mode}): mu={bundle['mu']} beta={bundle['beta']}")

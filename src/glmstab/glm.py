@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     NewtonDiverged,
     NotStrictlyStable,
+    NumericalError,
     ParameterOutsideGap,
     StageSingular,
 )
@@ -89,20 +90,6 @@ def check_strictly_stable(v: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def validate_tableau(tab: GlmTableau) -> GlmTableau:
-    """Shape and strict-stability check; returns the tableau for chaining."""
-    for mat, shape, label in (
-        (tab.U, (tab.r, tab.k), "U"),
-        (tab.V, (tab.k, tab.k), "V"),
-        (tab.C, (tab.r, tab.r), "C"),
-        (tab.D, (tab.k, tab.r), "D"),
-    ):
-        if mat.shape != shape:
-            raise ConfigError(f"{label} has shape {mat.shape}, expected {shape}")
-    check_strictly_stable(tab.V)
-    return tab
-
-
 # The built-in methods by name, as GlmTableau fields; each get_tableau builds fresh
 # arrays from these lists.
 _TABLEAUS = {
@@ -128,12 +115,15 @@ _TABLEAUS = {
 
 
 def get_tableau(name: str) -> GlmTableau:
-    """The validated built-in method of that name ("bdf2", "ab2" or "be")."""
+    """The built-in method of that name ("bdf2", "ab2" or "be"), its V checked by
+    check_strictly_stable."""
     try:
         fields = _TABLEAUS[name]
     except KeyError:
         raise ConfigError(f"unknown method {name!r}; choose from {sorted(_TABLEAUS)}")
-    return validate_tableau(GlmTableau(**fields))
+    tab = GlmTableau(**fields)
+    check_strictly_stable(tab.V)
+    return tab
 
 
 @dataclass
@@ -270,7 +260,8 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
     The trajectory is frozen (diverged flag + truncation) as soon as the norm exceeds
     DIVERGENCE_FACTOR * max(1, ||X_0||) or becomes non-finite; everything computed up
     to that point stays available. Returns the Trajectory, or (Trajectory, Phi-array)
-    when keep_transitions is set. A step count too large to hold raises ConfigError.
+    when keep_transitions is set. A start that is not finite raises NumericalError,
+    a step count too large to hold ConfigError.
 
     Each chunk of _RUN_CHUNK steps is propagated first and guarded after: a step whose
     vectorized norm is not clearly below the guard is re-checked with
@@ -280,6 +271,9 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
     """
     kd = tab.k * prob.d
     x0_super = np.asarray(x0_super, dtype=float).reshape(kd)
+    if not np.isfinite(x0_super).all():
+        raise NumericalError(
+            f"the start supervector is not finite: {x0_super.tolist()}")
     try:
         states = np.empty((n_steps + 1, kd))
     except (ValueError, MemoryError) as exc:
@@ -328,19 +322,23 @@ def _rhs_of(prob_or_f) -> Callable:
 
 
 def start_rk4(prob_or_f, x0, t0: float, h: float, k: int) -> np.ndarray:
-    """Classical RK4 starting procedure: supervector (x_0, x_1, ..., x_{k-1})."""
+    """Classical RK4 starting procedure: supervector (x_0, x_1, ..., x_{k-1}).
+
+    A start that overflows comes back non-finite, without a warning; run_linear
+    raises NumericalError on it."""
     f = _rhs_of(prob_or_f)
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     blocks = [x]
     t = t0
-    for _ in range(k - 1):
-        k1 = f(x, t)
-        k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = f(x + h * k3, t + h)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        blocks.append(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k - 1):
+            k1 = f(x, t)
+            k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
+            k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
+            k4 = f(x + h * k3, t + h)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            blocks.append(x)
     return np.concatenate(blocks)
 
 
@@ -381,10 +379,11 @@ def tau_series(lte_values: np.ndarray):
 
 
 def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps: int,
-                  h: float, t0: float = 0.0) -> Trajectory:
-    """Integrate the GLM on x' = f(x,t) for n_steps, stages by at most NEWTON_MAX_ITERS
-    Newton iterations to a relative residual of NEWTON_TOL, from an explicit-Euler
-    predictor off the newest block. The state dimension is x0_super.size // tab.k.
+                  h: float) -> Trajectory:
+    """Integrate the GLM on x' = f(x,t) from t = 0 for n_steps, stages by at most
+    NEWTON_MAX_ITERS Newton iterations to a relative residual of NEWTON_TOL, from an
+    explicit-Euler predictor off the newest block. The state dimension is
+    x0_super.size // tab.k.
 
     f and jac write into a stage vector and a block-diagonal Jacobian allocated once;
     a 2-norm is sqrt(v . v), np.linalg.norm's formula for a real vector, without its
@@ -394,7 +393,7 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
     d = x0_super.size // k
     u_big, c_big, v_big, d_big = (_kron_eye(m, d) for m in (tab.U, tab.C, tab.V, tab.D))
     eye_rd = np.eye(r * d)
-    all_ts = stage_times(tab, np.arange(n_steps), h, t0)         # (n_steps, r)
+    all_ts = stage_times(tab, np.arange(n_steps), h)             # (n_steps, r)
     states = np.empty((n_steps + 1, k * d))
     states[0] = x0_super.reshape(k * d)
     stages = [slice(i * d, (i + 1) * d) for i in range(r)]
@@ -405,7 +404,7 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
         base = u_big @ x_cur
 
         x_last = x_cur[-d:]
-        f_last = f(x_last, t0 + (n + k - 1) * h)
+        f_last = f(x_last, (n + k - 1) * h)
         g = np.empty(r * d)
         for i, st in enumerate(stages):
             g[st] = x_last + (tab.xi[i] - (k - 1)) * h * f_last
@@ -427,7 +426,7 @@ def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps
             )
 
         states[n + 1] = v_big @ x_cur + h * (d_big @ fg)
-    return Trajectory(h=h, t0=t0, d=d, k=k, states=states)
+    return Trajectory(h=h, t0=0.0, d=d, k=k, states=states)
 
 
 def scalar_transition(tab: GlmTableau, z) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +41,6 @@ dgeqrf, dgetrf, dgetrs, dorgqr = (_LAPACK.dgeqrf, _LAPACK.dgetrf, _LAPACK.dgetrs
                                   _LAPACK.dorgqr)
 
 RANK_TOL = 1e-14    # the rank guard: min|R_ii| must exceed this times max|m|
-
-
-@dataclass
-class QrFactors:
-    q: np.ndarray
-    r: np.ndarray
 
 
 def householder_qr(m):
@@ -111,9 +104,9 @@ def rank_deficient(m: np.ndarray, diag: np.ndarray, where: str = "") -> RankDefi
 
 
 def qr_positive(m):
-    """Reduced QR factorization (m tall or square) with a nonnegative-diagonal R.
+    """Reduced QR factorization (q, r) of a tall or square m, r's diagonal nonnegative.
 
-    Columns of Q are flipped so every diagonal entry of R is >= 0; an m that fails
+    Columns of q are flipped so every diagonal entry of r is >= 0; an m that fails
     the rank guard (a zero or non-finite m among them) raises RankDeficient. The
     factorization is deterministic for a given input.
     """
@@ -123,8 +116,8 @@ def qr_positive(m):
     if rank_guard(m[np.newaxis], diag[np.newaxis]) == 0:
         raise rank_deficient(m, diag)
     sign = np.copysign(1.0, diag)
-    return QrFactors(q=np.ascontiguousarray(q) * sign,
-                     r=np.triu(packed[:diag.size]) * sign[:, np.newaxis])
+    return (np.ascontiguousarray(q) * sign,
+            np.triu(packed[:diag.size]) * sign[:, np.newaxis])
 
 
 def solve(a, rhs):

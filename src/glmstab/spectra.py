@@ -164,7 +164,6 @@ def lyapunov_endpoints(trail: QrTrail) -> LyapunovEndpoints:
 class SackerSellEstimate:
     alpha: np.ndarray
     beta: np.ndarray
-    m_steps: int
 
 
 def window_steps(H: float, h: float, n_steps: int) -> int:
@@ -187,13 +186,11 @@ def sacker_sell_window(trail: QrTrail, H: float) -> SackerSellEstimate:
     cs = _cumlogs(trail)
     span = m * trail.h
     avgs = (cs[m:] - cs[:-m]) / span
-    return SackerSellEstimate(alpha=np.min(avgs, axis=0), beta=np.max(avgs, axis=0),
-                              m_steps=m)
+    return SackerSellEstimate(alpha=np.min(avgs, axis=0), beta=np.max(avgs, axis=0))
 
 
 @dataclass
 class IntegralSeparationReport:
-    pair: tuple
     kind: str                # "separated" | "bounded-average" | "inconclusive"
     a: float = math.nan      # fitted separation rate (separated)
     b: float = math.nan      # fitted offset (separated)
@@ -249,16 +246,16 @@ def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
         # offset: largest defect of sum >= a * span over ALL windows
         b = max(0.0, _max_rise(min_avg * k - cs))
         return IntegralSeparationReport(
-            pair=(i, j), kind="separated", a=min_avg, b=b,
+            kind="separated", a=min_avg, b=b,
             min_window_avg=min_avg, max_abs_window_avg=max_abs_avg)
     if max_abs_avg <= a0:
         eps = max_abs_avg
         m_bound = max(0.0, _max_rise(cs - eps * k), _max_rise(-cs - eps * k))
         return IntegralSeparationReport(
-            pair=(i, j), kind="bounded-average", eps=eps, M=m_bound,
+            kind="bounded-average", eps=eps, M=m_bound,
             min_window_avg=min_avg, max_abs_window_avg=max_abs_avg)
     return IntegralSeparationReport(
-        pair=(i, j), kind="inconclusive",
+        kind="inconclusive",
         min_window_avg=min_avg, max_abs_window_avg=max_abs_avg)
 
 
@@ -266,7 +263,6 @@ def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
 class OracleTrail:
     ts: np.ndarray           # (n+1,)
     b_diag: np.ndarray       # (n+1, d) instantaneous diagonal rates
-    q_final: np.ndarray
     h_fine: float
 
 
@@ -327,7 +323,7 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
         np.add(qm, np.multiply(sixth, out, out), out)
 
     buf = np.empty((min(n, _QR_BLOCK), d, d))     # the block's frames before the QR
-    q, lo, sign = eye, 0, np.ones(d)    # raw frame; block's first step; running signs
+    q, lo = eye, 0                      # raw frame; block's first step
     # steps past a failing one may overflow; the check below discards them
     with np.errstate(invalid="ignore", over="ignore"):
         for diags, qs in linalg.qr_chain(q, rk4, range(n), buf):
@@ -337,12 +333,10 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
             if bad.size:
                 raise OrthogonalityLost(f"frame drift {drift[bad[0]]:.3e} exceeds "
                                         f"{DRIFT_TOL:.1e} at t={ts[lo + bad[0] + 1]:.6g}")
-            sign *= np.prod(np.copysign(1.0, diags), axis=0)
             lo, q = lo + len(pres), qs[-1]
     frames[n] = q
     b_diag = np.matmul(np.matmul(frames.transpose(0, 2, 1), a_nodes), frames)
     return OracleTrail(ts=ts, b_diag=b_diag.diagonal(axis1=1, axis2=2).copy(),
-                       q_final=np.multiply(q, sign, out=np.empty((d, d))),
                        h_fine=h_fine)
 
 

@@ -148,7 +148,7 @@ def test_oracle_step_checked_before_integrating(tmp_path, capsys, monkeypatch):
 
 def test_oracle_step_count_too_large_to_hold(tmp_path, capsys, monkeypatch):
     # 2e302 oracle steps pass the span check but no array can hold them: exit 2, no
-    # traceback, found before the 1e5-step main run is integrated
+    # traceback, found by the oracle before the 1e5-step main run is integrated
     def never(*args, **kwargs):
         raise AssertionError("integrated before checking the oracle's step count")
 
@@ -157,7 +157,7 @@ def test_oracle_step_count_too_large_to_hold(tmp_path, capsys, monkeypatch):
     assert cli.main(["spectrum", "--h", "0.002", "--tfinal", "200", "--oracle-h", "1e-300",
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
-        "config error: cannot hold an oracle run of 2e+302 steps")
+        "config error: --oracle-h: cannot hold an oracle run of 2e+302 steps")
     assert not out.exists()
 
 
@@ -211,15 +211,34 @@ def test_every_command_integrates_through_one_path(tmp_path, capsys, monkeypatch
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_start_exits_3(tmp_path, capsys):
     # D = 1e300 overflows ab2's RK4 start to [1, nan]: exit 3 before either run,
-    # naming the start (start_rk4's overflow warning comes first)
+    # naming the start, and no overflow warning before it
     out = tmp_path / "cx"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["counterexample", "--method", "ab2", "--D", "1e300", "--L",
-                         "-0.91", "--h", "0.1", "--steps", "2", "--out", str(out)]) == 3
+    assert cli.main(["counterexample", "--method", "ab2", "--D", "1e300", "--L",
+                     "-0.91", "--h", "0.1", "--steps", "2", "--out", str(out)]) == 3
     assert capsys.readouterr().err == ("numerical failure: NumericalError: the start "
                                        "supervector is not finite: [1.0, nan]\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:offsets should satisfy")   # the inputs' own offsets
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg, err", [
+    # x0 on the axis: the closed form, e^{800 t} out of range from t = 1
+    ({"b1": 800}, "NumericalError: the exact solution is not finite at t=1.0"),
+    # off the axis: the quadrature, e^{800 t} in the rotated second component
+    ({"b2": 800, "x0": [0.6, 0.8]}, "QuadratureUnderResolved: panel doubling moved "
+                                    "the result by nan (rel) at t=1.0"),
+], ids=["closed-form", "quadrature"])
+def test_exact_solution_out_of_range_exits_3(cfg, err, tmp_path, capsys):
+    config = json.dumps({"a1": 1.2, "a2": 1.2, "b1": -0.14, "b2": -0.15, "beta": 10,
+                         **cfg})
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", config, "--h", "0.5", "--tfinal", "2",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {err}\n"
     assert not out.exists()
 
 

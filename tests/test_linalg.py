@@ -23,19 +23,19 @@ def _well_conditioned(seed, n):
 
 def test_qr_positive_reconstructs():
     m = _well_conditioned(0, 5)
-    fac = linalg.qr_positive(m)
-    assert np.allclose(fac.q @ fac.r, m, atol=1e-13)
-    assert np.allclose(fac.q.T @ fac.q, np.eye(5), atol=1e-13)
+    q, r = linalg.qr_positive(m)
+    assert np.allclose(q @ r, m, atol=1e-13)
+    assert np.allclose(q.T @ q, np.eye(5), atol=1e-13)
 
 
 def test_qr_positive_diagonal_sign():
     # flip a column so plain numpy QR would produce a negative diagonal entry
     m = _well_conditioned(1, 4)
     m[:, 2] *= -1.0
-    fac = linalg.qr_positive(m)
-    assert np.all(np.diag(fac.r) > 0.0)
+    q, r = linalg.qr_positive(m)
+    assert np.all(np.diag(r) > 0.0)
     # R stays upper triangular after the sign fix
-    assert np.allclose(np.tril(fac.r, k=-1), 0.0, atol=1e-14)
+    assert np.allclose(np.tril(r, k=-1), 0.0, atol=1e-14)
 
 
 def test_qr_positive_rank_deficient():
@@ -54,10 +54,10 @@ def test_qr_positive_rank_deficient():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
 def test_qr_positive_properties(seed, n):
     m = _well_conditioned(seed, n)
-    fac = linalg.qr_positive(m)
-    assert np.allclose(fac.q @ fac.r, m, atol=1e-12)
-    assert np.allclose(fac.q.T @ fac.q, np.eye(n), atol=1e-12)
-    assert np.min(np.diag(fac.r)) > 0.0
+    q, r = linalg.qr_positive(m)
+    assert np.allclose(q @ r, m, atol=1e-12)
+    assert np.allclose(q.T @ q, np.eye(n), atol=1e-12)
+    assert np.min(np.diag(r)) > 0.0
 
 
 def test_kron_oracle():

@@ -17,7 +17,6 @@ PINNED = {
     "glm.stage_times": {"t0": 0.0},
     "glm.transition_batch": {"t0": 0.0},
     "glm.run_linear": {"t0": 0.0, "keep_transitions": False, "on_chunk": None},
-    "glm.run_nonlinear": {"t0": 0.0},
     "spectra.new_matrix_trail": {"t0": 0.0},
     "spectra.vector_trail_from_values": {"t0": 0.0},
     "spectra.mu_appr": {"denominator": "t0", "sum_start": "origin"},
@@ -25,8 +24,6 @@ PINNED = {
     "spectra.continuous_qr_oracle": {"t0": 0.0},
     "problems.propagate_exact": {"scratch": None},
     "problems.reference_batch": {"x0": (1.0, 0.0), "t0": 0.0},
-    "problems.scalar_cosine_reference": {"x0": 1.0, "t0": 0.0},
-    "problems.tanh_reference": {"x0": 0.0, "t0": 0.0},
     "linalg.qr_chain": {"n0": 0},
     "linalg.rank_deficient": {"where": ""},
 }
@@ -52,4 +49,4 @@ def defaulted_parameters():
 
 def test_defaulted_parameters_are_pinned():
     assert defaulted_parameters() == PINNED
-    assert sum(map(len, PINNED.values())) == 22
+    assert sum(map(len, PINNED.values())) == 17

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmstab import problems
-from glmstab.errors import ConfigError, QuadratureUnderResolved
+from glmstab.errors import ConfigError, NumericalError, QuadratureUnderResolved
 
 
 def _params(**kw):
@@ -234,13 +234,11 @@ def test_in_place_quadrature_matches_formula():
 
 
 def test_tanh_reference_matches_formula():
-    for a, t, t0, x0 in ((-0.7, 1.3, 0.0, 0.0), (0.4, 3.1, 0.5, 0.3),
-                         (-2.0, 0.01, 0.0, 1.0)):
+    for a, t in ((-0.7, 1.3), (0.4, 3.1), (-2.0, 0.01)):
         p = problems.TanhForcedParams(a=a)
         forced = _quadrature_formula(lambda s: np.exp(a * (t - s)) * np.tanh(s * s),
-                                     t0, t, 64)
-        assert problems.tanh_reference(p, t, x0=x0, t0=t0) == (
-            math.exp(a * (t - t0)) * x0 + float(forced))
+                                     0.0, t, 64)
+        assert problems.tanh_reference(p, t) == float(forced)
 
 
 def test_reference_batch_heap_peak():
@@ -301,11 +299,21 @@ def test_quadrature_underresolved_first_failing_time(quad_points, first):
 
 def test_quadrature_nan_raises():
     # b2 = 800 overflows the integrand by t = 1: the result there is [nan, inf], and
-    # a NaN doubling change fails the check instead of passing it
+    # a NaN doubling change fails the check instead of passing it, with no overflow
+    # warning first (the suite turns RuntimeWarnings into errors)
     p = _params(b2=800.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _raised(problems.reference_batch, p, [0.5, 1.0], x0=(0.6, 0.8))
+    got = _raised(problems.reference_batch, p, [0.5, 1.0], x0=(0.6, 0.8))
     assert got == "panel doubling moved the result by nan (rel) at t=1.0"
+
+
+def test_closed_form_out_of_range_raises():
+    # b1 = 800 with x0 on the axis: e^{m1} overflows by t = 1, and the closed form
+    # names the first such time instead of returning [inf, inf]
+    p = _params(b1=800.0)
+    with pytest.raises(NumericalError) as exc:
+        problems.reference_batch(p, [0.5, 1.0, 2.0])
+    assert str(exc.value) == "the exact solution is not finite at t=1.0"
+    assert np.isfinite(problems.reference_batch(p, [0.5])).all()
 
 
 def test_propagate_exact_zero_component_does_not_overflow():
@@ -356,12 +364,15 @@ def test_scalar_cosine_reference_derivative():
 
 @pytest.mark.parametrize("t, t0", [(2.5, 0.0), (-1.0, 0.7), (np.linspace(0.0, 3.0, 7), 0.4)])
 def test_scalar_cosine_reference_at_omega_zero(t, t0):
-    # omega = 0 freezes the coefficient at D + L, and the general formula's limit agrees
+    # omega = 0 freezes the coefficient at D + L, and the general formula's limit
+    # agrees; the frozen flow is autonomous, so its value t - t0 after t0 is the
+    # reference at t - t0
     p = problems.ScalarCosineParams(D=0.3, L=-0.1, omega=0.0)
-    got = problems.scalar_cosine_reference(p, t, x0=1.5, t0=t0)
-    assert np.array_equal(got, 1.5 * np.exp((p.D + p.L) * (np.asarray(t) - t0)))
+    s = np.asarray(t) - t0
+    got = problems.scalar_cosine_reference(p, s)
+    assert np.array_equal(got, np.exp((p.D + p.L) * s))
     near = problems.ScalarCosineParams(D=0.3, L=-0.1, omega=1e-6)
-    assert np.allclose(problems.scalar_cosine_reference(near, t, x0=1.5, t0=t0), got,
+    assert np.allclose(problems.scalar_cosine_reference(near, s), got,
                        rtol=1e-10, atol=0.0)
 
 

@@ -109,9 +109,9 @@ def test_qr_positive_matches_numpy_qr_bit_for_bit(seed, n, grade):
         with pytest.raises(RankDeficient):
             linalg.qr_positive(m)
         return
-    fac = linalg.qr_positive(m)
-    assert np.array_equal(fac.q, q * d[np.newaxis, :])
-    assert np.array_equal(fac.r, r * d[:, np.newaxis])
+    q_pos, r_pos = linalg.qr_positive(m)
+    assert np.array_equal(q_pos, q * d[np.newaxis, :])
+    assert np.array_equal(r_pos, r * d[:, np.newaxis])
 
 
 @pytest.mark.filterwarnings("error")      # only the typed error may reach the caller

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from glmstab import cli, glm, problems
-from glmstab.errors import ConfigError
+from glmstab.errors import ConfigError, NumericalError
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -214,6 +214,14 @@ def test_on_chunk_cuts_the_diverging_chunk(served):
             traj = glm.run_linear(BDF2, prob, np.ones(4), 20, 0.1,
                                   on_chunk=lambda base, p: calls.append((base, len(p))))
         assert traj.diverged_at == at and calls == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_raises(bad):
+    # a library call gets the check too, before any step is taken
+    with pytest.raises(NumericalError) as exc:
+        glm.run_linear(BDF2, problems.constant_problem([[-1.0]]), [1.0, bad], 10, 0.1)
+    assert str(exc.value) == f"the start supervector is not finite: [1.0, {bad}]"
 
 
 def test_step_count_too_large_to_hold():
