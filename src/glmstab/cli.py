@@ -10,12 +10,10 @@ columns side by side with the published values they are compared against.
 """
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -200,30 +198,32 @@ def _ensure_out(out: str) -> str:
 # experiment rows (shared by the table commands and the acceptance tests)
 
 
-@dataclass
 class ExperimentRow:
     """Everything one table row needs: estimates plus per-step series."""
 
-    h: float
-    n_steps: int
-    diverged: bool
-    mu: float                 # w-sequence trail estimate
-    mu_frame: float           # leading mode of the full-frame trail
-    argmax_t: float
-    lte_mean: float
-    lte_max: float
-    tau_max: float
-    times: np.ndarray         # t_n for n = 0..n_steps (first-block times)
-    norms: np.ndarray         # ||x_n|| along the first blocks
-    lte: np.ndarray           # per-step restart defect series (scaled)
-    running_mu: np.ndarray    # origin-anchored running average, length n_steps
+    __slots__ = ("h", "n_steps", "diverged", "mu", "mu_frame", "argmax_t", "lte_mean",
+                 "lte_max", "tau_max", "times", "norms", "lte", "running_mu")
+
+    def __init__(self, h: float, n_steps: int, diverged: bool, mu: float,
+                 mu_frame: float, argmax_t: float, lte_mean: float, lte_max: float,
+                 tau_max: float, times: np.ndarray, norms: np.ndarray, lte: np.ndarray,
+                 running_mu: np.ndarray):
+        self.h, self.n_steps, self.diverged = h, n_steps, diverged
+        self.mu = mu                # w-sequence trail estimate
+        self.mu_frame = mu_frame    # leading mode of the full-frame trail
+        self.argmax_t = argmax_t
+        self.lte_mean, self.lte_max, self.tau_max = lte_mean, lte_max, tau_max
+        self.times = times          # t_n for n = 0..n_steps (first-block times)
+        self.norms = norms          # ||x_n|| along the first blocks
+        self.lte = lte              # per-step restart defect series (scaled)
+        self.running_mu = running_mu    # origin-anchored running average, length n_steps
 
 
 def _integrate(tab: glm.GlmTableau, prob: problems.LinearProblem, x0s, n_f: int,
                h: float, t0: float, frame=False, reference=None):
     """Run n_f steps of the method on prob from t0 and the start supervector x0s:
-    (trajectory, frame trail if frame, unscaled restart defects if reference(ts) ->
-    (len(ts), d) samples the exact solution; else None).
+    (trajectory, frame trail if frame, unscaled restart defects if reference(lo, hi)
+    -> (hi - lo, d) samples the exact solution at t_lo, ..., t_{hi-1}; else None).
 
     The one integration path of the commands. Each chunk of Phi that run_linear
     keeps feeds the trail and the defects and is dropped, so RankDeficient and
@@ -237,8 +237,8 @@ def _integrate(tab: glm.GlmTableau, prob: problems.LinearProblem, x0s, n_f: int,
         if frame:
             spectra.qr_advance_series(trail, phis)
         if reference is not None:
-            ts = t0 + h * np.arange(base, base + len(phis) + tab.k)
-            defects.append(glm.lte_series(tab, phis, reference(ts)))
+            refs = reference(base, base + len(phis) + tab.k)
+            defects.append(glm.lte_series(tab, phis, refs))
 
     traj = glm.run_linear(tab, prob, x0s, n_f, h, t0, on_chunk=consume)
     return traj, trail, None if reference is None else np.concatenate(defects)
@@ -271,9 +271,12 @@ def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
         if value not in known:
             raise ConfigError(f"unknown {name} {value!r}")
     prob = problems.rotating_cosine_problem(params)
-    reference = functools.partial(problems.reference_batch, params, x0=x0, t0=t0)
+
+    def reference(lo, hi):
+        return problems.reference_batch(params, t0 + h * np.arange(lo, hi), x0=x0, t0=t0)
+
     x0s = (glm.start_rk4(prob, x0, t0, h, tab.k) if start == "rk4"
-           else reference(t0 + h * np.arange(tab.k)).ravel())
+           else reference(0, tab.k).ravel())
     traj, ftrail, lte = _integrate(tab, prob, x0s, n_f, h, t0, with_frame, reference)
     m = traj.n_steps
 
@@ -527,16 +530,17 @@ def cmd_converge(args) -> int:
     tab = glm.get_tableau(args.method)
     params = problems.RotatingCosineParams(**TABLE1_PROBLEM)
     prob = problems.rotating_cosine_problem(params)
-    reference = functools.partial(problems.reference_batch, params)
     hs = CONVERGE_H[args.method]
     t_final = args.tfinal if args.tfinal is not None else 2.0
     ge, le = [], []
     for h in hs:
-        traj, _, lte = _integrate(tab, prob, reference(h * np.arange(tab.k)).ravel(),
-                                  glm.span_steps(h, t_final, 0.0), h, 0.0,
-                                  reference=reference)
-        end = reference([h * (traj.n_steps + tab.k - 1)])
-        ge.append(float(np.linalg.norm(traj.last_blocks()[-1] - end[0])))
+        n_f = glm.span_steps(h, t_final, 0.0)
+        # the exact solution at t_0 .. t_{n_f+k-1}: start, defect rows and end point
+        exact = problems.reference_batch(params, h * np.arange(n_f + tab.k))
+        traj, _, lte = _integrate(tab, prob, exact[:tab.k].ravel(), n_f, h, 0.0,
+                                  reference=lambda lo, hi: exact[lo:hi])
+        end = exact[traj.n_steps + tab.k - 1]
+        ge.append(float(np.linalg.norm(traj.last_blocks()[-1] - end)))
         le.append(float(lte.max()))
     lh = np.log(np.asarray(hs))
     global_slope = float(np.polyfit(lh, np.log(ge), 1)[0])

@@ -19,7 +19,6 @@ extractable; validation lives here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,23 +46,22 @@ _GAP_CHUNK = 1024       # grid points per batched solve and eigvals in stability
 _TRACE_MARGIN = 1e-8    # _scan_stable's trace bound must clear 1 + 1e-12 by this * max|M|
 
 
-@dataclass
 class GlmTableau:
-    k: int                  # number of supervector blocks
-    r: int                  # number of stages
-    order: int              # classical order p
-    U: np.ndarray           # (r, k)
-    V: np.ndarray           # (k, k)
-    C: np.ndarray           # (r, r)
-    D: np.ndarray           # (k, r)
-    xi: np.ndarray          # (r,) stage abscissae, in units of h
+    """A method's quadruple and abscissae, the arrays reshaped to float64 at
+    construction: U (r, k), V (k, k), C (r, r), D (k, r) and xi (r,), the stage
+    abscissae in units of h."""
 
-    def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float).reshape(self.r, self.k)
-        self.V = np.asarray(self.V, dtype=float).reshape(self.k, self.k)
-        self.C = np.asarray(self.C, dtype=float).reshape(self.r, self.r)
-        self.D = np.asarray(self.D, dtype=float).reshape(self.k, self.r)
-        self.xi = np.asarray(self.xi, dtype=float).reshape(self.r)
+    __slots__ = ("k", "r", "order", "U", "V", "C", "D", "xi")
+
+    def __init__(self, k: int, r: int, order: int, U, V, C, D, xi):
+        self.k = k                  # number of supervector blocks
+        self.r = r                  # number of stages
+        self.order = order          # classical order p
+        self.U = np.asarray(U, dtype=float).reshape(r, k)
+        self.V = np.asarray(V, dtype=float).reshape(k, k)
+        self.C = np.asarray(C, dtype=float).reshape(r, r)
+        self.D = np.asarray(D, dtype=float).reshape(k, r)
+        self.xi = np.asarray(xi, dtype=float).reshape(r)
 
 
 def check_strictly_stable(v: np.ndarray) -> np.ndarray:
@@ -126,16 +124,17 @@ def get_tableau(name: str) -> GlmTableau:
     return tab
 
 
-@dataclass
 class Trajectory:
     """A sampled discrete trajectory of supervectors X_n, blocks (x_n,...,x_{n+k-1})."""
 
-    h: float
-    t0: float
-    d: int
-    k: int
-    states: np.ndarray              # (n_states, k*d)
-    diverged_at: Optional[int] = None
+    __slots__ = ("h", "t0", "d", "k", "states", "diverged_at")
+
+    def __init__(self, h: float, t0: float, d: int, k: int, states: np.ndarray,
+                 diverged_at: Optional[int] = None):
+        self.h, self.t0 = h, t0
+        self.d, self.k = d, k
+        self.states = states                # (n_states, k*d)
+        self.diverged_at = diverged_at
 
     @property
     def diverged(self) -> bool:

@@ -15,8 +15,6 @@ trailing columns to unit norm with positive leading sign).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import glm
@@ -25,17 +23,21 @@ from .errors import DegenerateFit
 SPLIT_RESIDUAL_TOL = 1e-10
 
 
-@dataclass
 class SpectralSplit:
-    P: np.ndarray
-    Pinv: np.ndarray
-    E22: np.ndarray          # (k-1, k-1); empty for one-step methods
-    unit_row: np.ndarray     # first row of Pinv
+    __slots__ = ("P", "Pinv", "E22", "unit_row")
+
+    def __init__(self, P: np.ndarray, Pinv: np.ndarray, E22: np.ndarray,
+                 unit_row: np.ndarray):
+        self.P, self.Pinv = P, Pinv
+        self.E22 = E22              # (k-1, k-1); empty for one-step methods
+        self.unit_row = unit_row    # first row of Pinv
 
 
-@dataclass
 class WSequence:
-    values: np.ndarray       # (n_states, d)
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values        # (n_states, d)
 
 
 def _unit_eigvec(v: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,23 +26,28 @@ from .errors import ConfigError, NumericalError, QuadratureUnderResolved
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-# Fixed-order Gauss-Legendre rule used inside each quadrature panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# Fixed-order Gauss-Legendre rule used inside each quadrature panel: the bits of
+# np.polynomial.legendre.leggauss(10), written out so numpy.polynomial stays unloaded.
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+    0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814])
 _REF_CHUNK = 16         # times per propagate_exact call in reference_batch
 QUAD_PANELS = 64        # panels of tanh_reference and reference_batch (and doubled)
 
 
-@dataclass
 class RotatingCosineParams:
-    a1: float
-    a2: float
-    b1: float
-    b2: float
-    beta: float
-    omega_rate: float = 1.0
-    resonant_h: Optional[float] = None
+    __slots__ = ("a1", "a2", "b1", "b2", "beta", "omega_rate", "resonant_h")
 
-    def __post_init__(self):
+    def __init__(self, a1: float, a2: float, b1: float, b2: float, beta: float,
+                 omega_rate: float = 1.0, resonant_h: Optional[float] = None):
+        self.a1, self.a2 = a1, a2
+        self.b1, self.b2 = b1, b2
+        self.beta, self.omega_rate, self.resonant_h = beta, omega_rate, resonant_h
         if not (self.a1 > 0.0 and self.a2 > 0.0):
             warnings.warn(f"cosine amplitudes should be positive, got a1={self.a1}, a2={self.a2}")
         if not (self.b2 < self.b1 < 0.0):
@@ -57,19 +61,20 @@ class RotatingCosineParams:
         return self.omega_rate
 
 
-@dataclass
 class ScalarCosineParams:
-    D: float
-    L: float
-    omega: float = 1.0
+    __slots__ = ("D", "L", "omega")
+
+    def __init__(self, D: float, L: float, omega: float = 1.0):
+        self.D, self.L, self.omega = D, L, omega
 
 
-@dataclass
 class TanhForcedParams:
-    a: float
+    __slots__ = ("a",)
+
+    def __init__(self, a: float):
+        self.a = a
 
 
-@dataclass
 class LinearProblem:
     """A linear nonautonomous system x' = A(t) x.
 
@@ -77,8 +82,10 @@ class LinearProblem:
     to read A(t): a single time t is batch(np.array([t]))[0].
     """
 
-    d: int
-    batch: Callable[[np.ndarray], np.ndarray]
+    __slots__ = ("d", "batch")
+
+    def __init__(self, d: int, batch: Callable[[np.ndarray], np.ndarray]):
+        self.d, self.batch = d, batch
 
 
 def rotation(angle):
@@ -242,11 +249,20 @@ def scalar_cosine_problem(p: ScalarCosineParams) -> LinearProblem:
 
 
 def scalar_cosine_reference(p: ScalarCosineParams, t):
-    """Exact solution of x' = (D cos(omega t) + L) x with x(0) = 1."""
+    """Exact solution of x' = (D cos(omega t) + L) x with x(0) = 1.
+
+    The first time whose value is not finite raises NumericalError; overflow raises
+    no warning, only the typed error reports it."""
     t = np.asarray(t)
-    if p.omega == 0.0:
-        return np.exp((p.D + p.L) * t)
-    return np.exp((p.D / p.omega) * np.sin(p.omega * t) + p.L * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.omega == 0.0:
+            out = np.exp((p.D + p.L) * t)
+        else:
+            out = np.exp((p.D / p.omega) * np.sin(p.omega * t) + p.L * t)
+    if not np.isfinite(out).all():
+        bad = np.flatnonzero(~np.isfinite(out))[0]
+        raise NumericalError(f"the exact solution is not finite at t={np.ravel(t)[bad]}")
+    return out
 
 
 def constant_problem(a) -> LinearProblem:

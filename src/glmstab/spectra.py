@@ -13,7 +13,6 @@ it for chaining. Matrix trails and the continuous-QR oracle step by linalg.qr_ch
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,12 +23,14 @@ from .glm import span_steps
 from .problems import LinearProblem
 
 
-@dataclass
 class QrTrail:
-    h: float
-    t0: float
-    frame: Optional[np.ndarray]    # (d, m) orthonormal frame; None for a vector trail
-    increments: np.ndarray         # (n_steps, n_modes) log increments, one row per step
+    __slots__ = ("h", "t0", "frame", "increments")
+
+    def __init__(self, h: float, t0: float, frame: Optional[np.ndarray],
+                 increments: np.ndarray):
+        self.h, self.t0 = h, t0
+        self.frame = frame      # (d, m) orthonormal frame; None for a vector trail
+        self.increments = increments    # (n_steps, n_modes) log increments per step
 
     @property
     def n_steps(self) -> int:
@@ -104,10 +105,12 @@ def _cumlogs(trail: QrTrail) -> np.ndarray:
     return cs
 
 
-@dataclass
 class LyapunovEstimate:
-    mu: np.ndarray           # per mode
-    argmax_t: np.ndarray     # time where the running max is attained, per mode
+    __slots__ = ("mu", "argmax_t")
+
+    def __init__(self, mu: np.ndarray, argmax_t: np.ndarray):
+        self.mu = mu                # per mode
+        self.argmax_t = argmax_t    # time where the running max is attained, per mode
 
 
 def mu_appr(trail: QrTrail, n0: int, n: int, denominator: str = "t0",
@@ -140,11 +143,11 @@ def mu_appr(trail: QrTrail, n0: int, n: int, denominator: str = "t0",
     return LyapunovEstimate(mu=mu, argmax_t=ts[best])
 
 
-@dataclass
 class LyapunovEndpoints:
-    eta: np.ndarray
-    mu: np.ndarray
-    burn_in: int
+    __slots__ = ("eta", "mu", "burn_in")
+
+    def __init__(self, eta: np.ndarray, mu: np.ndarray, burn_in: int):
+        self.eta, self.mu, self.burn_in = eta, mu, burn_in
 
 
 def lyapunov_endpoints(trail: QrTrail) -> LyapunovEndpoints:
@@ -160,10 +163,11 @@ def lyapunov_endpoints(trail: QrTrail) -> LyapunovEndpoints:
                              burn_in=burn_in)
 
 
-@dataclass
 class SackerSellEstimate:
-    alpha: np.ndarray
-    beta: np.ndarray
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: np.ndarray, beta: np.ndarray):
+        self.alpha, self.beta = alpha, beta
 
 
 def window_steps(H: float, h: float, n_steps: int) -> int:
@@ -189,15 +193,19 @@ def sacker_sell_window(trail: QrTrail, H: float) -> SackerSellEstimate:
     return SackerSellEstimate(alpha=np.min(avgs, axis=0), beta=np.max(avgs, axis=0))
 
 
-@dataclass
 class IntegralSeparationReport:
-    kind: str                # "separated" | "bounded-average" | "inconclusive"
-    a: float = math.nan      # fitted separation rate (separated)
-    b: float = math.nan      # fitted offset (separated)
-    eps: float = math.nan    # fitted drift bound (bounded-average)
-    M: float = math.nan      # fitted oscillation bound (bounded-average)
-    min_window_avg: float = math.nan
-    max_abs_window_avg: float = math.nan
+    __slots__ = ("kind", "a", "b", "eps", "M", "min_window_avg", "max_abs_window_avg")
+
+    def __init__(self, kind: str, a: float = math.nan, b: float = math.nan,
+                 eps: float = math.nan, M: float = math.nan,
+                 min_window_avg: float = math.nan, max_abs_window_avg: float = math.nan):
+        self.kind = kind        # "separated" | "bounded-average" | "inconclusive"
+        self.a = a              # fitted separation rate (separated)
+        self.b = b              # fitted offset (separated)
+        self.eps = eps          # fitted drift bound (bounded-average)
+        self.M = M              # fitted oscillation bound (bounded-average)
+        self.min_window_avg = min_window_avg
+        self.max_abs_window_avg = max_abs_window_avg
 
 
 def _max_rise(g: np.ndarray) -> float:
@@ -259,11 +267,13 @@ def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
         min_window_avg=min_avg, max_abs_window_avg=max_abs_avg)
 
 
-@dataclass
 class OracleTrail:
-    ts: np.ndarray           # (n+1,)
-    b_diag: np.ndarray       # (n+1, d) instantaneous diagonal rates
-    h_fine: float
+    __slots__ = ("ts", "b_diag", "h_fine")
+
+    def __init__(self, ts: np.ndarray, b_diag: np.ndarray, h_fine: float):
+        self.ts = ts            # (n+1,)
+        self.b_diag = b_diag    # (n+1, d) instantaneous diagonal rates
+        self.h_fine = h_fine
 
 
 def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,

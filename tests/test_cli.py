@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -254,6 +256,18 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "WindowOutOfRange" in capsys.readouterr().err
 
 
+def test_counterexample_exact_out_of_range_exits_3(tmp_path, capsys):
+    # the oscillatory run is cut at step 5, and the exact column overflows at t = 2:
+    # NumericalError names that time, with no overflow warning first (the suite
+    # turns RuntimeWarnings into errors), and no file is written
+    out = tmp_path / "o"
+    assert cli.main(["counterexample", "--method", "ab2", "--D", "0.5", "--L", "400",
+                     "--h", "0.5", "--steps", "10", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: NumericalError: the exact "
+                                       "solution is not finite at t=2.0\n")
+    assert not out.exists()
+
+
 def test_run_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     rc = cli.main(["run", "--h", "0.1", "--tfinal", "4", "--out", str(out)])
@@ -451,6 +465,24 @@ def test_converge_reports_slopes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_converge_samples_the_exact_solution_once_per_step(tmp_path, capsys,
+                                                           monkeypatch):
+    # one reference_batch call per step size serves the start, the defects and the
+    # end point: on t_0 .. t_{n_f+k-1}
+    calls, real = [], problems.reference_batch
+
+    def spy(params, ts, *args, **kwargs):
+        calls.append(np.asarray(ts))
+        return real(params, ts, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "reference_batch", spy)
+    assert cli.main(["converge", "--method", "bdf2", "--out", str(tmp_path)]) == 0
+    for ts, h in zip(calls, cli.CONVERGE_H["bdf2"], strict=True):
+        n_f = glm.span_steps(h, 2.0, 0.0)
+        assert np.array_equal(ts, h * np.arange(n_f + 2))
+    capsys.readouterr()
+
+
 def test_csv_float_format(tmp_path, capsys):
     out = tmp_path / "fmt"
     cli.main(["run", "--h", "0.1", "--tfinal", "1", "--out", str(out)])
@@ -460,6 +492,36 @@ def test_csv_float_format(tmp_path, capsys):
     mantissa = val.split("e")[0].replace("-", "").replace(".", "")
     assert len(mantissa) == 17
     capsys.readouterr()
+
+
+# The environment in which every digest of tests/data/cli_digests.json and
+# perfbench/digests.json was last checked to match. numpy picks its exp, sin, cos
+# and log10 kernels by CPU feature at run time, and they differ in the last bits.
+DIGEST_ENV = Path(__file__).parent / "data" / "digest_env.json"
+
+
+def _running_env() -> dict:
+    """The entries of DIGEST_ENV, read from the running process."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            **{lib: f"{deps[lib]['name']} {deps[lib]['version']}"
+               for lib in ("blas", "lapack")},
+            "cpu_features": [f for f in __cpu_dispatch__ if __cpu_features__[f]]}
+
+
+def _digest_env_note(record=None) -> str:
+    """Whether the running environment is the recorded one, and which entries differ."""
+    record = json.loads(DIGEST_ENV.read_text()) if record is None else record
+    env = _running_env()
+    differ = [f"{key}: recorded {record.get(key)!r}, running {value!r}"
+              for key, value in env.items() if record.get(key) != value]
+    if not differ:
+        return ("the running environment matches the record in "
+                f"{DIGEST_ENV.name}: a changed digest is a changed output")
+    return (f"the running environment differs from the record in {DIGEST_ENV.name} "
+            f"({'; '.join(differ)}): a changed digest may come from the environment")
 
 
 @pytest.mark.filterwarnings("ignore:offsets should satisfy")   # as-printed reading
@@ -475,7 +537,7 @@ def test_paper_tables_byte_identical(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path / key)]) == 0
         for path in (tmp_path / key).iterdir():
             got[f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert got == want
+    assert got == want, _digest_env_note()
     capsys.readouterr()
 
 
@@ -508,8 +570,21 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
             got[f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
             if path.suffix == ".json":
                 _strict_json(path)
-    assert got == want
+    assert got == want, _digest_env_note()
     capsys.readouterr()
+
+
+def test_digest_env_note_names_differing_entries():
+    record = json.loads(DIGEST_ENV.read_text())
+    root = Path(__file__).resolve().parents[1]
+    assert sorted(record["covers"]) == ["perfbench/digests.json",
+                                        "tests/data/cli_digests.json"]
+    assert all((root / path).is_file() for path in record["covers"])
+    assert set(record) - {"covers"} == set(_running_env())
+    note = _digest_env_note(dict(record, numpy="0.0", cpu_features=[]))
+    assert note.startswith("the running environment differs from the record")
+    assert "numpy: recorded '0.0', running " in note
+    assert "cpu_features: recorded [], running " in note
 
 
 # -- the CSV line formatters against csv.writer ----------------------------------

@@ -208,11 +208,13 @@ def test_bare_package_import_loads_nothing():
 
 def test_cli_run_leaves_scipy_linalg_unimported(tmp_path):
     # linalg loads scipy's compiled LAPACK module from its file: a whole CLI run
-    # imports neither the scipy.linalg package nor numpy.f2py, which it pulls in
+    # imports neither the scipy.linalg package nor numpy.f2py, which it pulls in;
+    # nor dataclasses or numpy.polynomial, which no command needs
     src = str(Path(linalg.__file__).parents[1])
+    unused = ("scipy.linalg", "numpy.f2py", "dataclasses", "numpy.polynomial")
     code = ("import sys; from glmstab import cli; "
             f"assert cli.main(['counterexample', '--out', {str(tmp_path)!r}]) == 0; "
-            "print(sorted(m for m in ('scipy.linalg', 'numpy.f2py') if m in sys.modules))")
+            f"print(sorted(m for m in {unused!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -316,6 +316,26 @@ def test_closed_form_out_of_range_raises():
     assert np.isfinite(problems.reference_batch(p, [0.5])).all()
 
 
+def test_scalar_cosine_reference_out_of_range_raises():
+    # D + L = 400.5 overflows exp by t = 2 (omega = 4 pi): the first such time is
+    # named, with no overflow warning first (the suite turns RuntimeWarnings into
+    # errors), instead of returning inf
+    p = problems.ScalarCosineParams(D=0.5, L=400.0, omega=4.0 * math.pi)
+    with pytest.raises(NumericalError) as exc:
+        problems.scalar_cosine_reference(p, np.array([0.5, 1.5, 2.0, 2.5]))
+    assert str(exc.value) == "the exact solution is not finite at t=2.0"
+    with pytest.raises(NumericalError, match="not finite at t=800.0"):
+        problems.scalar_cosine_reference(
+            problems.ScalarCosineParams(D=0.5, L=1.0, omega=0.0), 800.0)
+    assert np.isfinite(problems.scalar_cosine_reference(p, np.array([1.5])))
+
+
+def test_gauss_legendre_constants_are_leggauss_bits():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert problems._GL_NODES.tobytes() == nodes.tobytes()
+    assert problems._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_propagate_exact_zero_component_does_not_overflow():
     # y2 = 0 with exp(m2) past the double range (m2 ~ 727 at t = 2): the zero
     # component stays zero, with no 0 * inf (the suite turns RuntimeWarnings into
