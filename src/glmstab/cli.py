@@ -26,9 +26,14 @@ CSV_EOL = "\r\n"       # the line end of csv.writer
 _LINES_PER_BLOCK = 4096   # CSV lines formatted, joined and written at a time
 _STARTS = ("rk4", "reference")      # the start procedures of experiment_row
 _LTE_SCALES = ("per-h", "defect")   # the restart defect over h, or as it is
-_DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48   # row k: k's digits
+_WORDS4 = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48).view(np.uint32).ravel()
 _POW10 = np.array([10 ** k for k in range(23)], dtype=float)   # all exact
-_COMMA, _EOL = (np.frombuffer(s.encode(), np.uint8)[None] for s in (",", CSV_EOL))
+_NINES = np.array([min(10 ** p, 2 ** 63) - 1 for p in range(1, 20)])  # top int64 of p digits
+_LEADS, _EXPS, _KEEP, _COMMA, _EOL = (np.array(w, "S4").view(np.uint32) for w in (
+    [b"\0%s%d." % (s, d) for s in (b"\0", b"-") for d in range(10)],  # [d + 10 (x < 0)]
+    [b"e%+03d" % k for k in range(-6, 17)],                 # [E + 6]: e, sign, 2 digits
+    [b"\0" * (4 - k) + b"\xff" * k for k in range(4)],      # [k]: keeps the last k bytes
+    [b","], [CSV_EOL.encode()]))
 
 
 def _csv_line(*fields: str) -> str:
@@ -36,25 +41,29 @@ def _csv_line(*fields: str) -> str:
     return ",".join(fields) + CSV_EOL
 
 
-def _digits(n: np.ndarray, width: int) -> np.ndarray:
-    """(len(n), width) uint8: the last width decimal digits of each n >= 0."""
-    out = np.empty((len(n), -(-width // 4) * 4), np.uint8)
-    for col in range(out.shape[1] - 4, -1, -4):
-        n, group = np.divmod(n, 10000)
-        out[:, col:col + 4] = np.take(_DIGITS4, group, axis=0)
-    return out[:, out.shape[1] - width:]
+def _digit_words(n: np.ndarray, words) -> np.ndarray:
+    """Write n's last 4 len(words) digits into the word rows; return the rest of n."""
+    for row in range(len(words) - 1, -1, -1):   # floor_divide: numpy's fast path
+        n, group = np.floor_divide(n, 10000), n
+        words[row] = _WORDS4[group - n * 10000]
+    return n
 
 
-def _int_field(n: np.ndarray) -> np.ndarray:
-    """(len(n), w) uint8: row i is "%d" % n[i] (n nonnegative int64), NUL-padded."""
-    out = _digits(n, len(str(n.max(initial=0))))
-    head = out[:, :-1]                  # all digits but the last: n = 0 keeps its 0
-    head[np.logical_and.accumulate(head == ord("0"), axis=1)] = 0
-    return out
+def _int_field(n: np.ndarray, words=None):
+    """(len(n), 4 w) uint8: row i is "%d" % n[i], NUL-padded, for nondecreasing int64
+    n >= 0; or, given w word rows of a block buffer, n written there, w words each."""
+    if words is None:
+        field = np.empty((len(n), -(-len(str(n.max(initial=0))) // 4)), np.uint32)
+        _int_field(n, field.T)
+        return field.view(np.uint8)
+    _digit_words(n, words)
+    for p, rows in enumerate(np.searchsorted(n, _NINES[:4 * len(words) - 1], "right"), 1):
+        words[-1 - p // 4, :rows] &= _KEEP[p % 4]   # rows n < 10**p: NUL from place p
 
 
-def _e16_field(values) -> np.ndarray:
-    """(n, 24) uint8: row i is FLOAT_FMT % values[i], NUL-padded.
+def _e16_field(values, words=None):
+    """(n, 24) uint8: row i is FLOAT_FMT % values[i], NUL-padded, as six words: lead,
+    four of 4 digits, exponent; or, given six word rows of a block buffer, written there.
 
     Where E = floor(log10|x|) lies in [-6, 16], Dekker's two-product (Veltkamp
     split; numpy never fuses a multiply-add) gives hi + lo = |x| * 10**(16 - E)
@@ -64,6 +73,10 @@ def _e16_field(values) -> np.ndarray:
     a carry into the exponent that no double of this range makes.
     """
     x = np.asarray(values, dtype=float)
+    if words is None:
+        field = np.empty((len(x), 6), np.uint32)
+        _e16_field(x, field.T)
+        return field.view(np.uint8)
     # log10(±0) divides; numpy's AVX2 log10 flags a signaling NaN as invalid
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(np.abs(x)))
@@ -79,28 +92,26 @@ def _e16_field(values) -> np.ndarray:
     n = (np.where(fast, hi, 1e16).astype(np.int64)
          + np.where(fast, np.rint(lo), 0.0).astype(np.int64))
     fast &= n < 10 ** 17
-    out = np.tile(np.frombuffer(b"-0.0000000000000000e+00\0", np.uint8), (len(x), 1))
-    out[x >= 0, 0] = 0
-    out[:, np.r_[1, 3:19]] = _digits(n, 17)         # the 17 digits, around the point
-    out[e < 0, 20] = ord("-")
-    out[:, 21:23] = _digits(np.abs(e), 2)
-    out[~fast] = np.array([FLOAT_FMT % v for v in x[~fast].tolist()],
-                          "S24")[:, None].view(np.uint8)
-    return out
+    words[0], words[5] = _LEADS[_digit_words(n, words[1:5]) + 10 * (x < 0)], _EXPS[e + 6]
+    words[:, ~fast] = np.array([FLOAT_FMT % v for v in x[~fast].tolist()],
+                               "S24")[:, None].view(np.uint32).T
 
 
 def _csv_blocks(prefix: str, start: int, *columns):
     """CSV lines n = start, start + 1, ... of equal-length float columns (prefix, n,
     each column's FLOAT_FMT value), one joined str per _LINES_PER_BLOCK lines."""
-    head = np.frombuffer(prefix.encode(), np.uint8)[None]
-    for lo in range(0, len(columns[0]), _LINES_PER_BLOCK):
-        hi = min(lo + _LINES_PER_BLOCK, len(columns[0]))
-        parts = [head, _int_field(np.arange(start + lo, start + hi))]
-        for column in columns:
-            parts += [_COMMA, _e16_field(column[lo:hi])]
-        buf = np.concatenate([np.broadcast_to(p, (hi - lo, p.shape[1]))
-                              for p in parts + [_EOL]], axis=1)
-        yield buf.tobytes().replace(b"\0", b"").decode("ascii")
+    m = len(columns[0])
+    head = np.frombuffer(prefix.encode() + b"\0" * (-len(prefix) % 4), np.uint32)
+    index = slice(len(head), len(head) - (-len(str(start + m - 1)) // 4))
+    comma = index.stop + 7 * np.arange(len(columns))     # each column's comma word
+    buf = np.empty((comma[-1] + 8, min(m, _LINES_PER_BLOCK)), np.uint32)  # (words, lines)
+    buf[:len(head)], buf[comma], buf[-1] = head[:, None], _COMMA, _EOL
+    for lo in range(0, m, _LINES_PER_BLOCK):
+        block = buf[:, :min(m - lo, _LINES_PER_BLOCK)]
+        _int_field(np.arange(start + lo, start + lo + block.shape[1]), block[index])
+        for row, column in zip(comma, columns):
+            _e16_field(column[lo:lo + block.shape[1]], block[row + 1:row + 7])
+        yield block.T.tobytes().translate(None, b"\0").decode("ascii")   # less the NULs
 
 
 # Published experiment values (side-by-side columns, tolerance-checked only by
@@ -149,11 +160,10 @@ def _figure_lines(key: float, times, lte, norms):
     through); np.log10 differs from it in the last ulp on some values. The key is
     formatted once, as the prefix of every line. Yields joined blocks of lines.
     """
-    m = len(lte)
     prefix = FLOAT_FMT % key + ","
-    for lo in range(0, m, _LINES_PER_BLOCK):
-        s = slice(lo, min(lo + _LINES_PER_BLOCK, m))
-        logs = (list(map(math.log10, np.maximum(x[s], 1e-300).tolist()))
+    for lo in range(0, len(lte), _LINES_PER_BLOCK):
+        s = slice(lo, min(lo + _LINES_PER_BLOCK, len(lte)))
+        logs = (np.fromiter(map(math.log10, np.maximum(x[s], 1e-300).tolist()), float)
                 for x in (lte, norms))
         yield from _csv_blocks(prefix, lo, times[s], *logs)
 

@@ -174,13 +174,13 @@ def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points,
     y2_to = y2 * np.exp(np.where(y2 == 0.0, 0.0, m2))   # no 0 * inf
 
     if np.any(y2 != 0.0) and p.beta != 0.0:
-        def integrand(s, out):
-            # exp(-m1(s)) * y2(s) up to the constant y2(t_from), broadcast over panels
-            np.subtract(np.sin(s, out=out), sin_from[..., np.newaxis, np.newaxis], out=out)
-            np.multiply(p.a2 - p.a1, out, out=out)
+        def integrand(s, out):  # exp(-m1(s)) y2(s) / y2(t_from), broadcast over panels
+            if p.a2 - p.a1:         # else the sine term is a signed zero: it adds no bit
+                np.subtract(np.sin(s, out=out), sin_from[..., None, None], out=out)
+                np.multiply(p.a2 - p.a1, out, out=out)
             np.subtract(s, t_from[..., np.newaxis, np.newaxis], out=s)
             np.multiply(p.b2 - p.b1, s, out=s)
-            np.exp(np.add(out, s, out=out), out=out)
+            np.exp(np.add(out, s, out=out) if p.a2 - p.a1 else s, out=out)
 
         integral = _panel_quadrature(integrand, t_from, t_to, quad_points, scratch)
         y1_to = np.exp(m1) * (y1 + p.beta * y2 * integral)

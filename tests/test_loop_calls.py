@@ -4,7 +4,9 @@ The propagation of run_linear and the frame trail reach their kernels through C
 calls only: ndarray.dot, ufuncs and the LAPACK routines. A Python function called
 per step, a numpy dispatcher such as np.dot's among them, shows up as 'call' events
 that grow with the step count. Counting them over n, 2n and 3n steps inside one
-chunk or block makes the check independent of host speed.
+chunk or block makes the check independent of host speed. The CSV writer is held
+to the same standard per line, for C calls too: its fields are formatted by
+whole-array numpy calls.
 """
 
 import sys
@@ -12,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from glmstab import glm, problems, spectra
+from glmstab import cli, glm, problems, spectra
 
 N = 150      # steps; 3 N stays inside one run_linear chunk and one QR block
 
@@ -23,13 +25,13 @@ H = 0.075
 PHIS = glm.transition_batch(BDF2, PROB, 0, 3 * N, H)
 
 
-def python_calls(fn, n):
+def python_calls(fn, n, events=("call",)):
     """Python 'call' events while fn(n) runs; C calls are 'c_call' events."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        count += event == "call"
+        count += event in events
 
     sys.setprofile(profile)
     try:
@@ -39,10 +41,10 @@ def python_calls(fn, n):
     return count
 
 
-def calls_per_step(fn):
+def calls_per_step(fn, events=("call",)):
     """The calls that each step adds, asserted to be the same for every step."""
     fn(N)                                   # first-call imports and caches
-    counts = [python_calls(fn, m * N) for m in (1, 2, 3)]
+    counts = [python_calls(fn, m * N, events) for m in (1, 2, 3)]
     assert counts[2] - counts[1] == counts[1] - counts[0], counts
     return (counts[1] - counts[0]) / N
 
@@ -66,3 +68,15 @@ def test_oracle_adds_a_fixed_count_per_step():
     per_step = calls_per_step(
         lambda n: spectra.continuous_qr_oracle(PROB, n * 0.01, 0.01))
     assert per_step == int(per_step) and 5 <= per_step <= 9, per_step
+
+
+def test_csv_writer_adds_no_call_per_line():
+    # 3 N lines stay inside one block; every value is in the range of the
+    # vectorized formatter, so none falls back to % formatting. C calls count
+    # too: a builtin such as math.log10 or abs applied per value adds them
+    assert 3 * N <= cli._LINES_PER_BLOCK
+    rng = np.random.default_rng(7)
+    cols = [rng.uniform(-9.0, 9.0, 3 * N) * 10.0 ** rng.integers(-6, 16, 3 * N)
+            for _ in range(4)]
+    assert calls_per_step(lambda n: list(cli._csv_blocks(
+        "7.5000000000000000e-01,", 0, *(c[:n] for c in cols))), ("call", "c_call")) == 0

@@ -233,6 +233,17 @@ def test_in_place_quadrature_matches_formula():
         assert got.tobytes() == np.stack(fine).tobytes()
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.3])
+def test_equal_amplitudes_match_the_full_integrand(t0):
+    # with a1 = a2 the integrand leaves out its sine term, a signed zero: the full
+    # integrand gives the same bits at every off-axis time
+    p, x0 = _params(), np.array([0.6, -0.8])
+    ts = t0 + np.linspace(0.0, 40.0, 402)[1:]
+    got = problems.reference_batch(p, ts, x0=x0, t0=t0)
+    want = np.stack([_propagate_formula(p, t0, x0, t - t0, 128) for t in ts])
+    assert p.a1 == p.a2 and np.array_equal(got, want)
+
+
 def test_tanh_reference_matches_formula():
     for a, t in ((-0.7, 1.3), (0.4, 3.1), (-2.0, 0.01)):
         p = problems.TanhForcedParams(a=a)
