@@ -547,7 +547,9 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
     # recorded before the CSV writer and the propagation loop were rewritten; the
     # ab2 and be converge runs and the N0 / window readings, recorded before the
     # commands shared one integration path; counterexample-ab2's report, re-recorded
-    # when its infinite stability_gap became null. Every JSON output is strict JSON.
+    # when its infinite stability_gap became null; the be and ab2 w-sequences,
+    # recorded before spectral_split lost its k == 1 case and the CSV writer its str
+    # round trip. Every JSON output is strict JSON.
     want = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
     calls = {f"counterexample-{m}": ["counterexample", "--method", m]
              for m in ("bdf2", "ab2", "be")}
@@ -561,6 +563,8 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
                               "--lte-scale", "defect", "--n0", "10"] + span
     calls["spectrum-frame"] = ["spectrum", "--mode", "frame", "--oracle-h", "0.01"] + span
     calls["spectrum-w"] = ["spectrum", "--mode", "w"] + span
+    calls.update({f"spectrum-w-{m}": ["spectrum", "--mode", "w", "--method", m] + span
+                  for m in ("be", "ab2")})
     calls["spectrum-w-N0"] = ["spectrum", "--mode", "w", "--denominator", "N0"] + span
     calls["run-N0-window"] = ["run", "--denominator", "N0", "--sum-start", "window"] + span
     got = {}
