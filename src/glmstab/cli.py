@@ -21,8 +21,8 @@ import numpy as np
 from . import glm, onestep, problems, spectra
 from .errors import ConfigError, NumericalError, WindowOutOfRange
 
-FLOAT_FMT = "%.16e"    # 17 significant digits: exact float64 round-trip; nan, inf
-CSV_EOL = "\r\n"       # the line end of csv.writer
+FLOAT_FMT = b"%.16e"   # 17 significant digits: exact float64 round-trip; nan, inf
+CSV_EOL = b"\r\n"      # the line end of csv.writer
 _LINES_PER_BLOCK = 4096   # CSV lines formatted, joined and written at a time
 _STARTS = ("rk4", "reference")      # the start procedures of experiment_row
 _LTE_SCALES = ("per-h", "defect")   # the restart defect over h, or as it is
@@ -33,12 +33,12 @@ _LEADS, _EXPS, _KEEP, _COMMA, _EOL = (np.array(w, "S4").view(np.uint32) for w in
     [b"\0%s%d." % (s, d) for s in (b"\0", b"-") for d in range(10)],  # [d + 10 (x < 0)]
     [b"e%+03d" % k for k in range(-6, 17)],                 # [E + 6]: e, sign, 2 digits
     [b"\0" * (4 - k) + b"\xff" * k for k in range(4)],      # [k]: keeps the last k bytes
-    [b","], [CSV_EOL.encode()]))
+    [b","], [CSV_EOL]))
 
 
-def _csv_line(*fields: str) -> str:
+def _csv_line(*fields: bytes) -> bytes:
     """A %-format for one CSV line of the given field formats."""
-    return ",".join(fields) + CSV_EOL
+    return b",".join(fields) + CSV_EOL
 
 
 def _digit_words(n: np.ndarray, words) -> np.ndarray:
@@ -49,21 +49,17 @@ def _digit_words(n: np.ndarray, words) -> np.ndarray:
     return n
 
 
-def _int_field(n: np.ndarray, words=None):
-    """(len(n), 4 w) uint8: row i is "%d" % n[i], NUL-padded, for nondecreasing int64
-    n >= 0; or, given w word rows of a block buffer, n written there, w words each."""
-    if words is None:
-        field = np.empty((len(n), -(-len(str(n.max(initial=0))) // 4)), np.uint32)
-        _int_field(n, field.T)
-        return field.view(np.uint8)
+def _int_field(n: np.ndarray, words) -> None:
+    """Write "%d" % n[i], NUL-padded in front, into the w word rows of a block buffer,
+    for nondecreasing int64 n >= 0 of at most 4 w digits."""
     _digit_words(n, words)
     for p, rows in enumerate(np.searchsorted(n, _NINES[:4 * len(words) - 1], "right"), 1):
         words[-1 - p // 4, :rows] &= _KEEP[p % 4]   # rows n < 10**p: NUL from place p
 
 
-def _e16_field(values, words=None):
-    """(n, 24) uint8: row i is FLOAT_FMT % values[i], NUL-padded, as six words: lead,
-    four of 4 digits, exponent; or, given six word rows of a block buffer, written there.
+def _e16_field(values, words) -> None:
+    """Write FLOAT_FMT % values[i], NUL-padded, into the six word rows of a block
+    buffer: lead, four of 4 digits, exponent.
 
     Where E = floor(log10|x|) lies in [-6, 16], Dekker's two-product (Veltkamp
     split; numpy never fuses a multiply-add) gives hi + lo = |x| * 10**(16 - E)
@@ -73,10 +69,6 @@ def _e16_field(values, words=None):
     a carry into the exponent that no double of this range makes.
     """
     x = np.asarray(values, dtype=float)
-    if words is None:
-        field = np.empty((len(x), 6), np.uint32)
-        _e16_field(x, field.T)
-        return field.view(np.uint8)
     # log10(±0) divides; numpy's AVX2 log10 flags a signaling NaN as invalid
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(np.abs(x)))
@@ -97,11 +89,11 @@ def _e16_field(values, words=None):
                                "S24")[:, None].view(np.uint32).T
 
 
-def _csv_blocks(prefix: str, start: int, *columns):
+def _csv_blocks(prefix: bytes, start: int, *columns):
     """CSV lines n = start, start + 1, ... of equal-length float columns (prefix, n,
-    each column's FLOAT_FMT value), one joined str per _LINES_PER_BLOCK lines."""
+    each column's FLOAT_FMT value), one bytes object per _LINES_PER_BLOCK lines."""
     m = len(columns[0])
-    head = np.frombuffer(prefix.encode() + b"\0" * (-len(prefix) % 4), np.uint32)
+    head = np.frombuffer(prefix + b"\0" * (-len(prefix) % 4), np.uint32)
     index = slice(len(head), len(head) - (-len(str(start + m - 1)) // 4))
     comma = index.stop + 7 * np.arange(len(columns))     # each column's comma word
     buf = np.empty((comma[-1] + 8, min(m, _LINES_PER_BLOCK)), np.uint32)  # (words, lines)
@@ -111,7 +103,7 @@ def _csv_blocks(prefix: str, start: int, *columns):
         _int_field(np.arange(start + lo, start + lo + block.shape[1]), block[index])
         for row, column in zip(comma, columns):
             _e16_field(column[lo:lo + block.shape[1]], block[row + 1:row + 7])
-        yield block.T.tobytes().translate(None, b"\0").decode("ascii")   # less the NULs
+        yield block.T.tobytes().translate(None, b"\0")   # less the NULs
 
 
 # Published experiment values (side-by-side columns, tolerance-checked only by
@@ -144,12 +136,12 @@ TABLE2_PUBLISHED = {
 
 
 def _write_csv(path: str, header, lines) -> None:
-    """Write the header fields, then the formatted lines (any iterable of strings).
+    """Write the header fields, then the formatted lines (any iterable of bytes).
 
     Every CSV file goes through here, so a tracer wrapping it sees every byte.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + CSV_EOL)
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + CSV_EOL)
         fh.writelines(lines)
 
 
@@ -160,7 +152,7 @@ def _figure_lines(key: float, times, lte, norms):
     through); np.log10 differs from it in the last ulp on some values. The key is
     formatted once, as the prefix of every line. Yields joined blocks of lines.
     """
-    prefix = FLOAT_FMT % key + ","
+    prefix = FLOAT_FMT % key + b","
     for lo in range(0, len(lte), _LINES_PER_BLOCK):
         s = slice(lo, min(lo + _LINES_PER_BLOCK, len(lte)))
         logs = (np.fromiter(map(math.log10, np.maximum(x[s], 1e-300).tolist()), float)
@@ -175,9 +167,9 @@ def _run_lines(times, norms, lte, running):
     Yields joined blocks of lines.
     """
     m = len(lte)
-    yield _csv_line("0", *[FLOAT_FMT] * 3, "") % (times[0], norms[0], lte[0])
-    yield from _csv_blocks("", 1, times[1:m], norms[1:m], lte[1:], running[:m - 1])
-    yield _csv_line("%d", FLOAT_FMT, FLOAT_FMT, "", FLOAT_FMT) % (
+    yield _csv_line(b"0", *[FLOAT_FMT] * 3, b"") % (times[0], norms[0], lte[0])
+    yield from _csv_blocks(b"", 1, times[1:m], norms[1:m], lte[1:], running[:m - 1])
+    yield _csv_line(b"%d", FLOAT_FMT, FLOAT_FMT, b"", FLOAT_FMT) % (
         m, times[m], norms[m], running[m - 1])
 
 
@@ -387,7 +379,7 @@ def cmd_run(args) -> int:
 def cmd_table1(args) -> int:
     rows = table1_rows(denominator=args.denominator, sum_start=args.sum_start)
     out = _ensure_out(args.out)
-    line = _csv_line(*[FLOAT_FMT] * 7, "%d")
+    line = _csv_line(*[FLOAT_FMT] * 7, b"%d")
     _write_csv(os.path.join(out, "table1.csv"),
                ["h", "lte_mean", "lte_max", "mu", "pub_lte_mean", "pub_lte_max",
                 "pub_mu", "diverged"],
@@ -405,14 +397,15 @@ def cmd_table1(args) -> int:
 
 def cmd_table2(args) -> int:
     out = _ensure_out(args.out)
-    line = _csv_line("%s", *[FLOAT_FMT] * 12)
+    line = _csv_line(b"%s", *[FLOAT_FMT] * 12)
     body, figured = [], []
     for b2_reading in ("as-printed", "corrected"):
         rows = table2_rows(b1_reading=args.b1_reading, b2_reading=b2_reading,
                            denominator=args.denominator, sum_start=args.sum_start)
+        reading = b2_reading.encode()
         for a, row in zip(TABLE2_A, rows):
             pub = TABLE2_PUBLISHED[a]
-            body.append(line % (b2_reading, a, TABLE2_B1[args.b1_reading],
+            body.append(line % (reading, a, TABLE2_B1[args.b1_reading],
                                 TABLE2_B2[b2_reading], row.lte_mean, row.lte_max,
                                 row.mu, row.mu_frame, row.tau_max, *pub))
             if b2_reading == "as-printed":
@@ -460,7 +453,7 @@ def cmd_counterexample(args) -> int:
     out = _ensure_out(args.out)
     _write_csv(os.path.join(out, "counterexample.csv"),
                ["n", "t", "x_oscillatory", "x_frozen", "x_exact"],
-               _csv_blocks("", 0, times, x_osc, x_frz, exact))
+               _csv_blocks(b"", 0, times, x_osc, x_frz, exact))
     report = {
         "method": args.method, "h": args.h, "D": args.D, "L": args.L,
         "stability_gap": delta, "steps": m, "growth_factor": growth,
@@ -545,8 +538,11 @@ def cmd_converge(args) -> int:
     ge, le = [], []
     for h in hs:
         n_f = glm.span_steps(h, t_final, 0.0)
-        # the exact solution at t_0 .. t_{n_f+k-1}: start, defect rows and end point
-        exact = problems.reference_batch(params, h * np.arange(n_f + tab.k))
+        try:    # the exact solution at t_0 .. t_{n_f+k-1}: start, defect rows, end point
+            times = h * np.arange(n_f + tab.k)
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"cannot hold a run of {n_f:.3g} steps: {exc}") from exc
+        exact = problems.reference_batch(params, times)
         traj, _, lte = _integrate(tab, prob, exact[:tab.k].ravel(), n_f, h, 0.0,
                                   reference=lambda lo, hi: exact[lo:hi])
         end = exact[traj.n_steps + tab.k - 1]

@@ -56,10 +56,6 @@ def spectral_split(tab: glm.GlmTableau) -> SpectralSplit:
     v = tab.V
     glm.check_strictly_stable(v)
     k = v.shape[0]
-    if k == 1:
-        return SpectralSplit(P=np.eye(1), Pinv=np.eye(1), E22=np.empty((0, 0)),
-                             unit_row=np.array([1.0]))
-
     vec = _unit_eigvec(v)
     vhat = vec / np.linalg.norm(vec)
     u = vhat - np.eye(k)[:, 0]

@@ -173,6 +173,19 @@ def test_run_step_count_too_large_to_hold(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tfinal", ["1e300", "1e15"])
+def test_converge_span_too_large_to_hold(tfinal, tmp_path, capsys):
+    # the step count passes the span check, but its exact-solution times cannot be
+    # held: exit 2 with run's message, no traceback, no output directory
+    out = tmp_path / "o"
+    assert cli.main(["converge", "--tfinal", tfinal, "--out", str(out)]) == 2
+    steps = float(tfinal) / cli.CONVERGE_H["bdf2"][0]      # at its first step size
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot hold a run of {steps:.3g} steps")
+    assert not out.exists()
+
+
 def test_reference_start_samples_the_reference(monkeypatch):
     # the start supervector equals per-time reference samples at t0, t0 + h, ...
     tab = glm.get_tableau("bdf2")
@@ -640,24 +653,27 @@ def test_csv_lines_match_csv_writer(key, rows):
                     ("figure", old_figure, cli._figure_lines(key, times, lte, norms)),
                     ("run", old_run, cli._run_lines(times, norms, lte, running))):
                 blocks = list(new)
-                assert all(0 < b.count("\r\n") <= block for b in blocks)
+                assert all(0 < b.count(b"\r\n") <= block for b in blocks)
                 want, got = (os.path.join(tmp, name + ext) for ext in (".want", ".got"))
                 _old_write_csv(want, header, old)
                 cli._write_csv(got, header, iter(blocks))
                 assert Path(got).read_bytes() == Path(want).read_bytes()
 
 
-# -- the vectorized field formatters against % --------------------------------
+# -- the vectorized field formatters against bytes % ---------------------------
 
-def _rows(field):
-    """The rows of a NUL-padded uint8 field as str."""
-    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in field]
+def _fields(start, *columns):
+    """The fields of the lines _csv_blocks writes for the columns from index start:
+    one list per line, the index first."""
+    lines = b"".join(cli._csv_blocks(b"", start, *columns)).split(b"\r\n")
+    assert lines.pop() == b""
+    return [line.split(b",") for line in lines]
 
 
 def _assert_e16_matches(values):
     values = np.asarray(values, dtype=float)
-    got = _rows(cli._e16_field(values))
-    want = ["%.16e" % v for v in values.tolist()]
+    got = [line[1] for line in _fields(0, values)]
+    want = [b"%.16e" % v for v in values.tolist()]
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert len(got) == len(want) and not bad, bad[:5]
 
@@ -695,15 +711,14 @@ def test_e16_field_signaling_nan_under_avx2_kernels():
     # does not; the setting acts only on the child process that reads it. Warnings
     # are errors from after the imports on, as under -W error, so that a host where
     # numpy warns that it cannot disable those features still runs the check
-    code = ("import warnings, numpy as np; from glmstab import cli; "
+    code = ("import sys, warnings, numpy as np; from glmstab import cli; "
             "warnings.simplefilter('error'); "
             "snan = np.array([0x7ff0000000000001], np.uint64).view(float); "
-            "print(bytes(cli._e16_field(snan)[0]).rstrip(b'\\0').decode())")
+            "sys.stdout.buffer.write(b''.join(cli._csv_blocks(b'', 0, snan)))")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
                PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True)
-    assert (out.returncode, out.stdout) == (0, "nan\n"), out.stderr
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert (out.returncode, out.stdout) == (0, b"0,nan\r\n"), out.stderr.decode()
 
 
 @settings(max_examples=200, deadline=None)
@@ -713,10 +728,12 @@ def test_e16_field_bit_patterns(patterns):
 
 
 def test_int_field_matches_percent():
-    values = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 10001, 123456789,
-              10 ** 16, 2 ** 63 - 1]
-    for n in (values, range(20_001), [7], [0, 0, 0]):
-        assert _rows(cli._int_field(np.array(n, dtype=np.int64))) == ["%d" % k for k in n]
+    # the step index across every digit-count boundary up to 19 digits, in one
+    # field width and across blocks, and at the 19-digit top of int64
+    starts = [0, 2 ** 63 - 5] + [10 ** p - 2 for p in range(1, 19)]
+    for start, m in [(s, 4) for s in starts] + [(0, 20_001), (9_990, 5_000)]:
+        got = [line[0] for line in _fields(start, np.zeros(m))]
+        assert got == [b"%d" % n for n in range(start, start + m)]
 
 
 @pytest.mark.parametrize("rows", [1, 3, 4096, 5000])
@@ -724,13 +741,13 @@ def test_csv_blocks_match_percent_lines(rows):
     rng = np.random.default_rng(rows)
     pool = np.concatenate([_named_floats(), rng.normal(size=rows)])
     cols = [rng.choice(pool, size=rows) for _ in range(3)]
-    for prefix, start in (("", 0), ("7.5000000000000000e-01,", 9998)):
+    for prefix, start in ((b"", 0), (b"7.5000000000000000e-01,", 9998)):
         blocks = list(cli._csv_blocks(prefix, start, *cols))
-        assert [b.count("\r\n") for b in blocks] == [min(rows - lo, 4096)
-                                                     for lo in range(0, rows, 4096)]
-        want = "".join(prefix + "%d,%.16e,%.16e,%.16e\r\n" % (start + i, *row)
-                       for i, row in enumerate(zip(*(c.tolist() for c in cols))))
-        assert "".join(blocks) == want
+        assert [b.count(b"\r\n") for b in blocks] == [min(rows - lo, 4096)
+                                                      for lo in range(0, rows, 4096)]
+        want = b"".join(prefix + b"%d,%.16e,%.16e,%.16e\r\n" % (start + i, *row)
+                        for i, row in enumerate(zip(*(c.tolist() for c in cols))))
+        assert b"".join(blocks) == want
 
 
 def test_counterexample_csv_same_at_any_block_size(tmp_path, capsys):

@@ -70,13 +70,16 @@ def test_oracle_adds_a_fixed_count_per_step():
     assert per_step == int(per_step) and 5 <= per_step <= 9, per_step
 
 
-def test_csv_writer_adds_no_call_per_line():
+def test_csv_writer_adds_no_call_per_line(tmp_path):
     # 3 N lines stay inside one block; every value is in the range of the
     # vectorized formatter, so none falls back to % formatting. C calls count
-    # too: a builtin such as math.log10 or abs applied per value adds them
+    # too: a builtin such as math.log10 or abs applied per value adds them. The
+    # blocks go through _write_csv into a file, so the file layer is held to it too
     assert 3 * N <= cli._LINES_PER_BLOCK
     rng = np.random.default_rng(7)
     cols = [rng.uniform(-9.0, 9.0, 3 * N) * 10.0 ** rng.integers(-6, 16, 3 * N)
             for _ in range(4)]
-    assert calls_per_step(lambda n: list(cli._csv_blocks(
-        "7.5000000000000000e-01,", 0, *(c[:n] for c in cols))), ("call", "c_call")) == 0
+    path, header = tmp_path / "lines.csv", ["key", "n", "a", "b", "c", "d"]
+    assert calls_per_step(lambda n: cli._write_csv(path, header, cli._csv_blocks(
+        b"7.5000000000000000e-01,", 0, *(c[:n] for c in cols))), ("call", "c_call")) == 0
+    assert path.read_bytes().count(b"\r\n") == 1 + 3 * N

@@ -40,6 +40,7 @@ def test_split_ab2_oracle():
 def test_split_be_oracle():
     split = onestep.spectral_split(glm.get_tableau("be"))
     assert np.array_equal(split.P, np.eye(1))
+    assert np.array_equal(split.Pinv, np.eye(1))
     assert np.array_equal(split.unit_row, [1.0])
     assert split.E22.shape == (0, 0)
 
