@@ -295,7 +295,7 @@ def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
         h=h, n_steps=m, diverged=traj.diverged, mu=float(est.mu[0]),
         mu_frame=mu_frame, argmax_t=float(est.argmax_t[0]),
         lte_mean=float(lte.mean()), lte_max=float(lte.max()), tau_max=tau_max,
-        times=t0 + h * np.arange(m + 1),
+        times=traj.times(),
         norms=np.linalg.norm(traj.first_blocks(), axis=1),
         lte=lte, running_mu=running,
     )
@@ -429,7 +429,7 @@ def cmd_counterexample(args) -> int:
     a run the divergence guard cuts short is reported (stdout and JSON)."""
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
-    if not (problems.is_resonant_step(args.h)
+    if not (0.0 < args.h < math.inf and math.isfinite(2.0 * math.pi / args.h)
             and math.isfinite(args.D) and math.isfinite(args.L)):
         raise ConfigError(f"--h must be finite and positive, with 2 pi / h finite, and "
                           f"--D, --L finite, got h={args.h}, D={args.D}, L={args.L}")

@@ -314,18 +314,16 @@ def run_linear(tab: GlmTableau, prob: LinearProblem, x0_super: np.ndarray,
     return traj
 
 
-def _rhs_of(prob_or_f) -> Callable:
-    if isinstance(prob_or_f, LinearProblem):
-        return lambda x, t: prob_or_f.batch(np.array([t], dtype=float))[0] @ x
-    return prob_or_f
-
-
 def start_rk4(prob_or_f, x0, t0: float, h: float, k: int) -> np.ndarray:
     """Classical RK4 starting procedure: supervector (x_0, x_1, ..., x_{k-1}).
 
     A start that overflows comes back non-finite, without a warning; run_linear
     raises NumericalError on it."""
-    f = _rhs_of(prob_or_f)
+    if isinstance(prob_or_f, LinearProblem):
+        def f(x, t):
+            return prob_or_f.batch(np.array([t], dtype=float))[0] @ x
+    else:
+        f = prob_or_f
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     blocks = [x]
     t = t0

@@ -3,22 +3,20 @@ scalar ODE, and exact/reference solutions for them.
 
 The rotating-cosine family is x' = A(t) x with
 
-    A(t) = Q(t) B(t) Q(t)^T + omega_dot * J,
+    A(t) = Q(t) B(t) Q(t)^T + omega_rate * J,
     B(t) = [[a1 cos t + b1, beta], [0, a2 cos t + b2]],
     Q(t) = rotation by angle omega(t) = omega_rate * t,  J = [[0,-1],[1,0]].
 
 In the rotated frame y = Q^T x the system is upper triangular (y' = B y), which gives
 closed-form solutions: the second component integrates directly and the first follows
-by variation of constants with a composite Gauss-Legendre quadrature. The resonant
-mode ties the rotation rate to a step size (omega_dot = 2*pi/h) so the rotation is
-invisible on the grid.
+by variation of constants with a composite Gauss-Legendre quadrature. The paper's
+resonant step h sets omega_rate = 2*pi/h, so the rotation is invisible on the grid.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -41,24 +39,17 @@ QUAD_PANELS = 64        # panels of tanh_reference and reference_batch (and doub
 
 
 class RotatingCosineParams:
-    __slots__ = ("a1", "a2", "b1", "b2", "beta", "omega_rate", "resonant_h")
+    __slots__ = ("a1", "a2", "b1", "b2", "beta", "omega_rate")
 
     def __init__(self, a1: float, a2: float, b1: float, b2: float, beta: float,
-                 omega_rate: float = 1.0, resonant_h: Optional[float] = None):
+                 omega_rate: float = 1.0):
         self.a1, self.a2 = a1, a2
         self.b1, self.b2 = b1, b2
-        self.beta, self.omega_rate, self.resonant_h = beta, omega_rate, resonant_h
+        self.beta, self.omega_rate = beta, omega_rate
         if not (self.a1 > 0.0 and self.a2 > 0.0):
             warnings.warn(f"cosine amplitudes should be positive, got a1={self.a1}, a2={self.a2}")
         if not (self.b2 < self.b1 < 0.0):
             warnings.warn(f"offsets should satisfy b2 < b1 < 0, got b1={self.b1}, b2={self.b2}")
-
-    @property
-    def omega_dot(self) -> float:
-        """Effective rotation rate; the resonant mode overrides omega_rate with 2*pi/h."""
-        if self.resonant_h is not None:
-            return 2.0 * math.pi / self.resonant_h
-        return self.omega_rate
 
 
 class ScalarCosineParams:
@@ -104,13 +95,13 @@ def rotating_cosine_A(p: RotatingCosineParams, t):
     """Coefficient matrix A(t); accepts scalar t or an array (vectorized).
 
     Entry (i, l) is the sum over j (outer) and k (inner) of (Q_ij B_jk) Q_lk, every
-    term kept and added in that order to a zero start, plus omega_dot J_il: the order
+    term kept and added in that order to a zero start, plus omega_rate J_il: the order
     of a dense einsum. As elementwise products, a scalar t and an array of times give
     the same bits. The constant entries of B (beta and the zero below the diagonal)
     stay scalars.
     """
     t = np.asarray(t, dtype=float)[()]      # a scalar t stays a cheap numpy scalar
-    w = p.omega_dot
+    w = p.omega_rate
     c, s, ct = np.cos(w * t), np.sin(w * t), np.cos(t)
     q = ((c, -s), (s, c))
     b = ((p.a1 * ct + p.b1, p.beta), (0.0, p.a2 * ct + p.b2))
@@ -164,7 +155,7 @@ def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points,
     t_from = np.asarray(t_from, dtype=float)
     x_from = np.asarray(x_from, dtype=float)
     t_to = t_from + dt
-    w = p.omega_dot
+    w = p.omega_rate
     y_from = np.einsum("...ji,...j->...i", rotation(w * t_from), x_from)  # Q^T x
     y1, y2 = y_from[..., 0], y_from[..., 1]
 
@@ -207,7 +198,7 @@ def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0):
     """
     ts = np.asarray(ts, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    y2_0 = float(np.einsum("ji,j->i", rotation(p.omega_dot * t0), x0)[1])
+    y2_0 = float(np.einsum("ji,j->i", rotation(p.omega_rate * t0), x0)[1])
     if y2_0 == 0.0 or p.beta == 0.0:
         x_from = np.broadcast_to(x0, ts.shape + (2,))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -238,14 +229,9 @@ def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0):
     return out
 
 
-def scalar_cosine_lambda(p: ScalarCosineParams, t):
-    t = np.asarray(t, dtype=float)
-    return p.D * np.cos(p.omega * t) + p.L
-
-
 def scalar_cosine_problem(p: ScalarCosineParams) -> LinearProblem:
     return LinearProblem(
-        d=1, batch=lambda ts: scalar_cosine_lambda(p, ts)[:, np.newaxis, np.newaxis])
+        d=1, batch=lambda ts: (p.D * np.cos(p.omega * ts) + p.L)[:, np.newaxis, np.newaxis])
 
 
 def scalar_cosine_reference(p: ScalarCosineParams, t):
@@ -289,19 +275,14 @@ def tanh_reference(p: TanhForcedParams, t):
     return float(_panel_quadrature(integrand, 0.0, t, QUAD_PANELS))
 
 
-def is_resonant_step(h: float) -> bool:
-    """Whether h is finite and positive with 2 pi / h finite (a subnormal h is not)."""
-    return 0.0 < h < math.inf and math.isfinite(2.0 * math.pi / h)
-
-
-ROTATING_KEYS = ("a1", "a2", "b1", "b2", "beta", "omega_rate", "resonant_h")
+ROTATING_KEYS = ("a1", "a2", "b1", "b2", "beta", "omega_rate")
 
 
 def rotating_config(cfg: dict):
     """Parse a problem config dict into (params, t0, x0).
 
-    Recognized keys: a1, a2, b1, b2, beta (required), omega_rate, resonant_h, t0, x0.
-    Missing or unknown keys and non-finite values (null resonant_h is fine): ConfigError.
+    Recognized keys: a1, a2, b1, b2, beta (required), omega_rate, t0, x0.
+    Missing or unknown keys and non-finite values: ConfigError.
     """
     missing = [k for k in ("a1", "a2", "b1", "b2", "beta") if k not in cfg]
     if missing:
@@ -310,12 +291,7 @@ def rotating_config(cfg: dict):
     if unknown:
         raise ConfigError(f"problem config has unknown keys: {unknown}")
     try:
-        kwargs = {k: None if (k == "resonant_h" and cfg[k] is None) else float(cfg[k])
-                  for k in ROTATING_KEYS if k in cfg}
-        res_h = kwargs.get("resonant_h")
-        if res_h is not None and not is_resonant_step(res_h):
-            raise ConfigError(f"resonant_h must be null or finite and positive, with "
-                              f"2 pi / resonant_h finite, got {res_h}")
+        kwargs = {k: float(cfg[k]) for k in ROTATING_KEYS if k in cfg}
         t0 = float(cfg.get("t0", 0.0))
         x0 = np.asarray(cfg.get("x0", (1.0, 0.0)), dtype=float)
     except (TypeError, ValueError) as exc:
@@ -323,7 +299,7 @@ def rotating_config(cfg: dict):
     if x0.shape != (2,):
         raise ConfigError(f"x0 must have two components, got shape {x0.shape}")
     nonfinite = [k for k, v in [*kwargs.items(), ("t0", t0), ("x0", x0)]
-                 if k != "resonant_h" and not np.isfinite(v).all()]    # checked above
+                 if not np.isfinite(v).all()]
     if nonfinite:
         raise ConfigError(f"problem parameters {nonfinite} must be finite")
     return RotatingCosineParams(**kwargs), t0, x0

@@ -24,30 +24,29 @@ from .problems import LinearProblem
 
 
 class QrTrail:
-    __slots__ = ("h", "t0", "frame", "increments")
+    __slots__ = ("h", "t0", "frame", "_logs")
 
-    def __init__(self, h: float, t0: float, frame: Optional[np.ndarray],
-                 increments: np.ndarray):
+    def __init__(self, h: float, t0: float, frame: Optional[np.ndarray], logs: np.ndarray):
         self.h, self.t0 = h, t0
         self.frame = frame      # (d, m) orthonormal frame; None for a vector trail
-        self.increments = increments    # (n_steps, n_modes) log increments per step
+        self._logs = logs       # (n_steps, n_modes) log increments per step
 
     @property
     def n_steps(self) -> int:
-        return self.increments.shape[0]
+        return self._logs.shape[0]
 
     @property
     def n_modes(self) -> int:
-        return self.increments.shape[1]
+        return self._logs.shape[1]
 
     def logs(self) -> np.ndarray:
         """The per-step log increments, one row per step, shape (n_steps, n_modes)."""
-        return self.increments
+        return self._logs
 
 
 def new_matrix_trail(dim: int, h: float, t0: float = 0.0) -> QrTrail:
     """A matrix trail of no steps from the identity frame of size dim."""
-    return QrTrail(h=h, t0=t0, frame=np.eye(dim), increments=np.empty((0, dim)))
+    return QrTrail(h=h, t0=t0, frame=np.eye(dim), logs=np.empty((0, dim)))
 
 
 # Steps per block of the two QR chains: bounds their buffers and the work past a failure.
@@ -70,7 +69,7 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     """
     phis = np.asarray(phis, dtype=float)
     # the raw frame (trail.frame is q * sign), the running signs, the logs per block
-    q, sign, logs = trail.frame, np.ones(trail.n_modes), [trail.increments]
+    q, sign, logs = trail.frame, np.ones(trail.n_modes), [trail._logs]
     ms = np.empty((min(len(phis), _QR_BLOCK),) + q.shape)   # phi @ Q_n, for the guard
     # a non-finite phi makes the product warn; the guard below turns it into RankDeficient
     with np.errstate(invalid="ignore", over="ignore"):
@@ -82,7 +81,7 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
             if good < len(diags):
                 break
     trail.frame = np.multiply(q, sign, out=np.empty(q.shape))
-    trail.increments = np.concatenate(logs)
+    trail._logs = np.concatenate(logs)
     if sum(map(len, logs[1:])) < len(phis):       # the failing step is the next one
         raise linalg.rank_deficient(ms[good], diags[good], f" in step {trail.n_steps}")
     return trail
@@ -94,8 +93,7 @@ def vector_trail_from_values(values: np.ndarray, h: float, t0: float = 0.0) -> Q
     norms = np.linalg.norm(values, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector(f"w vanished at index {int(np.argmin(norms > 0.0))}")
-    return QrTrail(h=h, t0=t0, frame=None,
-                   increments=np.diff(np.log(norms))[:, np.newaxis])
+    return QrTrail(h=h, t0=t0, frame=None, logs=np.diff(np.log(norms))[:, np.newaxis])
 
 
 def _cumlogs(trail: QrTrail) -> np.ndarray:

@@ -65,9 +65,10 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert cli.main(["run", "--h", "1e-320", "--tfinal", "1", "--out", out]) == 2
     # a step count too large to hold
     assert cli.main(["run", "--h", "1e-300", "--tfinal", "1", "--out", out]) == 2
-    # config values that are not numbers
+    # config values that are not numbers, and a key the problem does not have (the
+    # resonant step is given as its rate, omega_rate = 2 pi / h)
     base = {"a1": 1.2, "a2": 1.2, "b1": -0.14, "b2": -0.15, "beta": 10.0}
-    for bad in ({"a1": "x"}, {"a1": None}, {"t0": "x"}, {"x0": "ab"}):
+    for bad in ({"a1": "x"}, {"a1": None}, {"t0": "x"}, {"x0": "ab"}, {"resonant_h": 0.5}):
         assert cli.main(["run", "--h", "0.1", "--tfinal", "1", "--out", out,
                          "--config", json.dumps({**base, **bad})]) == 2
     # config values that are not finite (JSON's NaN and Infinity tokens)
@@ -81,17 +82,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
     # a subnormal step, positive but with an infinite frequency 2 pi / h
     assert cli.main(["counterexample", "--h", "1e-320", "--out", out]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 28 and all(ln.startswith("config error:") for ln in lines)
-    # a resonant step that is zero, negative, infinite (omega_dot = 0) or so small
-    # that omega_dot = 2 pi / resonant_h is infinite
-    for res_h in (0.0, -0.5, math.inf, 1e-320):
-        cfg = {"a1": 1.2, "a2": 1.2, "b1": -0.14, "b2": -0.15, "beta": 1.0,
-               "resonant_h": res_h}
-        assert cli.main(["run", "--h", "0.1", "--tfinal", "1", "--out", out,
-                         "--config", json.dumps(cfg)]) == 2, res_h
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 4 and all(ln.startswith("config error: resonant_h must be")
-                                   for ln in lines)
+    assert len(lines) == 29 and all(ln.startswith("config error:") for ln in lines)
+    assert sum("problem config has unknown keys" in ln for ln in lines) == 1
 
 
 def test_counterexample_bad_input_is_config_error(tmp_path, capsys):

@@ -38,7 +38,7 @@ class Run:
         x0s = problems.reference_batch(params, h * np.arange(tab.k)).ravel()
         traj, trail, _ = cli._integrate(tab, prob, x0s, n_f, h, 0.0, frame=True)
         n_b = int(round(BURN_IN / h))
-        self.h, self.logs = h, trail.increments[n_b:]
+        self.h, self.logs = h, trail.logs()[n_b:]
         span = len(self.logs) * h
         self.rates = self.logs.sum(axis=0) / span
         w = onestep.extract_w(traj, onestep.spectral_split(tab)).values

@@ -240,7 +240,7 @@ _KERNEL_PROBLEMS = {
     "rotating": lambda: _rotating()[1],
     "rotating-omega": lambda: _rotating(omega_rate=2.7)[1],
     "rotating-reversed": lambda: _rotating(omega_rate=-1.1)[1],
-    "rotating-resonant": lambda: _rotating(resonant_h=0.05)[1],
+    "rotating-resonant": lambda: _rotating(omega_rate=2.0 * math.pi / 0.05)[1],
     "scalar-cosine": lambda: problems.scalar_cosine_problem(
         problems.ScalarCosineParams(D=0.7, L=0.1)),
     "constant": lambda: problems.constant_problem([[-2.0, 0.5], [0.0, -1.0]]),
@@ -403,14 +403,15 @@ def _former_coefficients(rng):
     for _ in range(40):
         kw = dict(a1=rng.uniform(0.1, 4.0), a2=rng.uniform(0.1, 4.0),
                   b1=rng.uniform(-1.0, 0.0), b2=rng.uniform(-1.0, 0.0),
-                  beta=rng.uniform(-10.0, 10.0), omega_rate=rng.uniform(-3.0, 3.0),
-                  resonant_h=(None, rng.uniform(0.01, 1.0))[rng.integers(2)])
+                  beta=rng.uniform(-10.0, 10.0),
+                  omega_rate=(rng.uniform(-3.0, 3.0),     # or the rate of a resonant step
+                              2.0 * math.pi / rng.uniform(0.01, 1.0))[rng.integers(2)])
         p, prob = _rotating(**kw)
         yield prob, lambda t, p=p: problems.rotating_cosine_A(p, float(t))
         sp = problems.ScalarCosineParams(D=rng.uniform(-2.0, 2.0), L=rng.uniform(-2.0, 2.0),
                                          omega=rng.uniform(0.0, 20.0))
         yield (problems.scalar_cosine_problem(sp),
-               lambda t, sp=sp: np.array([[float(problems.scalar_cosine_lambda(sp, t))]]))
+               lambda t, sp=sp: np.array([[float(sp.D * np.cos(sp.omega * float(t)) + sp.L)]]))
         a = rng.standard_normal((3, 3))
         yield problems.constant_problem(a), lambda t, a=a: a
 

@@ -108,7 +108,7 @@ def test_oracle_matches_reference_bits(case):
     problems.rotating_cosine_problem(CRITERION_8),
     problems.rotating_cosine_problem(UNEQUAL),
     problems.rotating_cosine_problem(problems.RotatingCosineParams(
-        a1=1.2, a2=1.2, b1=-0.14, b2=-0.15, beta=10.0, resonant_h=0.5)),
+        a1=1.2, a2=1.2, b1=-0.14, b2=-0.15, beta=10.0, omega_rate=2.0 * math.pi / 0.5)),
     problems.scalar_cosine_problem(problems.ScalarCosineParams(D=1.0, L=-0.5)),
     problems.constant_problem([[2.0, 1.0], [0.0, 1.0]]),
 ], ids=["rotating-cosine"] * 3 + ["scalar-cosine", "constant"])
@@ -139,7 +139,7 @@ def _both_raise(prob, t_final, h_fine, drift_tol=1e-6):
 
 def test_oracle_fails_like_reference():
     resonant = problems.rotating_cosine_problem(problems.RotatingCosineParams(
-        a1=1.2, a2=1.2, b1=-0.14, b2=-0.15, beta=10.0, resonant_h=0.5))
+        a1=1.2, a2=1.2, b1=-0.14, b2=-0.15, beta=10.0, omega_rate=2.0 * math.pi / 0.5))
     _both_raise(resonant, 2.0, 0.1)
 
 

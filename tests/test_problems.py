@@ -31,7 +31,7 @@ def reference_solution(p, t, x0=(1.0, 0.0), t0=0.0, quad_points=64):
     """
     x0 = np.asarray(x0, dtype=float)
     coarse = problems.propagate_exact(p, t0, x0, t - t0, quad_points=quad_points)
-    y2_0 = float(np.einsum("ji,j->i", problems.rotation(p.omega_dot * t0), x0)[1])
+    y2_0 = float(np.einsum("ji,j->i", problems.rotation(p.omega_rate * t0), x0)[1])
     if y2_0 != 0.0 and p.beta != 0.0:
         fine = problems.propagate_exact(p, t0, x0, t - t0, quad_points=2 * quad_points)
         scale = max(float(np.linalg.norm(fine)), 1.0)
@@ -70,7 +70,7 @@ def test_rotation_oracle():
 
 
 def test_coefficient_at_origin():
-    # Q(0) = I, so A(0) = B(0) + omega_dot * J entrywise
+    # Q(0) = I, so A(0) = B(0) + omega_rate * J entrywise
     p = _params()
     a = problems.rotating_cosine_A(p, 0.0)
     want = np.array([[1.2 - 0.14, 10.0 - 1.0], [1.0, 1.2 - 0.15]])
@@ -88,14 +88,14 @@ def test_coefficient_batch_matches_scalar():
 
 def einsum_rotating_cosine_A(p, t):
     """A(t) as first written: Q, B and Q as (..., 2, 2) arrays, one three-operand
-    einsum and omega_dot J. The reference for problems.rotating_cosine_A."""
+    einsum and omega_rate J. The reference for problems.rotating_cosine_A."""
     t = np.asarray(t, dtype=float)
-    q = problems.rotation(p.omega_dot * t)
+    q = problems.rotation(p.omega_rate * t)
     b = np.zeros(t.shape + (2, 2))
     b[..., 0, 0] = p.a1 * np.cos(t) + p.b1
     b[..., 0, 1] = p.beta
     b[..., 1, 1] = p.a2 * np.cos(t) + p.b2
-    return np.einsum("...ij,...jk,...lk->...il", q, b, q) + p.omega_dot * problems.J
+    return np.einsum("...ij,...jk,...lk->...il", q, b, q) + p.omega_rate * problems.J
 
 
 def _same_bits(got, want):
@@ -106,7 +106,8 @@ def _same_bits(got, want):
 
 @pytest.mark.parametrize("kw", [
     {}, {"omega_rate": 2.7}, {"omega_rate": -1.1}, {"omega_rate": 0.0},
-    {"resonant_h": 0.05}, {"beta": 0.0}, {"beta": -3.5, "a1": 0.0, "b1": 0.0},
+    {"omega_rate": 2.0 * math.pi / 0.05},               # the resonant step h = 0.05
+    {"beta": 0.0}, {"beta": -3.5, "a1": 0.0, "b1": 0.0},
     {"omega_rate": 0.0, "beta": -0.0, "a1": 0.0},       # all-negative-zero sums
 ])
 @pytest.mark.parametrize("t0", [0.0, 3.3, -17.0])
@@ -148,7 +149,7 @@ def test_reference_batch_matches_scalar_path():
         ({}, (1.0, 0.0), 0.0),                                  # axis: the closed form
         ({"beta": 2.0}, (0.5, 0.2), 0.0),
         ({"omega_rate": 0.7}, (0.6, -0.8), 1.3),
-        ({"resonant_h": 0.05}, (1.0, 0.0), -0.4),               # axis x0, off-axis at t0
+        ({"omega_rate": 2.0 * math.pi / 0.05}, (1.0, 0.0), -0.4),    # axis x0, off-axis at t0
         ({"beta": 0.0}, (0.6, -0.8), 0.0),                      # beta = 0: the closed form
     ):
         # 37 times: two full chunks and a partial one; and a single time
@@ -190,7 +191,7 @@ def _propagate_formula(p, t_from, x_from, dt, quad_points):
     operation: the reference for the in-place quadrature."""
     t_from, x_from = np.asarray(t_from, dtype=float), np.asarray(x_from, dtype=float)
     t_to = t_from + dt
-    w = p.omega_dot
+    w = p.omega_rate
     y_from = np.einsum("...ji,...j->...i", problems.rotation(w * t_from), x_from)
     y1, y2 = y_from[..., 0], y_from[..., 1]
     sin_from, sin_to = np.sin(t_from), np.sin(t_to)
@@ -370,12 +371,6 @@ def test_norm_identity_triangular_start(t, omega):
     assert np.isclose(np.linalg.norm(x), want, rtol=1e-12, atol=1e-300)
 
 
-def test_resonant_mode_rotation_rate():
-    p = _params(resonant_h=0.5)
-    assert p.omega_dot == pytest.approx(4.0 * math.pi, abs=0.0)
-    assert _params(omega_rate=2.5).omega_dot == 2.5
-
-
 def test_parameter_warnings():
     with pytest.warns(UserWarning):
         problems.RotatingCosineParams(a1=1.0, a2=1.0, b1=-0.5, b2=-0.055, beta=1.0)
@@ -389,7 +384,7 @@ def test_scalar_cosine_reference_derivative():
     eps = 1e-6
     num = (problems.scalar_cosine_reference(p, t + eps) -
            problems.scalar_cosine_reference(p, t - eps)) / (2.0 * eps)
-    lam = float(problems.scalar_cosine_lambda(p, t))
+    lam = p.D * math.cos(p.omega * t) + p.L
     assert num == pytest.approx(lam * problems.scalar_cosine_reference(p, t), rel=1e-8)
 
 
@@ -426,9 +421,9 @@ def test_tanh_reference_solves_ode():
 def test_rotating_config_roundtrip():
     params, t0, x0 = problems.rotating_config(
         {"a1": 1.0, "a2": 1.1, "b1": -0.2, "b2": -0.3, "beta": 2.0,
-         "t0": 1.5, "x0": [0.0, 1.0], "resonant_h": 0.5})
+         "t0": 1.5, "x0": [0.0, 1.0], "omega_rate": 2.0 * math.pi / 0.5})
     assert (params.a1, params.a2, params.b1, params.b2) == (1.0, 1.1, -0.2, -0.3)
-    assert params.resonant_h == 0.5
+    assert params.omega_rate == 4.0 * math.pi
     assert t0 == 1.5
     assert np.array_equal(x0, [0.0, 1.0])
 

@@ -49,7 +49,7 @@ def _blocked(frame, phis, slices=None):
     message)."""
     frame = np.array(frame, dtype=float)
     trail = spectra.QrTrail(h=0.1, t0=0.0, frame=frame,
-                            increments=np.empty((0, frame.shape[1])))
+                            logs=np.empty((0, frame.shape[1])))
     bounds = np.cumsum([0] + list(slices or [len(phis)]))
     message = None
     try:

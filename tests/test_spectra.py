@@ -288,7 +288,7 @@ def test_oracle_orthogonality_guard():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = problems.RotatingCosineParams(a1=1.2, a2=1.2, b1=-0.14, b2=-0.15,
-                                          beta=10.0, resonant_h=0.5)
+                                          beta=10.0, omega_rate=2.0 * math.pi / 0.5)
     prob = problems.rotating_cosine_problem(p)
     with pytest.raises(OrthogonalityLost):
         spectra.continuous_qr_oracle(prob, 2.0, 0.1)
@@ -301,7 +301,7 @@ def test_oracle_orthogonality_guard():
 def test_lapack_info_raises_at_once(monkeypatch, fail_at):
     # both QR chains (linalg.qr_chain under the trail and the oracle) raise
     # NumericalError at the step whose dgeqrf reports info != 0, naming it, and the
-    # matrix trail keeps the frame and increments it had before the call
+    # matrix trail keeps the frame and logs it had before the call
     real, calls = linalg.dgeqrf, []
 
     def dgeqrf(m):
@@ -312,7 +312,7 @@ def test_lapack_info_raises_at_once(monkeypatch, fail_at):
     prob = problems.constant_problem([[0.3, 1.0], [-1.0, 0.2]])
     phis = glm.transition_batch(glm.get_tableau("bdf2"), prob, 0, 20, 0.1)
     trail = spectra.qr_advance_series(spectra.new_matrix_trail(4, 0.1), phis[:3])
-    frame, increments = trail.frame.copy(), trail.increments.copy()
+    frame, logs = trail.frame.copy(), trail.logs().copy()
     monkeypatch.setattr(linalg, "dgeqrf", dgeqrf)
     for chain, step in ((lambda: spectra.qr_advance_series(trail, phis[3:]), 3),
                         (lambda: spectra.continuous_qr_oracle(prob, 1.0, 0.05), 0)):
@@ -323,4 +323,4 @@ def test_lapack_info_raises_at_once(monkeypatch, fail_at):
         assert str(exc.value).endswith(f"in step {step + fail_at - 1}: info=-1")
         assert len(calls) == fail_at
     assert np.array_equal(trail.frame, frame)
-    assert np.array_equal(trail.increments, increments)
+    assert np.array_equal(trail.logs(), logs)
