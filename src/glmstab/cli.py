@@ -301,22 +301,19 @@ def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
     )
 
 
-def table1_rows(**overrides) -> list:
+def table1_rows() -> list:
     tab = glm.get_tableau("bdf2")
     params = problems.RotatingCosineParams(**TABLE1_PROBLEM)
-    return [experiment_row(tab, params, h, TABLE1_TFINAL, **overrides)
-            for h in TABLE1_H]
+    return [experiment_row(tab, params, h, TABLE1_TFINAL) for h in TABLE1_H]
 
 
-def table2_rows(b1_reading: str = "as-printed", b2_reading: str = "as-printed",
-                **overrides) -> list:
+def table2_rows(b1_reading: str = "as-printed", b2_reading: str = "as-printed") -> list:
     tab = glm.get_tableau("bdf2")
     rows = []
     for a in TABLE2_A:
         params = problems.RotatingCosineParams(
             a1=a, a2=a, b1=TABLE2_B1[b1_reading], b2=TABLE2_B2[b2_reading], beta=1.0)
-        rows.append(experiment_row(tab, params, TABLE2_H, TABLE2_TFINAL,
-                                   with_frame=True, **overrides))
+        rows.append(experiment_row(tab, params, TABLE2_H, TABLE2_TFINAL, with_frame=True))
     return rows
 
 
@@ -377,7 +374,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    rows = table1_rows(denominator=args.denominator, sum_start=args.sum_start)
+    rows = table1_rows()
     out = _ensure_out(args.out)
     line = _csv_line(*[FLOAT_FMT] * 7, b"%d")
     _write_csv(os.path.join(out, "table1.csv"),
@@ -400,8 +397,7 @@ def cmd_table2(args) -> int:
     line = _csv_line(b"%s", *[FLOAT_FMT] * 12)
     body, figured = [], []
     for b2_reading in ("as-printed", "corrected"):
-        rows = table2_rows(b1_reading=args.b1_reading, b2_reading=b2_reading,
-                           denominator=args.denominator, sum_start=args.sum_start)
+        rows = table2_rows(b1_reading=args.b1_reading, b2_reading=b2_reading)
         reading = b2_reading.encode()
         for a, row in zip(TABLE2_A, rows):
             pub = TABLE2_PUBLISHED[a]
@@ -534,10 +530,9 @@ def cmd_converge(args) -> int:
     params = problems.RotatingCosineParams(**TABLE1_PROBLEM)
     prob = problems.rotating_cosine_problem(params)
     hs = CONVERGE_H[args.method]
-    t_final = args.tfinal if args.tfinal is not None else 2.0
     ge, le = [], []
     for h in hs:
-        n_f = glm.span_steps(h, t_final, 0.0)
+        n_f = glm.span_steps(h, args.tfinal, 0.0)
         try:    # the exact solution at t_0 .. t_{n_f+k-1}: start, defect rows, end point
             times = h * np.arange(n_f + tab.k)
         except (ValueError, MemoryError) as exc:
@@ -556,7 +551,7 @@ def cmd_converge(args) -> int:
     _write_csv(os.path.join(out, "converge.csv"), ["h", "global_error", "lte_max"],
                [line % row for row in zip(hs, ge, le)])
     _write_json(os.path.join(out, "converge_report.json"), {
-        "method": args.method, "h_list": list(hs), "t_final": t_final,
+        "method": args.method, "h_list": list(hs), "t_final": args.tfinal,
         "global_errors": ge, "lte_max": le,
         "global_slope": global_slope, "lte_slope": lte_slope,
     })
@@ -568,14 +563,16 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, with_method=True):
-    if with_method:
-        p.add_argument("--method", default="bdf2", help="tableau name (bdf2, ab2, be)")
-    p.add_argument("--out", default="out", help="output directory")
+def _add_method(p):
+    p.add_argument("--method", default="bdf2", help="tableau name (bdf2, ab2, be)")
 
 
-def _add_estimator(p):
-    """The exponent-estimator flags, for the commands that estimate one."""
+def _add_problem(p):
+    """The problem, span and exponent-estimator flags of run and spectrum."""
+    _add_method(p)
+    p.add_argument("--config", help="problem JSON (inline or a file path)")
+    p.add_argument("--h", type=float)
+    p.add_argument("--tfinal", type=float)
     p.add_argument("--denominator", choices=spectra.DENOMINATOR_MODES, default="t0",
                    help="time reference in the exponent denominator")
     p.add_argument("--sum-start", choices=spectra.SUM_START_MODES, default="origin",
@@ -588,31 +585,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("run", help="single integration + diagnostic report")
-    _add_common(p)
-    _add_estimator(p)
-    p.add_argument("--config", help="problem JSON (inline or a file path)")
-    p.add_argument("--h", type=float)
-    p.add_argument("--tfinal", type=float)
+    _add_problem(p)
     p.add_argument("--start", choices=_STARTS, default="rk4")
     p.add_argument("--n0", type=int, default=None,
                    help="estimator window start (default: half the run)")
     p.add_argument("--lte-scale", choices=_LTE_SCALES, default="per-h")
     p.set_defaults(fn=cmd_run)
 
+    # the tables compute mu under the published convention (t0, origin): no flags
     p = sub.add_parser("table1", help="step-size sweep experiment table")
-    _add_common(p, with_method=False)
-    _add_estimator(p)
     p.set_defaults(fn=cmd_table1)
 
     p = sub.add_parser("table2", help="amplitude sweep experiment table")
-    _add_common(p, with_method=False)
-    _add_estimator(p)
     p.add_argument("--b1-reading", choices=tuple(TABLE2_B1), default="as-printed")
     p.set_defaults(fn=cmd_table2)
 
     p = sub.add_parser("counterexample",
                        help="resonant scalar problem vs frozen coefficients")
-    _add_common(p)
+    _add_method(p)
     p.add_argument("--h", type=float, default=0.5)
     p.add_argument("--D", type=float, default=0.3)
     p.add_argument("--L", type=float, default=-0.1)
@@ -620,11 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("spectrum", help="QR-trail exponent estimates as JSON")
-    _add_common(p)
-    _add_estimator(p)
-    p.add_argument("--config", help="problem JSON (inline or a file path)")
-    p.add_argument("--h", type=float)
-    p.add_argument("--tfinal", type=float)
+    _add_problem(p)
     p.add_argument("--mode", choices=("frame", "w"), default="frame")
     p.add_argument("--H", type=float, default=None, help="window width for the "
                    "spectral-interval estimate (default max(1, 10h))")
@@ -633,9 +619,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("converge", help="order-of-convergence study")
-    _add_common(p)
-    p.add_argument("--tfinal", type=float, default=None)
+    _add_method(p)
+    p.add_argument("--tfinal", type=float, default=2.0)
     p.set_defaults(fn=cmd_converge)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", default="out", help="output directory")
     return ap
 
 

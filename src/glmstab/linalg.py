@@ -1,9 +1,9 @@
 """Small dense linear-algebra kernel, and the one module that binds or calls LAPACK.
 
 Direct LAPACK calls with deterministic conventions and explicit failure modes, on
-small dense float64 arrays: Householder QR, its positive-diagonal form and rank
-guard, guarded LU solves, and qr_chain, the blocked raw-Q loop of spectra's frame
-trail and continuous-QR oracle.
+small dense float64 arrays: positive-diagonal Householder QR and its rank guard,
+guarded LU solves, and qr_chain, the blocked raw-Q loop of spectra's frame trail and
+continuous-QR oracle.
 
 The LAPACK routines are bound at import from scipy's compiled scipy/linalg/_flapack,
 loaded from its file, so the scipy.linalg package's __init__ (numpy.f2py, the array-API
@@ -41,21 +41,6 @@ dgeqrf, dgetrf, dgetrs, dorgqr = (_LAPACK.dgeqrf, _LAPACK.dgetrf, _LAPACK.dgetrs
                                   _LAPACK.dorgqr)
 
 RANK_TOL = 1e-14    # the rank guard: min|R_ii| must exceed this times max|m|
-
-
-def householder_qr(m):
-    """Reduced Householder QR of a tall or square float64 m by LAPACK dgeqrf + dorgqr.
-
-    Returns (packed, q): dgeqrf's output, R in its upper triangle, and the orthonormal
-    factor with LAPACK's column signs, the bits of np.linalg.qr without its wrapper
-    cost. A nonzero LAPACK info raises NumericalError. qr_chain inlines these calls.
-    """
-    packed, tau, _, info = dgeqrf(m)
-    if info == 0:
-        q, _, info = dorgqr(packed, tau)
-    if info != 0:
-        raise NumericalError(f"LAPACK QR returned info={info}")
-    return packed, q
 
 
 def qr_chain(q, step, args, pres, n0=0):
@@ -111,7 +96,11 @@ def qr_positive(m):
     factorization is deterministic for a given input.
     """
     m = np.asarray(m, dtype=float)
-    packed, q = householder_qr(m)
+    packed, tau, _, info = dgeqrf(m)
+    if info == 0:
+        q, _, info = dorgqr(packed, tau)
+    if info != 0:
+        raise NumericalError(f"LAPACK QR returned info={info}")
     diag = packed.diagonal()
     if rank_guard(m[np.newaxis], diag[np.newaxis]) == 0:
         raise rank_deficient(m, diag)

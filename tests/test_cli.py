@@ -448,9 +448,12 @@ def test_spectrum_sum_start_reaches_mu_appr(tmp_path, capsys, mode):
 
 
 def test_flags_only_where_read(capsys):
-    # counterexample and converge estimate no exponent: argparse rejects the flags
+    # counterexample and converge estimate no exponent, and the tables use the
+    # published convention: argparse rejects the flags
     for argv in (["converge", "--sum-start", "window"],
-                 ["counterexample", "--denominator", "N0"]):
+                 ["counterexample", "--denominator", "N0"],
+                 ["table1", "--denominator", "N0"],
+                 ["table2", "--sum-start", "window"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

@@ -1,10 +1,11 @@
-"""The float references against a 30-digit one: host-independent truth.
+"""The float references and transitions against 30-digit ones: host-independent truth.
 
 mpmath evaluates the rotated-frame closed form of the rotating-cosine system
 (y = Q^T x is upper triangular, y' = B y) with mp.quad for its variation-of-constants
-integral, and the scalar cosine equation's exponential, at 30 significant digits and
-from the same float inputs. The float references must agree to a few ulps of the
-result; each bound below is about twice to four times the largest error measured.
+integral, the scalar cosine equation's exponential, and the transition matrices
+Phi(n; h) from each tableau, at 30 significant digits and from the same float inputs.
+The float results must agree to a few ulps of the result; each bound below is about
+twice to eight times the largest error measured.
 """
 
 import math
@@ -13,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from glmstab import cli, problems
+from glmstab import cli, glm, problems
 
 mp = mpmath.mp.clone()
 mp.dps = 30
@@ -22,6 +23,9 @@ TIMES = (0.5, 3.0, 10.0, 37.3, 100.0)
 ROTATING_BOUND = 4e-15      # relative 2-norm error; measured at most 1.09e-15
 SCALAR_BOUND = 4e-15        # relative error, measured at most 1.79e-15: the float
                             # rounding of omega t and the exponent's growth with t
+EPS = np.finfo(float).eps
+PHI_BOUND = 8.0             # max|Phi - Phi_mp| <= this eps cond(S) max(1, max|Phi|);
+                            # measured at most 1.08
 
 
 def mp_rotating(p, t, x0, t0=0.0):
@@ -64,3 +68,54 @@ def test_scalar_cosine_reference_against_30_digits():
                                else mp.exp((d + l) * mp.mpf(t))) for t in TIMES])
         rel = np.abs(got - want) / want
         assert rel.max() <= SCALAR_BOUND, (omega, rel)
+
+
+def mp_rotating_A(p, t):
+    """A(t) = Q(t) B(t) Q(t)^T + omega_rate J of the rotating-cosine system at 30
+    digits, at the float time t."""
+    w, t = mp.mpf(p.omega_rate), mp.mpf(t)
+    c, s = mp.cos(w * t), mp.sin(w * t)
+    q = mp.matrix([[c, -s], [s, c]])
+    b = mp.matrix([[p.a1 * mp.cos(t) + p.b1, p.beta], [0, p.a2 * mp.cos(t) + p.b2]])
+    return q * b * q.T + w * mp.matrix([[0, -1], [1, 0]])
+
+
+def mp_kron_eye(m, d):
+    """m (x) I_d as an mp.matrix, from a float array m."""
+    out = mp.zeros(m.shape[0] * d, m.shape[1] * d)
+    for i, j in np.ndindex(m.shape):
+        for e in range(d):
+            out[i * d + e, j * d + e] = mp.mpf(m[i, j])
+    return out
+
+
+def mp_transition(tab, p, n, h):
+    """(Phi(n; h), S) rounded to floats: Phi = V (x) I + h (D (x) I) M S^-1 (U (x) I)
+    at 30 digits, S = I - h (C (x) I) M, and M the block diagonal of A at the float
+    stage times glm.stage_times returns. Exact stage times would not do: t_n rounds
+    near t = 307, which alone moves Phi by up to 12 eps cond(S)."""
+    d, r = 2, tab.r
+    m = mp.zeros(r * d, r * d)
+    for i, t in enumerate(glm.stage_times(tab, n, h)):
+        a = mp_rotating_A(p, t)
+        for x, y in np.ndindex(d, d):
+            m[i * d + x, i * d + y] = a[x, y]
+    h_mp = mp.mpf(h)
+    s = mp.eye(r * d) - h_mp * mp_kron_eye(tab.C, d) * m
+    phi = (mp_kron_eye(tab.V, d)
+           + h_mp * mp_kron_eye(tab.D, d) * m * mp.inverse(s) * mp_kron_eye(tab.U, d))
+    return np.array(phi.tolist(), dtype=float), np.array(s.tolist(), dtype=float)
+
+
+@pytest.mark.parametrize("method", ["bdf2", "ab2", "be"])
+@pytest.mark.parametrize("h", [0.75, 0.075, 0.0075])
+def test_transitions_against_30_digits(method, h):
+    # the table-1 problem; n = 4095 ends a run_linear chunk, at t ~ 307 for h = 0.075
+    tab = glm.get_tableau(method)
+    p = problems.RotatingCosineParams(**cli.TABLE1_PROBLEM)
+    got = glm.transition_batch(tab, problems.rotating_cosine_problem(p), 0, 4096, h)
+    for n in (0, 7, 4095):
+        want, s = mp_transition(tab, p, n, h)
+        err = np.abs(got[n] - want).max()
+        scale = np.linalg.cond(s) * max(1.0, np.abs(want).max())
+        assert err <= PHI_BOUND * EPS * scale, (n, err / (EPS * scale))

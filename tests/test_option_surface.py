@@ -1,15 +1,16 @@
-"""The settable values of the library's public functions, pinned.
+"""The settable values of the library's public functions and of the CLI, pinned.
 
 Every parameter with a default on a public function of the numerical modules is a
 value some caller may set. A fixed numerical setting belongs in a module constant
 (glm.DIVERGENCE_FACTOR, spectra.DRIFT_TOL, problems.QUAD_PANELS, ...), which a
 test patches with mock.patch.object; a new default fails this test until it is
-added below.
+added below. Likewise every option of a CLI subcommand is pinned, so a new flag
+fails until it is added to CLI_OPTIONS.
 """
 
 import inspect
 
-from glmstab import glm, linalg, onestep, problems, spectra
+from glmstab import cli, glm, linalg, onestep, problems, spectra
 
 MODULES = (glm, spectra, problems, onestep, linalg)
 
@@ -50,3 +51,28 @@ def defaulted_parameters():
 def test_defaulted_parameters_are_pinned():
     assert defaulted_parameters() == PINNED
     assert sum(map(len, PINNED.values())) == 17
+
+
+# The tables compute their columns under the published convention, so they take no
+# estimator flags; run and spectrum share the problem, span and estimator flags.
+PROBLEM = {"--method", "--config", "--h", "--tfinal", "--denominator", "--sum-start"}
+CLI_OPTIONS = {
+    "run": PROBLEM | {"--start", "--n0", "--lte-scale", "--out"},
+    "table1": {"--out"},
+    "table2": {"--b1-reading", "--out"},
+    "counterexample": {"--method", "--h", "--D", "--L", "--steps", "--out"},
+    "spectrum": PROBLEM | {"--mode", "--H", "--oracle-h", "--out"},
+    "converge": {"--method", "--tfinal", "--out"},
+}
+
+
+def cli_options():
+    """{subcommand: its option strings, --help aside}, read from cli.build_parser()."""
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a.choices, dict))
+    return {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_cli_options_are_pinned():
+    assert cli_options() == CLI_OPTIONS
+    assert sum(map(len, CLI_OPTIONS.values())) == 32

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from glmstab import linalg, problems, spectra
 from glmstab.errors import ConfigError, OrthogonalityLost
+from test_qr_trail import householder_qr
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -201,7 +202,7 @@ def test_rk4_step_commutes_with_column_signs(seed, d, grade, h):
     # times S, with the same pre-QR drift, for a +-1 diagonal S
     rng = np.random.default_rng(seed)
     graded = rng.standard_normal((d, d)) * np.exp(rng.uniform(-grade, grade, d))
-    q = np.ascontiguousarray(linalg.householder_qr(graded)[1])    # C-ordered, as kept
+    q = np.ascontiguousarray(householder_qr(graded)[1])    # C-ordered, as kept
     coeffs = [rng.standard_normal((d, d)) * np.exp(rng.uniform(-grade, grade, (d, d)))
               for _ in range(3)]
     s = rng.choice([-1.0, 1.0], d)
@@ -224,7 +225,7 @@ def test_frames_within_drift_pass_rank_guard(seed, d, frac, grade, shrink):
     # F = Q + s E, with s setting the drift near frac * DRIFT_TOL; shrink pulls one
     # column of Q straight in, so sigma_min falls by about half the drift
     rng = np.random.default_rng(seed)
-    q = linalg.householder_qr(rng.standard_normal((d, d)))[1]
+    q = householder_qr(rng.standard_normal((d, d)))[1]
     if shrink:
         e = -np.outer(q[:, 0], np.eye(d)[0])
     else:
@@ -236,7 +237,7 @@ def test_frames_within_drift_pass_rank_guard(seed, d, frac, grade, shrink):
     f = q + s * e
     drift = np.abs(np.matmul(f.T, f) - np.eye(d)).max()
     assume(drift <= spectra.DRIFT_TOL)
-    diag = linalg.householder_qr(f)[0].diagonal()
+    diag = householder_qr(f)[0].diagonal()
     assert linalg.rank_guard(f[np.newaxis], diag[np.newaxis]) == 1
     assert np.abs(diag).min() > 0.99
 
