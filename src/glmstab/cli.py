@@ -191,11 +191,6 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _ensure_out(out: str) -> str:
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # experiment rows (shared by the table commands and the acceptance tests)
 
@@ -203,14 +198,14 @@ def _ensure_out(out: str) -> str:
 class ExperimentRow:
     """Everything one table row needs: estimates plus per-step series."""
 
-    __slots__ = ("h", "n_steps", "diverged", "mu", "mu_frame", "argmax_t", "lte_mean",
+    __slots__ = ("n_steps", "diverged", "mu", "mu_frame", "argmax_t", "lte_mean",
                  "lte_max", "tau_max", "times", "norms", "lte", "running_mu")
 
-    def __init__(self, h: float, n_steps: int, diverged: bool, mu: float,
-                 mu_frame: float, argmax_t: float, lte_mean: float, lte_max: float,
-                 tau_max: float, times: np.ndarray, norms: np.ndarray, lte: np.ndarray,
+    def __init__(self, n_steps: int, diverged: bool, mu: float, mu_frame: float,
+                 argmax_t: float, lte_mean: float, lte_max: float, tau_max: float,
+                 times: np.ndarray, norms: np.ndarray, lte: np.ndarray,
                  running_mu: np.ndarray):
-        self.h, self.n_steps, self.diverged = h, n_steps, diverged
+        self.n_steps, self.diverged = n_steps, diverged
         self.mu = mu                # w-sequence trail estimate
         self.mu_frame = mu_frame    # leading mode of the full-frame trail
         self.argmax_t = argmax_t
@@ -289,12 +284,11 @@ def experiment_row(tab: glm.GlmTableau, params: problems.RotatingCosineParams,
     mu_frame = float(spectra.mu_appr(ftrail, **window).mu[0]) if with_frame else math.nan
 
     lte = lte / h if lte_scale == "per-h" else lte
-    _, tau_max = glm.tau_series(lte)
     running = np.cumsum(trail.logs()[:, 0]) / (h * np.arange(1, m + 1))
     return ExperimentRow(
-        h=h, n_steps=m, diverged=traj.diverged, mu=float(est.mu[0]),
+        n_steps=m, diverged=traj.diverged, mu=float(est.mu[0]),
         mu_frame=mu_frame, argmax_t=float(est.argmax_t[0]),
-        lte_mean=float(lte.mean()), lte_max=float(lte.max()), tau_max=tau_max,
+        lte_mean=float(lte.mean()), lte_max=float(lte.max()), tau_max=glm.tau_max(lte),
         times=traj.times(),
         norms=np.linalg.norm(traj.first_blocks(), axis=1),
         lte=lte, running_mu=running,
@@ -356,12 +350,12 @@ def cmd_run(args) -> int:
                          start=args.start, n0=args.n0,
                          denominator=args.denominator, sum_start=args.sum_start,
                          lte_scale=args.lte_scale)
-    out = _ensure_out(args.out)
-    _write_csv(os.path.join(out, "run.csv"),
+    os.makedirs(args.out, exist_ok=True)
+    _write_csv(os.path.join(args.out, "run.csv"),
                ["n", "t", "norm_x", "lte", "running_mu"],
                _run_lines(row.times, row.norms, row.lte, row.running_mu))
-    _write_json(os.path.join(out, "run_report.json"), {
-        "method": args.method, "h": row.h, "n_steps": row.n_steps,
+    _write_json(os.path.join(args.out, "run_report.json"), {
+        "method": args.method, "h": args.h, "n_steps": row.n_steps,
         "diverged": row.diverged, "mu_appr": row.mu, "argmax_t": row.argmax_t,
         "lte_mean": row.lte_mean, "lte_max": row.lte_max, "tau_max": row.tau_max,
         "denominator": args.denominator, "sum_start": args.sum_start,
@@ -369,20 +363,20 @@ def cmd_run(args) -> int:
     })
     print(f"run: mu_appr={row.mu:+.6e} lte_mean={row.lte_mean:.6e} "
           f"lte_max={row.lte_max:.6e} tau_max={row.tau_max:.4f} "
-          f"diverged={row.diverged} -> {out}/run.csv")
+          f"diverged={row.diverged} -> {args.out}/run.csv")
     return 0
 
 
 def cmd_table1(args) -> int:
     rows = table1_rows()
-    out = _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     line = _csv_line(*[FLOAT_FMT] * 7, b"%d")
-    _write_csv(os.path.join(out, "table1.csv"),
+    _write_csv(os.path.join(args.out, "table1.csv"),
                ["h", "lte_mean", "lte_max", "mu", "pub_lte_mean", "pub_lte_max",
                 "pub_mu", "diverged"],
                [line % (h, row.lte_mean, row.lte_max, row.mu, *TABLE1_PUBLISHED[h],
                         int(row.diverged)) for h, row in zip(TABLE1_H, rows)])
-    _write_csv(os.path.join(out, "figure1.csv"),
+    _write_csv(os.path.join(args.out, "figure1.csv"),
                ["h", "n", "t", "log10_lte", "log10_norm_x"],
                (block for h, row in zip(TABLE1_H, rows)
                 for block in _figure_lines(h, row.times, row.lte, row.norms)))
@@ -393,7 +387,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    out = _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     line = _csv_line(b"%s", *[FLOAT_FMT] * 12)
     body, figured = [], []
     for b2_reading in ("as-printed", "corrected"):
@@ -409,11 +403,11 @@ def cmd_table2(args) -> int:
             print(f"table2 b2={b2_reading} a={a}: mu={row.mu:+.6e} "
                   f"mu_frame={row.mu_frame:+.6e} (published {pub[2]:+.3e}) "
                   f"tau_max={row.tau_max:.4f} (published {pub[3]})")
-    _write_csv(os.path.join(out, "table2.csv"),
+    _write_csv(os.path.join(args.out, "table2.csv"),
                ["b2_reading", "a", "b1", "b2", "lte_mean", "lte_max", "mu",
                 "mu_frame", "tau_max", "pub_lte_mean", "pub_lte_max", "pub_mu",
                 "pub_tau_max"], body)
-    _write_csv(os.path.join(out, "figure2.csv"),
+    _write_csv(os.path.join(args.out, "figure2.csv"),
                ["a", "n", "t", "log10_lte", "log10_norm_x"],
                (block for a, row in figured
                 for block in _figure_lines(a, row.times, row.lte, row.norms)))
@@ -437,17 +431,16 @@ def cmd_counterexample(args) -> int:
     t_osc, t_frz = (_integrate(tab, p, x0s, args.steps, args.h, 0.0)[0]
                     for p in (osc, problems.constant_problem(args.D + args.L)))
     m = min(t_osc.n_steps, t_frz.n_steps)
-    s_osc, s_frz = t_osc.states[:m + 1], t_frz.states[:m + 1]
     times = t_osc.times()[:m + 1]
-    x_osc, x_frz = s_osc[:, -1], s_frz[:, -1]       # the scalar x of the last block
+    x_osc, x_frz = (t.last_blocks()[:m + 1, 0] for t in (t_osc, t_frz))   # d = 1
     n_osc = np.abs(x_osc)
     exact = problems.scalar_cosine_reference(sp, times)
-    deviation = float(np.max(np.abs(s_osc - s_frz)))
+    deviation = float(np.max(np.abs(t_osc.states[:m + 1] - t_frz.states[:m + 1])))
     growth = float(n_osc[-1] / n_osc[0])
     # coefficient period is h; a run cut at its first step has no per-period rate
     per_period = float(np.exp(np.log(growth) / m)) if m else None
-    out = _ensure_out(args.out)
-    _write_csv(os.path.join(out, "counterexample.csv"),
+    os.makedirs(args.out, exist_ok=True)
+    _write_csv(os.path.join(args.out, "counterexample.csv"),
                ["n", "t", "x_oscillatory", "x_frozen", "x_exact"],
                _csv_blocks(b"", 0, times, x_osc, x_frz, exact))
     report = {
@@ -461,7 +454,7 @@ def cmd_counterexample(args) -> int:
            if t.diverged]
     if cut:
         report.update(diverged=True, requested_steps=args.steps)
-    _write_json(os.path.join(out, "counterexample_report.json"), report)
+    _write_json(os.path.join(args.out, "counterexample_report.json"), report)
     print(f"counterexample {args.method}: growth {growth:.3e} over {m} steps "
           f"(exact decays by {report['exact_decay_factor']:.3e}); "
           f"frozen-coefficient deviation {deviation:.3e}")
@@ -512,8 +505,8 @@ def cmd_spectrum(args) -> int:
     }
     if args.oracle_h is not None:
         bundle["oracle_mean_rates"] = oracle_rates
-    out = _ensure_out(args.out)
-    _write_json(os.path.join(out, "spectrum.json"), bundle)
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "spectrum.json"), bundle)
     print(f"spectrum ({args.mode}): mu={bundle['mu']} beta={bundle['beta']}")
     return 0
 
@@ -546,11 +539,11 @@ def cmd_converge(args) -> int:
     lh = np.log(np.asarray(hs))
     global_slope = float(np.polyfit(lh, np.log(ge), 1)[0])
     lte_slope = float(np.polyfit(lh, np.log(le), 1)[0])
-    out = _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     line = _csv_line(*[FLOAT_FMT] * 3)
-    _write_csv(os.path.join(out, "converge.csv"), ["h", "global_error", "lte_max"],
+    _write_csv(os.path.join(args.out, "converge.csv"), ["h", "global_error", "lte_max"],
                [line % row for row in zip(hs, ge, le)])
-    _write_json(os.path.join(out, "converge_report.json"), {
+    _write_json(os.path.join(args.out, "converge_report.json"), {
         "method": args.method, "h_list": list(hs), "t_final": args.tfinal,
         "global_errors": ge, "lte_max": le,
         "global_slope": global_slope, "lte_slope": lte_slope,

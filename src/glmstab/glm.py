@@ -358,21 +358,17 @@ def lte_series(tab: GlmTableau, phis: np.ndarray, refs: np.ndarray) -> np.ndarra
     return np.linalg.norm(defect, axis=1)
 
 
-def tau_series(lte_values: np.ndarray):
-    """Consecutive LTE ratios tau_n = LTE_{n+1}/LTE_n.
+def tau_max(lte_values: np.ndarray) -> float:
+    """Largest finite consecutive LTE ratio LTE_{n+1}/LTE_n, NaN if there is none.
 
-    Exact-zero denominators are skipped (NaN in the series, ignored for the max);
-    returns (ratios, tau_max).
+    A ratio over an exact-zero defect, or one that overflows, is not finite, so it
+    never counts.
     """
     lte_values = np.asarray(lte_values, dtype=float)
-    if lte_values.size < 2:
-        return np.empty(0), math.nan
-    denom = lte_values[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        taus = np.where(denom == 0.0, np.nan, lte_values[1:] / denom)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        taus = lte_values[1:] / lte_values[:-1]
     finite = taus[np.isfinite(taus)]
-    tau_max = float(np.max(finite)) if finite.size else math.nan
-    return taus, tau_max
+    return float(np.max(finite)) if finite.size else math.nan
 
 
 def run_nonlinear(tab: GlmTableau, f: Callable, jac: Callable, x0_super, n_steps: int,
@@ -438,21 +434,16 @@ def scalar_transition(tab: GlmTableau, z) -> np.ndarray:
     return tab.V + z * (tab.D @ t_sol)
 
 
-def spectral_radii(tab: GlmTableau, z) -> np.ndarray:
-    """Spectral radii of scalar_transition(tab, z), inf where I - z C is singular.
-
-    A batch that raises is redone one z at a time, so a singular z costs only itself.
-    """
+def spectral_radius(tab: GlmTableau, z: float) -> float:
+    """Spectral radius of scalar_transition(tab, z), inf where I - z C is singular."""
     try:
-        return np.max(np.abs(np.linalg.eigvals(scalar_transition(tab, z))), axis=-1)
+        return float(np.max(np.abs(np.linalg.eigvals(scalar_transition(tab, z)))))
     except np.linalg.LinAlgError:
-        if np.ndim(z) == 0:
-            return np.float64(math.inf)
-        return np.array([spectral_radii(tab, zi) for zi in z])
+        return math.inf
 
 
 def _scan_stable(tab: GlmTableau, z: np.ndarray) -> np.ndarray:
-    """spectral_radii(tab, z) <= 1 + 1e-12 on a 1-D grid, with eigvals run only where
+    """spectral_radius(tab, z) <= 1 + 1e-12 on a 1-D grid, with eigvals run only where
     the trace bound cannot decide.
 
     Each eigenvalue has modulus at most rho(M), so rho(M) >= |tr M| / k. A z where
@@ -465,10 +456,10 @@ def _scan_stable(tab: GlmTableau, z: np.ndarray) -> np.ndarray:
     to tr M within about p(k) k^2 eps max|M|, far below 1e-8 max|M| for any small k.
     The bound exceeds 1 only where max|M| > 1 (|tr M| / k <= max|M|), so the margin
     also covers rounding the trace and the moduli; the largest computed modulus is
-    then above 1 + 1e-12, the verdict spectral_radii gives. Every other point (a
+    then above 1 + 1e-12, the verdict spectral_radius gives. Every other point (a
     non-finite M or bound, a bound inside the margin) goes to eigvals, and a chunk
-    whose solve or eigvals raises is redone by spectral_radii, so every point's
-    verdict is spectral_radii's.
+    whose solve or eigvals raises is redone one z at a time by spectral_radius, so
+    every point's verdict is spectral_radius's.
     """
     try:
         m = scalar_transition(tab, z)
@@ -482,7 +473,7 @@ def _scan_stable(tab: GlmTableau, z: np.ndarray) -> np.ndarray:
             stable[undecided] = rho <= 1.0 + 1e-12
         return stable
     except np.linalg.LinAlgError:
-        return spectral_radii(tab, z) <= 1.0 + 1e-12
+        return np.array([spectral_radius(tab, zi) <= 1.0 + 1e-12 for zi in z])
 
 
 def stability_gap(tab: GlmTableau) -> float:
@@ -496,7 +487,7 @@ def stability_gap(tab: GlmTableau) -> float:
     |tr M| / k clears 1 by the margin is unstable without an eigensolve, and
     np.linalg.eigvals decides the rest (ab2's points below z = 2/3, most of bdf2's
     and be's first chunk, where |tr M| / k <= 1). The 80-step bisection
-    compares spectral_radii with 1 + 1e-12 at each midpoint and stops once a step
+    compares spectral_radius with 1 + 1e-12 at each midpoint and stops once a step
     leaves the bracket unchanged.
     """
     cap = GAP_Z_CAP + 1e-12
@@ -509,7 +500,7 @@ def stability_gap(tab: GlmTableau) -> float:
             lo, hi = (float(grid[i - 1]) if i else 1e-9), float(grid[i])
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                inside = spectral_radii(tab, mid) <= 1.0 + 1e-12
+                inside = spectral_radius(tab, mid) <= 1.0 + 1e-12
                 bracket = (lo, mid) if inside else (mid, hi)
                 if bracket == (lo, hi):
                     break

@@ -351,9 +351,10 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
 def integrate_diag(oracle: OracleTrail, t_a: float, t_b: float) -> np.ndarray:
     """Integral of the oracle's diagonal rates over [t_a, t_b] (composite Simpson).
 
-    Endpoints must (nearly) coincide with oracle grid nodes; the node count in
-    between is made even by splitting the last interval with a trapezoid if needed.
-    An endpoint that is not finite raises ConfigError.
+    Endpoints must (nearly) coincide with oracle grid nodes. Simpson covers the
+    even count of intervals from t_a; an odd count adds the trapezoid of the last
+    interval, which is all a count of 1 gets. An endpoint that is not finite
+    raises ConfigError.
     """
     ra, rb = ((t - oracle.ts[0]) / oracle.h_fine for t in (t_a, t_b))
     if not (math.isfinite(ra) and math.isfinite(rb)):
@@ -362,14 +363,14 @@ def integrate_diag(oracle: OracleTrail, t_a: float, t_b: float) -> np.ndarray:
     if not (0 <= ia < ib <= len(oracle.ts) - 1):
         raise WindowOutOfRange(f"[{t_a}, {t_b}] outside oracle span")
     seg = oracle.b_diag[ia: ib + 1]
-    n_int = ib - ia
+    n_even = (ib - ia) // 2 * 2
     h = oracle.h_fine
-    if n_int % 2 == 0:
-        w = np.ones(n_int + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return (h / 3.0) * (w[:, np.newaxis] * seg).sum(axis=0)
-    if n_int == 1:
+    if n_even == 0:
         return 0.5 * h * (seg[0] + seg[1])
-    head = integrate_diag(oracle, t_a, t_b - h)
-    return head + 0.5 * h * (seg[-2] + seg[-1])
+    w = np.ones(n_even + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    total = (h / 3.0) * (w[:, np.newaxis] * seg[:n_even + 1]).sum(axis=0)
+    if n_even < ib - ia:
+        total = total + 0.5 * h * (seg[-2] + seg[-1])
+    return total

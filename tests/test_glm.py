@@ -467,15 +467,38 @@ def test_lte_series_matches_probe_loop():
         glm.lte_series(tab, phis, refs[: n + 1])
 
 
-def test_tau_series_oracle():
-    taus, tau_max = glm.tau_series(np.array([1.0, 2.0, 6.0]))
-    assert np.allclose(taus, [2.0, 3.0])
-    assert tau_max == 3.0
-    taus, tau_max = glm.tau_series(np.array([1.0, 0.0, 5.0]))
-    assert taus[0] == 0.0 and math.isnan(taus[1])
-    assert tau_max == 0.0
-    _, tau_max = glm.tau_series(np.array([1.0]))
-    assert math.isnan(tau_max)
+def test_tau_max_oracle():
+    assert glm.tau_max(np.array([1.0, 2.0, 6.0])) == 3.0
+    assert glm.tau_max(np.array([1.0, 0.0, 5.0])) == 0.0     # 5 / 0 does not count
+    assert math.isnan(glm.tau_max(np.array([1.0])))
+
+
+def reference_tau_max(lte):
+    """The largest LTE_{n+1}/LTE_n, one pair at a time: a pair counts when its
+    denominator is nonzero and its ratio finite; NaN when none does."""
+    best = math.nan
+    for den, num in zip(lte[:-1], lte[1:]):
+        if den == 0.0:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = float(np.float64(num) / np.float64(den))
+        if math.isfinite(ratio) and not ratio <= best:
+            best = ratio
+    return best
+
+
+_LTE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, 1e-300, -1e300,
+                     5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lte=st.lists(_LTE_VALUES, max_size=7))
+def test_tau_max_matches_pairwise_reference(lte):
+    got = glm.tau_max(np.array(lte, dtype=float))
+    want = reference_tau_max(lte)
+    assert got == want or (math.isnan(got) and math.isnan(want))     # 0.0 == -0.0
 
 
 # -- nonlinear stepping --------------------------------------------------------

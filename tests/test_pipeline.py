@@ -58,12 +58,12 @@ def reference_experiment_row(tab, params, h, t_final, t0=0.0, x0=(1.0, 0.0),
     lte = glm.lte_series(tab, phis, refs)
     if lte_scale == "per-h":
         lte = lte / h
-    _, tau_max = glm.tau_series(lte)
     running = np.cumsum(trail.logs()[:, 0]) / (h * np.arange(1, m + 1))
     return cli.ExperimentRow(
-        h=h, n_steps=m, diverged=traj.diverged, mu=float(est.mu[0]),
+        n_steps=m, diverged=traj.diverged, mu=float(est.mu[0]),
         mu_frame=mu_frame, argmax_t=float(est.argmax_t[0]),
-        lte_mean=float(lte.mean()), lte_max=float(lte.max()), tau_max=tau_max,
+        lte_mean=float(lte.mean()), lte_max=float(lte.max()),
+        tau_max=glm.tau_max(lte),
         times=times[: m + 1], norms=np.linalg.norm(traj.first_blocks(), axis=1),
         lte=lte, running_mu=running)
 

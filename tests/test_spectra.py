@@ -262,6 +262,37 @@ def test_integrate_diag_one_interval_is_a_trapezoid():
         assert np.array_equal(got, 0.5 * h * (b_diag[i] + b_diag[i + 1]))
 
 
+def reference_integrate_diag(oracle, t_a, t_b):
+    """integrate_diag as first written: Simpson on an even count of intervals; an
+    odd count recurses on [t_a, t_b - h] and adds the last interval's trapezoid."""
+    ia, ib = (int(round((t - oracle.ts[0]) / oracle.h_fine)) for t in (t_a, t_b))
+    seg = oracle.b_diag[ia: ib + 1]
+    n_int = ib - ia
+    h = oracle.h_fine
+    if n_int % 2 == 0:
+        w = np.ones(n_int + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return (h / 3.0) * (w[:, np.newaxis] * seg).sum(axis=0)
+    if n_int == 1:
+        return 0.5 * h * (seg[0] + seg[1])
+    head = reference_integrate_diag(oracle, t_a, t_b - h)
+    return head + 0.5 * h * (seg[-2] + seg[-1])
+
+
+def test_integrate_diag_matches_recursive_reference():
+    # every span of 1-48 intervals from three starts, off t = 0, with drawn rates
+    rng = np.random.default_rng(34)
+    h = 0.0123
+    oracle = spectra.OracleTrail(ts=3.7 + h * np.arange(60),
+                                 b_diag=rng.standard_normal((60, 3)), h_fine=h)
+    for ia in (0, 1, 7):
+        for n_int in range(1, 49):
+            t_a, t_b = oracle.ts[ia], oracle.ts[ia + n_int]
+            got = spectra.integrate_diag(oracle, t_a, t_b)
+            assert got.tobytes() == reference_integrate_diag(oracle, t_a, t_b).tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t_a, t_b", [(math.nan, 0.5), (0.0, math.nan),
                                       (-math.inf, 0.5), (0.0, math.inf)])

@@ -3,7 +3,7 @@
 `reference_stability_gap` is the scan as first written: a grid built by repeated
 additions, one scalar transition, one np.linalg.eigvals call and one comparison
 per grid point, then all 80 bisection steps. The batched `glm.stability_gap` must
-give the same delta bit for bit, and `glm.spectral_radii` the same radii as
+give the same delta bit for bit, and `glm.spectral_radius` the same radius as
 `reference_rho` at every grid point. The scan's per-point verdicts, most of them
 settled by a trace bound without an eigensolve, must equal
 `reference_rho(tab, z) <= 1 + 1e-12`.
@@ -90,9 +90,7 @@ def _eigvals_inputs():
 
 def _assert_same_radii(tab, grid):
     want = np.array([reference_rho(tab, z) for z in grid])
-    assert np.array_equal(glm.spectral_radii(tab, np.array(grid)), want)
-    for z, rho in zip(grid[:50], want):                  # 1-element batches
-        assert np.array_equal(glm.spectral_radii(tab, np.array([z])), [rho])
+    assert np.array_equal([glm.spectral_radius(tab, z) for z in grid], want)
 
 
 @pytest.mark.parametrize("name", ["bdf2", "ab2", "be"])
@@ -137,14 +135,14 @@ def test_bound_inside_margin_reaches_eigvals():
     _assert_same_verdicts(tab, z.tolist())
 
 
-def test_non_finite_transition_falls_back_to_spectral_radii():
+def test_non_finite_transition_falls_back_to_spectral_radius():
     # M = 1e308 z overflows to inf above z = 1.8: eigvals rejects the chunk and
-    # spectral_radii redoes it one z at a time, giving inf radii there
+    # spectral_radius redoes it one z at a time, giving inf radii there
     tab = _scalar_tableau(1e308)
     z = np.array([0.5, 1.0, 2.0, 3.0])
     with np.errstate(over="ignore"):
         assert glm._scan_stable(tab, z).tolist() == [False] * 4
-        assert np.isinf(glm.spectral_radii(tab, z)[2:]).all()
+        assert all(math.isinf(glm.spectral_radius(tab, zi)) for zi in z[2:])
         _assert_same_verdicts(tab, z.tolist())
 
 
@@ -173,8 +171,7 @@ def test_singular_grid_point_falls_back(scan_step):
     assert 1.0 in grid
     with pytest.raises(np.linalg.LinAlgError):
         glm.scalar_transition(tab, np.array(grid))
-    radii = glm.spectral_radii(tab, np.array(grid))
-    assert math.isinf(radii[grid.index(1.0)])
+    assert math.isinf(glm.spectral_radius(tab, 1.0))
     _assert_same_radii(tab, grid)
     got = gap_on_grid(tab, 100.0, scan_step)
     assert got == reference_stability_gap(tab, scan_step=scan_step)
