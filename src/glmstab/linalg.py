@@ -76,8 +76,12 @@ def qr_chain(q, step, args, pres, n0=0):
 
 def rank_guard(ms: np.ndarray, diags: np.ndarray) -> int:
     """Matrices of the stack ms before the first that fails the rank guard, or len(ms):
-    m (R diagonal in diags) passes if min|R_ii| > RANK_TOL * max|m|; NaN fails."""
-    ok = np.min(np.abs(diags), axis=-1) > RANK_TOL * np.max(np.abs(ms), axis=(-2, -1))
+    m (R diagonal in diags) passes if min|R_ii| > RANK_TOL * max|m|; NaN fails. Both
+    extremes are taken along the stack axis of C-ordered (entries, matrices) copies,
+    not over each matrix's short row of entries."""
+    entries = ms.reshape(-1, ms.shape[-2] * ms.shape[-1]).T      # a view
+    scale = np.max(np.abs(entries, order="C"), axis=0)
+    ok = np.min(np.abs(diags.T, order="C"), axis=0) > RANK_TOL * scale
     return len(ok) if ok.all() else int(np.argmin(ok))
 
 

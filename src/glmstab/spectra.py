@@ -24,24 +24,24 @@ from .problems import LinearProblem
 
 
 class QrTrail:
-    __slots__ = ("h", "t0", "frame", "_logs")
+    __slots__ = ("h", "t0", "frame", "n_steps", "_buf")
 
     def __init__(self, h: float, t0: float, frame: Optional[np.ndarray], logs: np.ndarray):
         self.h, self.t0 = h, t0
         self.frame = frame      # (d, m) orthonormal frame; None for a vector trail
-        self._logs = logs       # (n_steps, n_modes) log increments per step
-
-    @property
-    def n_steps(self) -> int:
-        return self._logs.shape[0]
+        self.n_steps = logs.shape[0]
+        # (n_modes, capacity) log increments per step, mode-major; steps past n_steps
+        # are free room. A one-mode trail's logs are not copied.
+        self._buf = np.ascontiguousarray(logs.T)
 
     @property
     def n_modes(self) -> int:
-        return self._logs.shape[1]
+        return self._buf.shape[0]
 
     def logs(self) -> np.ndarray:
-        """The per-step log increments, one row per step, shape (n_steps, n_modes)."""
-        return self._logs
+        """The per-step log increments, one row per step, shape (n_steps, n_modes):
+        a view, which later advances leave unchanged."""
+        return self._buf[:, :self.n_steps].T
 
 
 def new_matrix_trail(dim: int, h: float, t0: float = 0.0) -> QrTrail:
@@ -65,25 +65,31 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     name the failing step n, the trail's step from Q_n to Q_{n+1}. The steps run
     through linalg.qr_chain, ndarray.dot itself the step, a C call with no numpy
     dispatcher; the rank guard (linalg.rank_guard), the logs and the signs are taken
-    per block, vectorized.
+    per block, vectorized, and the logs written into the trail's buffer in place.
     """
     phis = np.asarray(phis, dtype=float)
-    # the raw frame (trail.frame is q * sign), the running signs, the logs per block
-    q, sign, logs = trail.frame, np.ones(trail.n_modes), [trail._logs]
+    n = end = trail.n_steps
+    if n + len(phis) > trail._buf.shape[1]:     # at least double: O(n) copying in all
+        buf = np.empty((trail.n_modes, max(2 * trail._buf.shape[1], n + len(phis))))
+        buf[:, :n] = trail._buf[:, :n]
+        trail._buf = buf
+    # the raw frame (trail.frame is q * sign), the running signs
+    q, sign = trail.frame, np.ones(trail.n_modes)
     ms = np.empty((min(len(phis), _QR_BLOCK),) + q.shape)   # phi @ Q_n, for the guard
     # a non-finite phi makes the product warn; the guard below turns it into RankDeficient
     with np.errstate(invalid="ignore", over="ignore"):
-        for diags, qs in linalg.qr_chain(q, np.ndarray.dot, phis, ms, trail.n_steps):
+        for diags, qs in linalg.qr_chain(q, np.ndarray.dot, phis, ms, n):
             good = linalg.rank_guard(ms[:len(diags)], diags)
-            logs.append(np.log(np.abs(diags[:good])))
+            trail._buf[:, end:end + good] = np.log(np.abs(diags[:good])).T
+            end += good
             sign *= np.prod(np.copysign(1.0, diags[:good]), axis=0)
             q = qs[good]
             if good < len(diags):
                 break
     trail.frame = np.multiply(q, sign, out=np.empty(q.shape))
-    trail._logs = np.concatenate(logs)
-    if sum(map(len, logs[1:])) < len(phis):       # the failing step is the next one
-        raise linalg.rank_deficient(ms[good], diags[good], f" in step {trail.n_steps}")
+    trail.n_steps = end
+    if end - n < len(phis):       # the failing step is the next one
+        raise linalg.rank_deficient(ms[good], diags[good], f" in step {end}")
     return trail
 
 
@@ -97,9 +103,9 @@ def vector_trail_from_values(values: np.ndarray, h: float, t0: float = 0.0) -> Q
 
 
 def _cumlogs(trail: QrTrail) -> np.ndarray:
-    logs = trail.logs()
-    cs = np.zeros((logs.shape[0] + 1, logs.shape[1]))
-    np.cumsum(logs, axis=0, out=cs[1:])
+    """Running sums of the logs from 0, shaped (n_modes, n_steps + 1)."""
+    cs = np.zeros((trail.n_modes, trail.n_steps + 1))
+    np.cumsum(trail._buf[:, :trail.n_steps], axis=1, out=cs[:, 1:])
     return cs
 
 
@@ -132,13 +138,11 @@ def mu_appr(trail: QrTrail, n0: int, n: int, denominator: str = "t0",
     cs = _cumlogs(trail)
     js = 0 if sum_start == "origin" else n0
     t_ref = trail.t0 if denominator == "t0" else trail.t0 + n0 * trail.h
-    positions = np.arange(n0 + 1, n0 + n + 1)
-    ts = trail.t0 + positions * trail.h
-    sums = cs[positions] - cs[js]
-    ratios = sums / (ts - t_ref)[:, np.newaxis]
-    best = np.argmax(ratios, axis=0)
-    mu = ratios[best, np.arange(ratios.shape[1])]
-    return LyapunovEstimate(mu=mu, argmax_t=ts[best])
+    ts = trail.t0 + np.arange(n0 + 1, n0 + n + 1) * trail.h
+    ratios = np.subtract(cs[:, n0 + 1:n0 + n + 1], cs[:, js:js + 1])
+    ratios /= ts - t_ref
+    best = np.argmax(ratios, axis=1)
+    return LyapunovEstimate(mu=ratios[np.arange(len(best)), best], argmax_t=ts[best])
 
 
 class LyapunovEndpoints:
@@ -154,10 +158,9 @@ def lyapunov_endpoints(trail: QrTrail) -> LyapunovEndpoints:
     n, burn_in = trail.n_steps, trail.n_steps // 2
     if burn_in >= n:
         raise WindowOutOfRange(f"burn_in {burn_in} leaves no tail in {n} steps")
-    cs = _cumlogs(trail)
-    positions = np.arange(burn_in + 1, n + 1)
-    ratios = cs[positions] / (positions * trail.h)[:, np.newaxis]
-    return LyapunovEndpoints(eta=np.min(ratios, axis=0), mu=np.max(ratios, axis=0),
+    ratios = _cumlogs(trail)[:, burn_in + 1:]
+    ratios /= np.arange(burn_in + 1, n + 1) * trail.h
+    return LyapunovEndpoints(eta=np.min(ratios, axis=1), mu=np.max(ratios, axis=1),
                              burn_in=burn_in)
 
 
@@ -186,9 +189,9 @@ def sacker_sell_window(trail: QrTrail, H: float) -> SackerSellEstimate:
     """Spectral-interval endpoints: extreme averages per mode over windows of H."""
     m = window_steps(H, trail.h, trail.n_steps)
     cs = _cumlogs(trail)
-    span = m * trail.h
-    avgs = (cs[m:] - cs[:-m]) / span
-    return SackerSellEstimate(alpha=np.min(avgs, axis=0), beta=np.max(avgs, axis=0))
+    avgs = np.subtract(cs[:, m:], cs[:, :-m])
+    avgs /= m * trail.h
+    return SackerSellEstimate(alpha=np.min(avgs, axis=1), beta=np.max(avgs, axis=1))
 
 
 class IntegralSeparationReport:

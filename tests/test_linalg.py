@@ -61,6 +61,45 @@ def test_qr_positive_properties(seed, n):
     assert np.min(np.diag(r)) > 0.0
 
 
+def reference_rank_guard(ms, diags):
+    """The rank guard as first written, per matrix over its own short rows."""
+    ok = np.min(np.abs(diags), -1) > linalg.RANK_TOL * np.max(np.abs(ms), (-2, -1))
+    return len(ok) if ok.all() else int(np.argmin(ok))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 1100), rows=st.integers(1, 6),
+       data=st.data(), grade=st.sampled_from([0.0, 20.0, 150.0]),
+       special_frac=st.sampled_from([0.0, 1e-4, 0.01, 0.3]))
+def test_rank_guard_matches_per_matrix_formula(seed, k, rows, data, grade, special_frac):
+    cols = data.draw(st.integers(1, rows), label="cols")
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-grade, grade, (k, 1, cols))
+    ms = rng.standard_normal((k, rows, cols)) * scale
+    hit = rng.random(ms.shape) < special_frac
+    ms[hit] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf], int(hit.sum()))
+    with np.errstate(all="ignore"):      # inf * 0 and the QR of NaN-free stand-ins
+        ms[rng.integers(k)] *= data.draw(st.sampled_from([1.0, 0.0, 1e-300]), label="one")
+        r = np.linalg.qr(np.nan_to_num(ms, nan=1.0, posinf=1.0, neginf=1.0), mode="r")
+    diags = r.diagonal(0, 1, 2) * data.draw(st.sampled_from([1.0, 1e-16]), label="shrink")
+    diags = np.where(np.isfinite(ms).all(axis=(1, 2))[:, None], diags, np.nan)
+    # qr_chain's layout: the diagonals strided out of a C-ordered (rows, k, cols) block
+    block = np.zeros((cols, k, cols))
+    block[np.arange(cols), :, np.arange(cols)] = diags.T
+    for d in (diags, block.diagonal(0, 0, 2)):
+        want = reference_rank_guard(ms, d)
+        assert linalg.rank_guard(ms, d) == want
+        assert linalg.rank_guard(ms[:1], d[:1]) == reference_rank_guard(ms[:1], d[:1])
+        assert linalg.rank_guard(ms[:0], d[:0]) == 0
+    # qr_positive's call: one matrix, the diagonal of LAPACK's Fortran-ordered factor
+    m = ms[want if want < k else 0]
+    if np.isfinite(m).all():
+        packed, _ = householder_qr(m)
+        diag = packed.diagonal()
+        assert (linalg.rank_guard(m[np.newaxis], diag[np.newaxis])
+                == reference_rank_guard(m[np.newaxis], diag[np.newaxis]))
+
+
 def test_kron_oracle():
     # the GLM blocks U (x) I_d, V (x) I_d... are np.kron of float tableau matrices
     a = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmstab import glm, linalg, problems, spectra
-from glmstab.errors import RankDeficient
+from glmstab.errors import NumericalError, RankDeficient
 
 
 def householder_qr(m):
@@ -91,7 +91,9 @@ def test_criterion7_problem_in_uneven_slices():
         slices.append(min(lengths[len(slices) % len(lengths)], len(phis) - sum(slices)))
     want = reference_trail(np.eye(4), phis)
     assert want[2] is None
-    _assert_same(_blocked(np.eye(4), phis, slices), want)
+    got = _blocked(np.eye(4), phis, slices)
+    _assert_same(got, want)
+    _assert_same(got, _blocked(np.eye(4), phis))       # and one call over the series
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,6 +164,67 @@ def test_empty_series_leaves_trail_unchanged():
     spectra.qr_advance_series(trail, np.empty((0, 4, 4)))
     assert trail.n_steps == 3
     assert np.array_equal(trail.logs(), logs) and np.array_equal(trail.frame, frame)
+
+
+def test_logs_taken_earlier_survive_later_advances():
+    # the logs live in one mode-major buffer whose capacity doubles: an advance that
+    # fits writes past the history in place, one that does not copies it once
+    phis = _criterion7_phis(100)
+    trail = spectra.new_matrix_trail(4, 0.075)
+    spectra.qr_advance_series(trail, phis[:10])       # capacity 10: full
+    first = trail.logs()
+    kept = first.copy()
+    spectra.qr_advance_series(trail, phis[10:15])     # reallocates, to 20
+    assert not np.shares_memory(first, trail.logs())
+    second = trail.logs()
+    spectra.qr_advance_series(trail, phis[15:18])     # fits: no copy of the history
+    third = trail.logs()
+    assert np.shares_memory(second, third)
+    spectra.qr_advance_series(trail, phis[18:])
+    assert np.array_equal(first, kept) and np.array_equal(second, third[:15])
+    assert first.shape == (10, 4) and second.shape == (15, 4) and third.shape == (18, 4)
+    _assert_same((trail.logs(), trail.frame, None), reference_trail(np.eye(4), phis))
+
+
+@pytest.mark.parametrize("fits", [True, False], ids=["in-place", "reallocating"])
+def test_failed_advance_keeps_the_contract(monkeypatch, fits):
+    # RankDeficient keeps the steps before the failing one; a LAPACK NumericalError
+    # (here in the second block of the call) leaves n_steps, logs() and frame as
+    # they were. Logs written past n_steps by the failed call are overwritten by the
+    # next one, which then ends where one clean call does.
+    phis = _criterion7_phis(3000)
+    trail = spectra.new_matrix_trail(4, 0.075)
+    for lo, hi in ((0, 1500), (1500, 1600)) if fits else ((0, 50),):
+        spectra.qr_advance_series(trail, phis[lo:hi])     # fits: n 1600, capacity 3000
+    n, logs, frame = trail.n_steps, trail.logs(), trail.frame.copy()
+    rest, kept = phis[n:n + spectra._QR_BLOCK + 100], logs.copy()
+
+    real, calls = linalg.dgeqrf, []
+
+    def dgeqrf(m):
+        packed, tau, work, info = real(m)
+        calls.append(None)
+        return packed, tau, work, -1 if len(calls) > spectra._QR_BLOCK + 10 else info
+
+    monkeypatch.setattr(linalg, "dgeqrf", dgeqrf)
+    with pytest.raises(NumericalError):
+        spectra.qr_advance_series(trail, rest)
+    monkeypatch.undo()
+    assert np.shares_memory(trail.logs(), logs) == fits
+    assert trail.n_steps == n and np.array_equal(trail.logs(), kept)
+    assert np.array_equal(logs, kept) and np.array_equal(trail.frame, frame)
+
+    bad = rest.copy()
+    bad[30] = 0.0
+    with pytest.raises(RankDeficient, match=f"in step {n + 30}$") as exc:
+        spectra.qr_advance_series(trail, bad)
+    want = reference_trail(np.eye(4), np.concatenate([phis[:n], bad]))
+    _assert_same((trail.logs(), trail.frame, str(exc.value)), want)
+    assert trail.n_steps == n + 30 and np.array_equal(logs, kept)
+
+    spectra.qr_advance_series(trail, rest[30:])
+    want = _blocked(np.eye(4), phis[:n + len(rest)])
+    _assert_same((trail.logs(), trail.frame, None), want)
 
 
 # -- the exact facts the trail's raw-Q chain relies on ---------------------------
