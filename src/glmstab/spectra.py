@@ -295,9 +295,13 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     A(t) comes from three prob.batch calls up front (nodes, midpoints, step ends). The
     steps run through linalg.qr_chain, checked per block, vectorized, raising as a
     per-step check would. An RK4 step writes its products and sums with out= into
-    buffers allocated once, through ndarray.dot and ufuncs, which no numpy dispatcher
-    wraps. The rates come from one batched product over the raw frames kept at the
-    nodes: diag(F^T A F) does not depend on F's column signs.
+    buffers allocated once, through ndarray methods and ufuncs, which no numpy
+    dispatcher wraps. One ndarray.take gathers the skew projection's operands, w's
+    strictly lower part and its transposed upper part, as contiguous halves with the
+    bits of low and low.T. The RK4 coefficients are (d, d) arrays, which a ufunc takes
+    faster than Python floats, and a correctly rounded product has the same bits.
+    The rates come from one batched product over the raw frames kept at the nodes:
+    diag(F^T A F) does not depend on F's column signs.
     """
     d = prob.d
     eye = np.eye(d)
@@ -310,15 +314,21 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     a_nodes = prob.batch(ts)
     a_mid = prob.batch(ts[:-1] + 0.5 * h_fine)
     a_end = prob.batch(ts[:-1] + h_fine)
-    half, sixth = 0.5 * h_fine, h_fine / 6.0
-    lower = np.tri(d, k=-1, dtype=bool)
-    low = np.zeros((d, d))               # strictly lower part of w; the rest stays zero
-    qta, w, skew, stage, k1, k2, k3, k4 = np.empty((8, d, d))     # one step's work
+    half, step, two, sixth = (np.full((d, d), c)
+                              for c in (0.5 * h_fine, h_fine, 2.0, h_fine / 6.0))
+    wz = np.zeros(d * d + 1)             # w's entries, then a +0.0 slot
+    w = wz[:-1].reshape(d, d)
+    i, j = np.indices((d, d))
+    # w's strictly lower part, then its strictly upper part transposed; +0.0 elsewhere
+    pick = np.where([i > j, i < j], [i * d + j, j * d + i], d * d)
+    parts = np.empty((2, d, d))
+    low, low_t = parts
+    qta, skew, stage, k1, k2, k3, k4 = np.empty((7, d, d))     # one step's work
 
     def rate(qm: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
         qm.T.dot(a, qta).dot(qm, w)
-        np.copyto(low, w, where=lower)
-        qm.dot(np.subtract(low, low.T, skew), out)   # Q times the skew projection of w
+        wz.take(pick, None, parts, "wrap")      # every index is in range
+        qm.dot(np.subtract(low, low_t, skew), out)   # Q times the skew projection of w
 
     def rk4(idx: int, qm: np.ndarray, out: np.ndarray) -> None:
         frames[idx] = qm     # the node's raw frame; numpy sums a C copy with the rates
@@ -326,10 +336,10 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
         rate(qm, a_nodes[idx], k1)
         rate(np.add(qm, np.multiply(half, k1, stage), stage), a_mid[idx], k2)
         rate(np.add(qm, np.multiply(half, k2, stage), stage), a_mid[idx], k3)
-        rate(np.add(qm, np.multiply(h_fine, k3, stage), stage), a_end[idx], k4)
+        rate(np.add(qm, np.multiply(step, k3, stage), stage), a_end[idx], k4)
         # qm + sixth * (k1 + 2 k2 + 2 k3 + k4), operation by operation in that order
-        np.add(k1, np.multiply(2.0, k2, out), out)
-        np.add(out, np.multiply(2.0, k3, k3), out)
+        np.add(k1, np.multiply(two, k2, out), out)
+        np.add(out, np.multiply(two, k3, k3), out)
         np.add(out, k4, out)
         np.add(qm, np.multiply(sixth, out, out), out)
 

@@ -92,6 +92,12 @@ CASES = {
                          0.25),
     # 3600 steps: three full blocks of spectra._QR_BLOCK and a partial fourth
     "four-blocks": (problems.rotating_cosine_problem(UNEQUAL), 36.0, 0.01, 0.0),
+    # exact and signed zeros in w, where the skew projection's zeros meet w's own
+    "diagonal-zeros": (problems.constant_problem([[0.3, 0.0], [0.0, -0.2]]), 3.0, 0.01,
+                       0.0),
+    "signed-zeros": (problems.constant_problem([[-0.0, 1.0], [-0.0, -0.0]]), 3.0, 0.01,
+                     0.0),
+    "zero-3x3": (problems.constant_problem(np.zeros((3, 3))), 3.0, 0.01, 0.0),
 }
 
 
@@ -100,9 +106,37 @@ def test_oracle_matches_reference_bits(case):
     prob, t_final, h_fine, t0 = CASES[case]
     ts, b_diag = reference_oracle(prob, t_final, h_fine, t0=t0)
     got = spectra.continuous_qr_oracle(prob, t_final, h_fine, t0=t0)
-    assert np.array_equal(got.ts, ts)
-    assert np.array_equal(got.b_diag, b_diag)
+    # bytes, not values: -0.0 and +0.0 must not pass for each other
+    assert got.ts.tobytes() == ts.tobytes()
+    assert got.b_diag.tobytes() == b_diag.tobytes()
     assert got.h_fine == h_fine
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), p_zero=st.floats(0.0, 1.0),
+       grade=st.floats(0.0, 3.0), h_fine=st.floats(1e-3, 0.05), steps=st.integers(1, 150))
+def test_oracle_matches_reference_on_drawn_constant_problems(seed, d, p_zero, grade,
+                                                             h_fine, steps):
+    # each entry of A is 0.0 or -0.0 with probability p_zero / 2 each, otherwise a
+    # normal scaled by 10^u, u uniform in [-grade, grade]: the same nodes and rates
+    # byte for byte, or the same OrthogonalityLost
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-grade, grade, (d, d))
+    kind = rng.uniform(size=(d, d))
+    a[kind < p_zero] = 0.0
+    a[kind < 0.5 * p_zero] = -0.0
+    prob = problems.constant_problem(a)
+    t_final = steps * h_fine
+    try:
+        ts, b_diag = reference_oracle(prob, t_final, h_fine)
+    except OrthogonalityLost as ref:
+        with pytest.raises(OrthogonalityLost) as got:
+            spectra.continuous_qr_oracle(prob, t_final, h_fine)
+        assert str(got.value) == str(ref)
+        return
+    got = spectra.continuous_qr_oracle(prob, t_final, h_fine)
+    assert got.ts.tobytes() == ts.tobytes()
+    assert got.b_diag.tobytes() == b_diag.tobytes()
 
 
 @pytest.mark.parametrize("prob", [
