@@ -62,12 +62,16 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     The trail ends bit for bit where stepping qr_positive one phi at a time leaves
     it; on a step that fails the rank guard it keeps the steps before and raises
     RankDeficient, and a nonzero LAPACK info NumericalError, the trail unchanged; both
-    name the failing step n, the trail's step from Q_n to Q_{n+1}. The steps run
-    through linalg.qr_chain, ndarray.dot itself the step, a C call with no numpy
+    name the failing step n, the trail's step from Q_n to Q_{n+1}. phis not shaped
+    (n, m, m), m the frame's row count, raises ConfigError before any step. The steps
+    run through linalg.qr_chain, ndarray.dot itself the step, a C call with no numpy
     dispatcher; the rank guard (linalg.rank_guard), the logs and the signs are taken
     per block, vectorized, and the logs written into the trail's buffer in place.
     """
     phis = np.asarray(phis, dtype=float)
+    m = trail.frame.shape[0]
+    if phis.ndim != 3 or phis.shape[1:] != (m, m):
+        raise ConfigError(f"transitions must be shaped (n, {m}, {m}), got {phis.shape}")
     n = end = trail.n_steps
     if n + len(phis) > trail._buf.shape[1]:     # at least double: O(n) copying in all
         buf = np.empty((trail.n_modes, max(2 * trail._buf.shape[1], n + len(phis))))
@@ -223,7 +227,8 @@ def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
     reports the fitted pair (a, b) with a the worst long-window average and b the
     largest defect of the integral bound over all windows. Bounded-average:
     long-window averages stay within a0 of zero in modulus; reports (eps, M).
-    Otherwise inconclusive. h and T0 must be finite and positive (ConfigError).
+    Otherwise inconclusive. h and T0 must be finite and positive, logs 2-D, and i and
+    j mode indices in [0, n_modes) (ConfigError).
 
     With m0 = ceil(T0 / h) steps, the extreme averages over windows of m0 or more
     steps are reached at widths below 2 m0: a longer window splits into two windows
@@ -234,7 +239,9 @@ def integral_separation_logs(logs: np.ndarray, h: float, i: int, j: int,
     if not (math.isfinite(h) and h > 0.0 and math.isfinite(T0) and T0 > 0.0):
         raise ConfigError(f"h and T0 must be finite and positive, got h={h}, T0={T0}")
     logs = np.atleast_2d(np.asarray(logs, dtype=float))
-    n = logs.shape[0]
+    n, n_modes = logs.shape[0], logs.shape[-1]
+    if logs.ndim != 2 or not (0 <= i < n_modes and 0 <= j < n_modes):
+        raise ConfigError(f"mode pair ({i}, {j}) outside logs shaped {logs.shape}")
     m0 = max(int(math.ceil(T0 / h)), 1)
     if m0 > n:
         raise WindowOutOfRange(f"T0={T0} needs {m0} steps, trail has {n}")
@@ -294,12 +301,15 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
 
     A(t) comes from three prob.batch calls up front (nodes, midpoints, step ends). The
     steps run through linalg.qr_chain, checked per block, vectorized, raising as a
-    per-step check would. An RK4 step writes its products and sums with out= into
-    buffers allocated once, through ndarray methods and ufuncs, which no numpy
-    dispatcher wraps. One ndarray.take gathers the skew projection's operands, w's
-    strictly lower part and its transposed upper part, as contiguous halves with the
-    bits of low and low.T. The RK4 coefficients are (d, d) arrays, which a ufunc takes
-    faster than Python floats, and a correctly rounded product has the same bits.
+    per-step check would. An RK4 step is one Python call, its four stages written out
+    inline; it writes its products and sums with out= into buffers allocated once,
+    through ndarray methods and ufuncs, which no numpy dispatcher wraps. One
+    ndarray.take per stage gathers the skew projection's operands, w's strictly lower
+    part and its transposed upper part, as contiguous halves with the bits of low and
+    low.T. The RK4 coefficients are (d, d) arrays, which a ufunc takes faster than
+    Python floats, and a correctly rounded product has the same bits. k2 and k3 are
+    the halves of one buffer, doubled by one multiply; k2 is not read again, so the
+    sum ((k1 + 2 k2) + 2 k3) + k4 adds the same operands in the same order.
     The rates come from one batched product over the raw frames kept at the nodes:
     diag(F^T A F) does not depend on F's column signs.
     """
@@ -314,8 +324,8 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     a_nodes = prob.batch(ts)
     a_mid = prob.batch(ts[:-1] + 0.5 * h_fine)
     a_end = prob.batch(ts[:-1] + h_fine)
-    half, step, two, sixth = (np.full((d, d), c)
-                              for c in (0.5 * h_fine, h_fine, 2.0, h_fine / 6.0))
+    half, step, sixth = (np.full((d, d), c) for c in (0.5 * h_fine, h_fine, h_fine / 6.0))
+    two = np.full((2, d, d), 2.0)
     wz = np.zeros(d * d + 1)             # w's entries, then a +0.0 slot
     w = wz[:-1].reshape(d, d)
     i, j = np.indices((d, d))
@@ -323,23 +333,36 @@ def continuous_qr_oracle(prob: LinearProblem, t_final: float, h_fine: float,
     pick = np.where([i > j, i < j], [i * d + j, j * d + i], d * d)
     parts = np.empty((2, d, d))
     low, low_t = parts
-    qta, skew, stage, k1, k2, k3, k4 = np.empty((7, d, d))     # one step's work
-
-    def rate(qm: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
-        qm.T.dot(a, qta).dot(qm, w)
-        wz.take(pick, None, parts, "wrap")      # every index is in range
-        qm.dot(np.subtract(low, low_t, skew), out)   # Q times the skew projection of w
+    qta, skew, stage, k1, k4 = np.empty((5, d, d))     # one step's work
+    k23 = np.empty((2, d, d))            # k2 and k3, doubled together
+    k2, k3 = k23
+    stage_t = stage.T
 
     def rk4(idx: int, qm: np.ndarray, out: np.ndarray) -> None:
+        # each stage: k = Q S(Q, A), S the skew projection of w = Q^T A Q, whose
+        # operands the wrap-mode take gathers (every index is in range)
         frames[idx] = qm     # the node's raw frame; numpy sums a C copy with the rates
         qm = frames[idx]     # faster than LAPACK's Fortran-ordered Q
-        rate(qm, a_nodes[idx], k1)
-        rate(np.add(qm, np.multiply(half, k1, stage), stage), a_mid[idx], k2)
-        rate(np.add(qm, np.multiply(half, k2, stage), stage), a_mid[idx], k3)
-        rate(np.add(qm, np.multiply(step, k3, stage), stage), a_end[idx], k4)
+        am = a_mid[idx]
+        qm.T.dot(a_nodes[idx], qta).dot(qm, w)
+        wz.take(pick, None, parts, "wrap")
+        qm.dot(np.subtract(low, low_t, skew), k1)
+        np.add(qm, np.multiply(half, k1, stage), stage)
+        stage_t.dot(am, qta).dot(stage, w)
+        wz.take(pick, None, parts, "wrap")
+        stage.dot(np.subtract(low, low_t, skew), k2)
+        np.add(qm, np.multiply(half, k2, stage), stage)
+        stage_t.dot(am, qta).dot(stage, w)
+        wz.take(pick, None, parts, "wrap")
+        stage.dot(np.subtract(low, low_t, skew), k3)
+        np.add(qm, np.multiply(step, k3, stage), stage)
+        stage_t.dot(a_end[idx], qta).dot(stage, w)
+        wz.take(pick, None, parts, "wrap")
+        stage.dot(np.subtract(low, low_t, skew), k4)
         # qm + sixth * (k1 + 2 k2 + 2 k3 + k4), operation by operation in that order
-        np.add(k1, np.multiply(two, k2, out), out)
-        np.add(out, np.multiply(two, k3, k3), out)
+        np.multiply(two, k23, k23)
+        np.add(k1, k2, out)
+        np.add(out, k3, out)
         np.add(out, k4, out)
         np.add(qm, np.multiply(sixth, out, out), out)
 

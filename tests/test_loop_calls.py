@@ -68,11 +68,11 @@ def test_propagation_and_trail_add_no_python_call_per_step(loop):
 
 
 def test_oracle_adds_a_fixed_count_per_step():
-    # per step: rk4 and its four rate calls; a rate call reaches numpy through
-    # ndarray methods and ufuncs only, which no numpy dispatcher wraps
+    # per step: rk4 alone; its four stages reach numpy through ndarray methods
+    # and ufuncs only, which no numpy dispatcher wraps
     per_step = calls_per_step(
         lambda n: spectra.continuous_qr_oracle(PROB, n * 0.01, 0.01))
-    assert per_step == 5, per_step
+    assert per_step == 1, per_step
 
 
 def test_csv_writer_adds_no_call_per_line(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmstab import glm, linalg, problems, spectra
-from glmstab.errors import NumericalError, RankDeficient
+from glmstab.errors import ConfigError, NumericalError, RankDeficient
 
 
 def householder_qr(m):
@@ -163,6 +163,17 @@ def test_empty_series_leaves_trail_unchanged():
     logs, frame = trail.logs(), trail.frame.copy()
     spectra.qr_advance_series(trail, np.empty((0, 4, 4)))
     assert trail.n_steps == 3
+    assert np.array_equal(trail.logs(), logs) and np.array_equal(trail.frame, frame)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4), (2, 4, 4, 1), (2, 4, 3), (4,)])
+def test_misshaped_series_is_rejected_before_any_step(shape):
+    trail = spectra.new_matrix_trail(4, 0.075)
+    spectra.qr_advance_series(trail, _criterion7_phis(3))
+    logs, frame = trail.logs().copy(), trail.frame.copy()
+    with pytest.raises(ConfigError, match=r"\(n, 4, 4\)"):
+        spectra.qr_advance_series(trail, np.ones(shape))
+    assert trail.n_steps == 3 and trail._buf.shape[1] == 3
     assert np.array_equal(trail.logs(), logs) and np.array_equal(trail.frame, frame)
 
 

@@ -150,3 +150,21 @@ def test_separation_rejects_bad_step_or_window(h, T0):
     logs = np.column_stack([np.full(50, 0.02), np.zeros(50)])
     with pytest.raises(ConfigError):
         spectra.integral_separation_logs(logs, h, 0, 1, T0=T0)
+
+
+@pytest.mark.parametrize("i, j, ndim", [(-1, 0, 2), (0, -1, 2), (2, 0, 2), (0, 2, 2),
+                                        (-3, 5, 2), (0, 0, 3)])
+def test_separation_rejects_bad_mode_indices(i, j, ndim):
+    # (-1, 0) used to read the reversed pair as inconclusive with min average -0.2,
+    # (2, 0) raised an untyped IndexError, and 3-D logs were classified
+    logs = np.column_stack([np.full(50, 0.02), np.zeros(50)]).reshape((50, 2, 1)[:ndim])
+    with pytest.raises(ConfigError, match="outside"):
+        spectra.integral_separation_logs(logs, 0.1, i, j)
+
+
+def test_separation_accepts_every_valid_mode_index():
+    logs = np.column_stack([np.full(50, 0.02), np.zeros(50)])
+    assert spectra.integral_separation_logs(logs, 0.1, 0, 1).kind == "separated"
+    assert spectra.integral_separation_logs(logs, 0.1, 1, 0).kind == "inconclusive"
+    for k in (0, 1):
+        assert spectra.integral_separation_logs(logs, 0.1, k, k).kind == "bounded-average"
