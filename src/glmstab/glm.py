@@ -42,7 +42,7 @@ NEWTON_TOL = 1e-12      # run_nonlinear's stage residual bound, times max(1, |U 
 NEWTON_MAX_ITERS = 25   # Newton iterations per step before NewtonDiverged
 GAP_Z_CAP = 100.0       # stability_gap's scan: z up to GAP_Z_CAP, on the grid of
 GAP_SCAN_STEP = 0.01    # running sums of GAP_SCAN_STEP
-_GAP_CHUNK = 1024       # grid points per batched solve and eigvals in stability_gap
+_GAP_CHUNK = 1024       # grid points per batched transition and eigvals in stability_gap
 _TRACE_MARGIN = 1e-8    # _scan_stable's trace bound must clear 1 + 1e-12 by this * max|M|
 
 
@@ -426,11 +426,20 @@ def scalar_transition(tab: GlmTableau, z) -> np.ndarray:
     """k x k transition of the method on the frozen scalar test equation, hx' = z x.
 
     A 1-D array of z gives one transition per z, shape (n, k, k), with the same bits
-    as one call per z.
+    as one call per z. The stage values T solve (I - z C) T = U, one batched
+    np.linalg.solve. For an explicit method (C all zero) at finite z, I - z C is
+    exactly I and T is a copy of U: LAPACK returns a finite U bit for bit, except
+    that a -0.0 may come back as +0.0 (and an inf as NaN), so only a finite U with
+    no -0.0 takes the copy.
     """
     z = np.asarray(z, dtype=float)[..., np.newaxis, np.newaxis]
-    s = np.eye(tab.r) - z * tab.C
-    t_sol = np.linalg.solve(s, np.broadcast_to(tab.U, s.shape[:-1] + (tab.k,)))
+    u = np.broadcast_to(tab.U, z.shape[:-2] + (tab.r, tab.k))
+    identity_stages = (not tab.C.any() and np.isfinite(tab.U).all()
+                       and not np.signbit(tab.U[tab.U == 0.0]).any())
+    if identity_stages and np.isfinite(z).all():
+        t_sol = u.copy()
+    else:
+        t_sol = np.linalg.solve(np.eye(tab.r) - z * tab.C, u)
     return tab.V + z * (tab.D @ t_sol)
 
 
@@ -483,12 +492,13 @@ def stability_gap(tab: GlmTableau) -> float:
     first z where it re-enters the closed unit disk (to ~1e-10 by bisection), or
     infinity (capped search) if the recursion never restabilizes below GAP_Z_CAP.
     The grid is the running sum of GAP_SCAN_STEP (np.cumsum, in order), scanned
-    _GAP_CHUNK points per batch by _scan_stable: a point whose trace bound
-    |tr M| / k clears 1 by the margin is unstable without an eigensolve, and
-    np.linalg.eigvals decides the rest (ab2's points below z = 2/3, most of bdf2's
-    and be's first chunk, where |tr M| / k <= 1). The 80-step bisection
-    compares spectral_radius with 1 + 1e-12 at each midpoint and stops once a step
-    leaves the bracket unchanged.
+    _GAP_CHUNK points per batch by _scan_stable: one scalar_transition call per
+    batch (no stage solve for an explicit method such as ab2), then a point whose
+    trace bound |tr M| / k clears 1 by the margin is unstable without an
+    eigensolve, and np.linalg.eigvals decides the rest (ab2's points below
+    z = 2/3, most of bdf2's and be's first chunk, where |tr M| / k <= 1). The
+    80-step bisection compares spectral_radius with 1 + 1e-12 at each midpoint and
+    stops once a step leaves the bracket unchanged.
     """
     cap = GAP_Z_CAP + 1e-12
     grid = np.cumsum(np.full(int(cap / GAP_SCAN_STEP) + 2, GAP_SCAN_STEP))

@@ -121,27 +121,79 @@ def rotating_cosine_problem(p: RotatingCosineParams) -> LinearProblem:
     return LinearProblem(d=2, batch=lambda ts: rotating_cosine_A(p, ts))
 
 
-def _panel_quadrature(f, lo, hi, panels, scratch=None):
+def _panel_quadrature(f, lo, hi, edges, scratch=None):
     """Composite fixed-order Gauss-Legendre integral of a vectorized integrand.
 
-    lo/hi may be arrays (broadcast against each other). f(s, out) writes the integrand
-    on the full (targets, panels, nodes) grid s into out, and may overwrite s. Both
-    grids are views of scratch, a flat float array of at least twice the grid's size
-    that a caller may reuse, or else of a new one. Returns an array shaped like lo/hi.
+    The panels are those between edges, np.linspace(0, 1, panels + 1), scaled to
+    [lo, hi]; lo/hi may be arrays (broadcast against each other). f(s, out) writes
+    the integrand on the full (targets, nodes, panels) grid s into out, and may
+    overwrite s; every broadcast then runs along the panels. The weighted values
+    are copied to the first grid's memory in (targets, panels, nodes) order and
+    summed in that order. Both grids are views of scratch, a flat float array of at
+    least twice the grid's size that a caller may reuse, or else of a new one.
+    Returns an array shaped like lo/hi.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    width = (hi - lo)[..., np.newaxis] * (edges[1:] - edges[:-1])  # (..., panels)
-    mid_lo = lo[..., np.newaxis] + (hi - lo)[..., np.newaxis] * edges[:-1]
-    half, size = 0.5 * width[..., np.newaxis], 2 * width.size * _GL_NODES.size
-    s, vals = (np.empty(size) if scratch is None else scratch[:size]).reshape(
-        (2,) + width.shape + _GL_NODES.shape)
-    # nodes mapped into each panel: (..., panels, q)
-    np.add(mid_lo[..., np.newaxis], np.multiply(half, _GL_NODES + 1.0, out=s), out=s)
+    span = (hi - lo)[..., np.newaxis, np.newaxis]
+    half = 0.5 * (span * (edges[1:] - edges[:-1]))                  # (..., 1, panels)
+    shape = half.shape[:-2] + (_GL_NODES.size, edges.size - 1)
+    size = 2 * half.size * _GL_NODES.size
+    s, vals = (np.empty(size) if scratch is None else scratch[:size]).reshape((2,) + shape)
+    # nodes mapped into each panel, panel-major: (..., nodes, panels)
+    np.multiply(half, (_GL_NODES + 1.0)[:, np.newaxis], out=s)
+    np.add(lo[..., np.newaxis, np.newaxis] + span * edges[:-1], s, out=s)
     f(s, vals)
-    vals *= np.multiply(half, _GL_WEIGHTS, out=s)
-    return np.sum(vals, axis=(-2, -1))
+    np.multiply(vals, np.multiply(half, _GL_WEIGHTS[:, np.newaxis], out=s), out=vals)
+    summed = s.reshape(shape[:-2] + (edges.size - 1, _GL_NODES.size))
+    np.copyto(summed.swapaxes(-2, -1), vals)
+    return np.sum(summed, axis=(-2, -1))
+
+
+def _exact_flow(p: RotatingCosineParams, t_from, x_from, panel_counts, scratch=None):
+    """The exact flow of the rotating-cosine system from (t_from, x_from), as a
+    function of dt that returns x(t_from + dt) once per entry of panel_counts.
+
+    Vectorized over leading axes of t_from/x_from (x_from[..., 2]) and dt. What does
+    not depend on dt (the rotated start Q^T x_from, sin t_from and the panel edges)
+    is computed here once; each call computes the closed-form terms once and, when
+    the second rotated component and beta are nonzero, one variation-of-constants
+    integral per panel count from them. scratch: _panel_quadrature's.
+    """
+    t_from = np.asarray(t_from, dtype=float)
+    x_from = np.asarray(x_from, dtype=float)
+    w = p.omega_rate
+    y_from = np.einsum("...ji,...j->...i", rotation(w * t_from), x_from)  # Q^T x
+    y1, y2 = y_from[..., 0], y_from[..., 1]
+    sin_from = np.sin(t_from)
+    quadrature = np.any(y2 != 0.0) and p.beta != 0.0
+    rules = [np.linspace(0.0, 1.0, n + 1) for n in panel_counts] if quadrature else []
+
+    def integrand(s, out):  # exp(-m1(s)) y2(s) / y2(t_from), broadcast over the grid
+        if p.a2 - p.a1:         # else the sine term is a signed zero: it adds no bit
+            np.subtract(np.sin(s, out=out), sin_from[..., None, None], out=out)
+            np.multiply(p.a2 - p.a1, out, out=out)
+        np.subtract(s, t_from[..., np.newaxis, np.newaxis], out=s)
+        np.multiply(p.b2 - p.b1, s, out=s)
+        np.exp(np.add(out, s, out=out) if p.a2 - p.a1 else s, out=out)
+
+    def flow(dt):
+        t_to = t_from + dt
+        sin_to = np.sin(t_to)
+        m1 = p.a1 * (sin_to - sin_from) + p.b1 * (t_to - t_from)
+        m2 = p.a2 * (sin_to - sin_from) + p.b2 * (t_to - t_from)
+        y2_to = y2 * np.exp(np.where(y2 == 0.0, 0.0, m2))   # no 0 * inf
+        exp_m1, q_to = np.exp(m1), rotation(w * t_to)
+
+        def x_to(y1_to):
+            return np.einsum("...ij,...j->...i", q_to, np.stack([y1_to, y2_to], axis=-1))
+
+        if not rules:           # the closed form, the same for every panel count
+            return [x_to(exp_m1 * y1)] * len(panel_counts)
+        return [x_to(exp_m1 * (y1 + p.beta * y2 * _panel_quadrature(
+            integrand, t_from, t_to, edges, scratch))) for edges in rules]
+
+    return flow
 
 
 def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points,
@@ -151,35 +203,9 @@ def propagate_exact(p: RotatingCosineParams, t_from, x_from, dt, quad_points,
     Vectorized over leading axes of t_from/x_from (x_from[..., 2]). quad_points is
     the number of quadrature panels for the variation-of-constants integral; it only
     matters when the second rotated component is nonzero. scratch: _panel_quadrature's.
+    This is _exact_flow at one panel count; reference_batch evaluates it at two.
     """
-    t_from = np.asarray(t_from, dtype=float)
-    x_from = np.asarray(x_from, dtype=float)
-    t_to = t_from + dt
-    w = p.omega_rate
-    y_from = np.einsum("...ji,...j->...i", rotation(w * t_from), x_from)  # Q^T x
-    y1, y2 = y_from[..., 0], y_from[..., 1]
-
-    sin_from, sin_to = np.sin(t_from), np.sin(t_to)
-    m1 = p.a1 * (sin_to - sin_from) + p.b1 * (t_to - t_from)
-    m2 = p.a2 * (sin_to - sin_from) + p.b2 * (t_to - t_from)
-    y2_to = y2 * np.exp(np.where(y2 == 0.0, 0.0, m2))   # no 0 * inf
-
-    if np.any(y2 != 0.0) and p.beta != 0.0:
-        def integrand(s, out):  # exp(-m1(s)) y2(s) / y2(t_from), broadcast over panels
-            if p.a2 - p.a1:         # else the sine term is a signed zero: it adds no bit
-                np.subtract(np.sin(s, out=out), sin_from[..., None, None], out=out)
-                np.multiply(p.a2 - p.a1, out, out=out)
-            np.subtract(s, t_from[..., np.newaxis, np.newaxis], out=s)
-            np.multiply(p.b2 - p.b1, s, out=s)
-            np.exp(np.add(out, s, out=out) if p.a2 - p.a1 else s, out=out)
-
-        integral = _panel_quadrature(integrand, t_from, t_to, quad_points, scratch)
-        y1_to = np.exp(m1) * (y1 + p.beta * y2 * integral)
-    else:
-        y1_to = np.exp(m1) * y1
-
-    y_to = np.stack([y1_to, y2_to], axis=-1)
-    return np.einsum("...ij,...j->...i", rotation(w * t_to), y_to)
+    return _exact_flow(p, t_from, x_from, (quad_points,), scratch)(dt)[0]
 
 
 def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0):
@@ -187,14 +213,14 @@ def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0):
 
     Uses the triangular closed form in the rotated frame. When the second rotated
     component of x0 and beta are nonzero, the variation-of-constants integral is
-    checked by doubling QUAD_PANELS, _REF_CHUNK times per propagate_exact call: the
-    first time whose doubled-panel result moves by more than 1e-10 relative, or by
-    NaN, raises QuadratureUnderResolved, and the doubled-panel results are
-    returned. A vectorized norm clears the times clearly inside the bound; any
-    other time is re-checked with np.linalg.norm, in order, so the values and the
-    error are those of one check per time. Without the integral, the first time
-    whose value is not finite raises NumericalError. Overflow raises no warning:
-    only the typed error reports it.
+    checked by doubling QUAD_PANELS, _REF_CHUNK times per evaluation of one flow
+    from (t0, x0) at both panel counts: the first time whose doubled-panel result
+    moves by more than 1e-10 relative, or by NaN, raises QuadratureUnderResolved,
+    and the doubled-panel results are returned. A vectorized norm clears the times
+    clearly inside the bound; any other time is re-checked with np.linalg.norm, in
+    order, so the values and the error are those of one check per time. Without the
+    integral, the first time whose value is not finite raises NumericalError.
+    Overflow raises no warning: only the typed error reports it.
     """
     ts = np.asarray(ts, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -208,14 +234,13 @@ def reference_batch(p: RotatingCosineParams, ts, x0=(1.0, 0.0), t0=0.0):
             raise NumericalError(f"the exact solution is not finite at t={ts[bad]}")
         return out
     out = np.empty(ts.shape + (2,))
-    # the two grids of a chunk's fine call, reused by every chunk and both calls
+    # the two grids of a chunk's fine integral, reused by every chunk and both rules
     scratch = np.empty(2 * _REF_CHUNK * 2 * QUAD_PANELS * _GL_NODES.size)
+    flow = _exact_flow(p, t0, x0, (QUAD_PANELS, 2 * QUAD_PANELS), scratch)
     for base in range(0, len(ts), _REF_CHUNK):
         t = ts[base: base + _REF_CHUNK]
-        t_from, x_from = np.full(t.shape, t0), np.broadcast_to(x0, t.shape + (2,))
         with np.errstate(over="ignore", invalid="ignore"):
-            coarse = propagate_exact(p, t_from, x_from, t - t0, QUAD_PANELS, scratch)
-            fine = propagate_exact(p, t_from, x_from, t - t0, 2 * QUAD_PANELS, scratch)
+            coarse, fine = flow(t - t0)
             moved = np.linalg.norm(fine - coarse, axis=-1)
             scale = np.maximum(np.linalg.norm(fine, axis=-1), 1.0)
             for i in np.flatnonzero(~(moved <= 0.5e-10 * scale)).tolist():
@@ -272,7 +297,8 @@ def tanh_reference(p: TanhForcedParams, t):
     def integrand(s, out):
         out[...] = np.exp(p.a * (t - s)) * np.tanh(s * s)
 
-    return float(_panel_quadrature(integrand, 0.0, t, QUAD_PANELS))
+    edges = np.linspace(0.0, 1.0, QUAD_PANELS + 1)
+    return float(_panel_quadrature(integrand, 0.0, t, edges))
 
 
 ROTATING_KEYS = ("a1", "a2", "b1", "b2", "beta", "omega_rate")

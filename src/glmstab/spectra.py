@@ -62,13 +62,16 @@ def qr_advance_series(trail: QrTrail, phis: np.ndarray) -> QrTrail:
     The trail ends bit for bit where stepping qr_positive one phi at a time leaves
     it; on a step that fails the rank guard it keeps the steps before and raises
     RankDeficient, and a nonzero LAPACK info NumericalError, the trail unchanged; both
-    name the failing step n, the trail's step from Q_n to Q_{n+1}. phis not shaped
-    (n, m, m), m the frame's row count, raises ConfigError before any step. The steps
-    run through linalg.qr_chain, ndarray.dot itself the step, a C call with no numpy
-    dispatcher; the rank guard (linalg.rank_guard), the logs and the signs are taken
-    per block, vectorized, and the logs written into the trail's buffer in place.
+    name the failing step n, the trail's step from Q_n to Q_{n+1}. A vector trail (no
+    frame), or phis not shaped (n, m, m), m the frame's row count, raises ConfigError
+    before any step. The steps run through linalg.qr_chain, ndarray.dot itself the
+    step, a C call with no numpy dispatcher; the rank guard (linalg.rank_guard), the
+    logs and the signs are taken per block, vectorized, and the logs written into the
+    trail's buffer in place.
     """
     phis = np.asarray(phis, dtype=float)
+    if trail.frame is None:
+        raise ConfigError("a vector trail has no frame to advance")
     m = trail.frame.shape[0]
     if phis.ndim != 3 or phis.shape[1:] != (m, m):
         raise ConfigError(f"transitions must be shaped (n, {m}, {m}), got {phis.shape}")

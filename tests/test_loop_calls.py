@@ -6,7 +6,8 @@ per step, a numpy dispatcher such as np.dot's among them, shows up as 'call' eve
 that grow with the step count. Counting them over n, 2n and 3n steps inside one
 chunk or block makes the check independent of host speed. The CSV writer is held
 to the same standard per line, for C calls too: its fields are formatted by
-whole-array numpy calls.
+whole-array numpy calls. The stability-gap scan is held to its stage solves,
+counted the same way: an explicit method's scan runs none.
 """
 
 import gc
@@ -88,3 +89,30 @@ def test_csv_writer_adds_no_call_per_line(tmp_path):
     assert calls_per_step(lambda n: cli._write_csv(path, header, cli._csv_blocks(
         b"7.5000000000000000e-01,", 0, *(c[:n] for c in cols))), ("call", "c_call")) == 0
     assert path.read_bytes().count(b"\r\n") == 1 + 3 * N
+
+
+def solve_shapes(fn):
+    """The shape of the matrix operand of every np.linalg.solve call while fn()
+    runs, seen as 'call' events of its Python body."""
+    body, shapes = np.linalg.solve.__wrapped__.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            shapes.append(np.shape(frame.f_locals["a"]))
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return shapes
+
+
+def test_explicit_gap_scan_runs_no_stage_solve():
+    # ab2's stage matrices I - z C are exactly I, so its scan copies U in place of
+    # the ten batched solves; bdf2's implicit stage keeps its batched solve (the
+    # first chunk holds its first stable point) and one per bisection step
+    assert solve_shapes(lambda: glm.stability_gap(glm.get_tableau("ab2"))) == []
+    shapes = solve_shapes(lambda: glm.stability_gap(glm.get_tableau("bdf2")))
+    assert shapes[0] == (glm._GAP_CHUNK, 1, 1)
+    assert len(shapes) > 1 and set(shapes[1:]) == {(1, 1)}

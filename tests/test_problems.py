@@ -234,6 +234,33 @@ def test_in_place_quadrature_matches_formula():
         assert got.tobytes() == np.stack(fine).tobytes()
 
 
+@pytest.mark.parametrize("n_times", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("a2", [1.2, 1.5])
+def test_one_flow_gives_both_rules(n_times, a2):
+    # reference_batch evaluates one flow from (t0, x0) per chunk of times: its
+    # coarse and fine results are the formula's at 64 and 128 panels, byte for byte
+    p, x0, t0 = _params(a2=a2), (0.6, -0.8), -0.7
+    ts = t0 + np.linspace(0.05, 20.0, n_times)
+    evaluated, exact_flow = [], problems._exact_flow
+
+    def recording(*args):
+        flow = exact_flow(*args)
+
+        def evaluate(dt):
+            evaluated.append([x.copy() for x in flow(dt)])
+            return evaluated[-1]
+        return evaluate
+
+    with mock.patch.object(problems, "_exact_flow", recording):
+        got = problems.reference_batch(p, ts, x0=x0, t0=t0)
+    assert len(evaluated) == -(-n_times // problems._REF_CHUNK)
+    coarse, fine = (np.concatenate(rule) for rule in zip(*evaluated))
+    for panels, rule in ((64, coarse), (128, fine)):
+        want = np.stack([_propagate_formula(p, t0, x0, t - t0, panels) for t in ts])
+        assert rule.tobytes() == want.tobytes()
+    assert got.tobytes() == fine.tobytes()
+
+
 @pytest.mark.parametrize("t0", [0.0, 0.3])
 def test_equal_amplitudes_match_the_full_integrand(t0):
     # with a1 = a2 the integrand leaves out its sine term, a signed zero: the full

@@ -177,6 +177,17 @@ def test_misshaped_series_is_rejected_before_any_step(shape):
     assert np.array_equal(trail.logs(), logs) and np.array_equal(trail.frame, frame)
 
 
+@pytest.mark.parametrize("phis", [np.ones((2, 1, 1)), np.empty((0, 1, 1)), np.ones((3, 2, 2))])
+def test_vector_trail_is_rejected_before_any_step(phis):
+    # a trail of a w-sequence has no frame: a typed error, not numpy's AttributeError
+    trail = spectra.vector_trail_from_values(np.ones((5, 2)) + np.arange(5.0)[:, None], 0.1)
+    logs, buf = trail.logs().copy(), trail._buf
+    with pytest.raises(ConfigError, match="vector trail"):
+        spectra.qr_advance_series(trail, phis)
+    assert trail.n_steps == 4 and trail.frame is None and trail._buf is buf
+    assert trail.logs().tobytes() == logs.tobytes()
+
+
 def test_logs_taken_earlier_survive_later_advances():
     # the logs live in one mode-major buffer whose capacity doubles: an advance that
     # fits writes past the history in place, one that does not copies it once

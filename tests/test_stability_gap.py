@@ -220,3 +220,95 @@ def test_drawn_tableaus_match_reference(tab, scan_step):
     _assert_same_verdicts(tab, grid)
     got = gap_on_grid(tab, 5.0, scan_step)
     assert _same_delta(got, reference_stability_gap(tab, z_cap=5.0, scan_step=scan_step))
+
+
+def lapack_transition(tab, z):
+    """scalar_transition with the batched stage solve for every tableau and z: the
+    reference for its explicit-method shortcut, which copies U instead."""
+    z = np.asarray(z, dtype=float)[..., np.newaxis, np.newaxis]
+    s = np.eye(tab.r) - z * tab.C
+    t_sol = np.linalg.solve(s, np.broadcast_to(tab.U, s.shape[:-1] + (tab.k,)))
+    return tab.V + z * (tab.D @ t_sol)
+
+
+def _solve_spy():
+    """A patch of np.linalg.solve that counts its calls."""
+    return mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve)
+
+
+_EDGE_Z = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, -2.5, -1e-300, 2.0 / 3.0]
+
+
+def _assert_shortcut_matches_lapack(tab, zs):
+    zs = np.array(zs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = lapack_transition(tab, zs)
+        singles = [lapack_transition(tab, z) for z in zs]
+        with _solve_spy() as solve:
+            got = glm.scalar_transition(tab, zs)
+            got_singles = [glm.scalar_transition(tab, z) for z in zs]
+    assert solve.call_count == 0
+    assert got.tobytes() == want.tobytes()
+    for one, ref in zip(got_singles, singles):
+        assert one.shape == (tab.k, tab.k) and one.tobytes() == ref.tobytes()
+
+
+def test_ab2_shortcut_matches_lapack():
+    # ab2's C is zero and U = I: I - z C is exactly I at every finite z
+    _assert_shortcut_matches_lapack(glm.get_tableau("ab2"),
+                                    _EDGE_Z + reference_grid(z_cap=3.0, scan_step=0.1))
+
+
+@st.composite
+def _explicit_tableaus(draw):
+    # C all zero (either sign), U finite with +0.0 as its only zeros; V and D free,
+    # zeros of either sign included
+    k, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def with_zeros(a, signs):
+        a[rng.random(a.shape) < 0.3] = 0.0
+        return a * np.where(rng.random(a.shape) < 0.5, 1.0, signs)
+
+    return glm.GlmTableau(
+        k=k, r=r, order=1, U=with_zeros(rng.standard_normal((r, k)) * 1e3, 1.0),
+        V=with_zeros(rng.standard_normal((k, k)), -1.0),
+        C=with_zeros(np.zeros((r, r)), -1.0),
+        D=with_zeros(rng.standard_normal((k, r)), -1.0), xi=np.zeros(r))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tab=_explicit_tableaus(),
+       zs=st.lists(st.one_of(st.sampled_from(_EDGE_Z),
+                             st.floats(allow_nan=False, allow_infinity=False)),
+                   min_size=1, max_size=8))
+def test_drawn_explicit_shortcut_matches_lapack(tab, zs):
+    _assert_shortcut_matches_lapack(tab, zs)
+
+
+@pytest.mark.parametrize("case", ["inf", "-inf", "nan", "negative-zero-U", "inf-U"])
+def test_shortcut_leaves_the_rest_to_lapack(case):
+    # a non-finite z makes I - z C hold NaN; LAPACK solves U's -0.0 below a negative
+    # entry to +0.0, and an inf in U to NaN, so a copy of U would not give its bits
+    tab, zs = glm.get_tableau("ab2"), np.array([0.5, 1.0, 2.0])
+    odd_u = {"negative-zero-U": [[-1.0, 2.0], [-0.0, -0.0]],
+             "inf-U": [[math.inf, 0.0], [0.0, 1.0]]}
+    if case in odd_u:
+        tab = glm.GlmTableau(k=2, r=2, order=1, U=odd_u[case], V=tab.V, C=tab.C, D=tab.D,
+                             xi=tab.xi)
+        with np.errstate(invalid="ignore"):
+            t_sol = np.linalg.solve(np.eye(2), tab.U)
+        assert t_sol.tobytes() != tab.U.tobytes()
+    else:
+        zs[1] = float(case)
+    with np.errstate(invalid="ignore"):
+        want = lapack_transition(tab, zs)
+        with _solve_spy() as solve:
+            got = glm.scalar_transition(tab, zs)
+    assert solve.call_count == 1 and got.tobytes() == want.tobytes()
+
+
+def test_built_in_gaps_keep_their_bits():
+    assert glm.stability_gap(glm.get_tableau("bdf2")) == 3.9999999999969997
+    assert glm.stability_gap(glm.get_tableau("ab2")) == math.inf
+    assert glm.stability_gap(glm.get_tableau("be")) == 1.9999999999989995
